@@ -8,15 +8,14 @@ unobservable plant state.
 
 from .agent import (ExtendedState, HistoryBuffer, OrnsteinUhlenbeck, OuSettings,
                     ReplayMemory, Trainer, TrainSettings, Transition, LoopSetup,
-                    batch_loss_and_grad, build_extended_state, extended_state_dim,
-                    noise_scale, run_episode, td_target, transition_reward)
+                    batch_loss_and_grad, batch_targets, extended_state_dim,
+                    noise_scale, run_episode, transition_reward)
 from .config import ExperimentConfig, load_config, parse_config
 from .delays import (Actuator, DelayedChannel, DelayModel, no_delay_model,
                      sample_delay)
 from .errors import (CheckpointFormatError, ConfigError, DimensionError,
                      DivergenceError, NumericsError)
-from .naf import (EXP_CLAMP, NafEval, advantage, assemble_scale_matrix, evaluate,
-                  head_gradients, q_value, tri_size)
+from .naf import EXP_CLAMP, assemble_scale_matrix, quadratic_head, tri_size
 from .nn import (AdamState, DenseLayer, ForwardTrace, MlpNetwork, adam_step,
                  backward, bind_flat_storage, flatten_params, forward,
                  init_network, load_checkpoint, parameter_layout,

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delays import CP, SC, Actuator, DelayModel, DelayedChannel, DelayRecord, sample_delay
+from .delays import CP, SC, Actuator, DelayModel, DelayedChannel, sample_delay
 from .errors import DimensionError, DivergenceError, NumericsError
-from .naf import assemble_scale_matrix, head_gradients
+from .naf import quadratic_head
 from .nn import (AdamState, MlpNetwork, adam_step, backward, bind_flat_storage,
                  forward, init_network, soft_update)
 from .plant import InputSchedule, PlantModel, SensorMap, integrate, sense
@@ -123,10 +123,6 @@ class HistoryBuffer:
                              self.delay_steps, self.output_history_len)
 
 
-def build_extended_state(hist: HistoryBuffer) -> ExtendedState:
-    return hist.extended_state()
-
-
 # ---------------------------------------------------------------------------
 # Replay memory and exploration noise
 
@@ -148,7 +144,6 @@ class ReplayMemory:
         self.capacity = capacity
         self._items: list[Transition] = []
         self._cursor = 0
-        self.total_pushed = 0
 
     def __len__(self):
         return len(self._items)
@@ -162,7 +157,6 @@ class ReplayMemory:
         else:
             self._items[self._cursor] = item
             self._cursor = (self._cursor + 1) % self.capacity
-        self.total_pushed += 1
 
     def sample(self, rng: np.random.Generator, n: int) -> list[Transition]:
         if n > len(self._items):
@@ -212,19 +206,8 @@ def noise_scale(settings: OuSettings, episode: int, total_episodes: int) -> floa
     return settings.scale + (settings.scale_final - settings.scale) * frac
 
 
-def ou_step(process: OrnsteinUhlenbeck, dt: float, episode: int,
-            settings: OuSettings, total_episodes: int,
-            rng: np.random.Generator) -> np.ndarray:
-    """Advance the process and return the episode-scaled noise sample."""
-    return noise_scale(settings, episode, total_episodes) * process.step(dt, rng)
-
-
 # ---------------------------------------------------------------------------
 # Temporal-difference pieces
-
-
-def td_target(r: float, v_next: float, gamma: float) -> float:
-    return r + gamma * v_next
 
 
 def batch_targets(target_net: MlpNetwork, batch, gamma: float) -> np.ndarray:
@@ -248,13 +231,10 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
     targets = batch_targets(target_net, batch, gamma)
     w = np.stack([tr.w.vec for tr in batch])
     u = np.stack([np.atleast_1d(tr.u) for tr in batch])
-    m = net.action_dim
 
     trace = forward(net, w)
-    scale = assemble_scale_matrix(trace.scale_entries, m)
-    d = u - trace.action
-    s = np.einsum("bij,bi->bj", scale, d)
-    q = trace.value - 0.5 * np.einsum("bj,bj->b", s, s)
+    q, pullback = quadratic_head(trace.value, trace.action,
+                                 trace.scale_entries, u)
     resid = q - targets
     if not np.isfinite(resid).all():
         bad = int(np.flatnonzero(~np.isfinite(resid))[0])
@@ -262,10 +242,7 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
     n = len(batch)
     loss = float(resid @ resid) / n
 
-    dq = 2.0 * resid / n
-    d_value, d_action, d_scale = head_gradients(trace.action,
-                                                trace.scale_entries, u, dq, m)
-    grad, _ = backward(net, trace, (d_value, d_action, d_scale))
+    grad, _ = backward(net, trace, pullback(2.0 * resid / n))
     return loss, grad
 
 
@@ -301,8 +278,12 @@ class TrainSettings:
             raise ValueError("soft update rate must be in (0, 1]")
         if self.episodes < 1 or self.steps_per_episode < 1:
             raise ValueError("episodes and steps per episode must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
         if self.warmup < self.batch_size:
             raise ValueError("warmup must be at least one batch")
+        if self.replay_capacity < self.warmup:
+            raise ValueError("replay capacity must hold the warmup transitions")
         if self.update_period < 1 or self.update_iters < 0:
             raise ValueError("bad update cadence")
 
@@ -349,7 +330,6 @@ class EpisodeResult:
     rewards: list
     transitions: list
     samples: list
-    delay_records: list
     diverged: bool = False
     diverged_at: float | None = None
 
@@ -388,7 +368,7 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
 
     x = np.asarray(x0, dtype=float).copy()
     t_plant = 0.0
-    result = EpisodeResult([], [], [], [])
+    result = EpisodeResult([], [], [])
     w_prev = None
     u_prev = None
 
@@ -449,8 +429,6 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
         result.samples.append(SampleRow(k, t_k, x.copy(), y_k,
                                         actuator.held.copy(), sc_delay,
                                         cp_delay, ctrl_arrival, plant_arrival))
-        result.delay_records.append(DelayRecord(k, t_k, sc_delay, cp_delay,
-                                                ctrl_arrival, plant_arrival))
         w_prev, u_prev = w_k, u_k
         if on_step is not None:
             on_step(k)

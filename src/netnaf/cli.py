@@ -18,7 +18,6 @@ import numpy as np
 
 from .agent import run_episode
 from .config import ExperimentConfig, apply_overrides, load_config
-from .delays import dump_delay_trace
 from .errors import CheckpointFormatError, ConfigError, DimensionError
 from .nn import load_checkpoint, save_checkpoint
 from .verify import run_suites
@@ -62,6 +61,18 @@ def write_trajectory(path, samples, state_dim, output_dim, input_dim):
                             + [_fmt(v) for v in s.applied_input]
                             + [_fmt(s.sc_delay), _fmt(s.cp_delay),
                                _fmt(s.ctrl_arrival), _fmt(s.plant_arrival)])
+
+
+def write_delay_trace(path, samples):
+    """Realized delays and clamped arrivals, one row per sampling instant."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "t_sent", "tau_sc", "tau_cp",
+                         "ctrl_arrival", "plant_arrival"])
+        for s in samples:
+            writer.writerow([s.k] + [_fmt(v) for v in
+                                     (s.t, s.sc_delay, s.cp_delay,
+                                      s.ctrl_arrival, s.plant_arrival)])
 
 
 def cmd_train(args) -> int:
@@ -111,7 +122,10 @@ def cmd_eval(args) -> int:
         raise DimensionError(
             f"checkpoint expects input width {net.input_dim}, configuration "
             f"implies {cfg.extended_dim}")
-    x0 = np.array([float(part) for part in args.init.split(",")])
+    try:
+        x0 = np.array([float(part) for part in args.init.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"--init must be comma separated numbers: {exc}") from exc
     plant = cfg.plant()
     if x0.shape != (plant.state_dim,):
         raise DimensionError(f"initial state needs {plant.state_dim} components")
@@ -124,7 +138,7 @@ def cmd_eval(args) -> int:
     write_trajectory(out, result.samples, plant.state_dim,
                      cfg.sensor().output_dim, plant.input_dim)
     if args.delay_trace:
-        dump_delay_trace(args.delay_trace, result.delay_records)
+        write_delay_trace(args.delay_trace, result.samples)
     status = "diverged" if result.diverged else "ok"
     print(f"eval {status}: {len(result.samples)} samples, "
           f"reward sum {result.reward_sum_from(0):.3f}, wrote {out}")

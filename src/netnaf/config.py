@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, fields
 
 from .agent import LoopSetup, OuSettings, TrainSettings, Trainer, extended_state_dim
-from .delays import GRID, UNIFORM, DelayModel
+from .delays import UNIFORM, DelayModel
 from .errors import ConfigError
 from .plant import ChuaCircuit, chua_sensor
 from .reward import RewardWeights
@@ -114,10 +114,9 @@ class ExperimentConfig:
             raise ConfigError("hidden widths must be positive")
         if self.tanh_weight <= 0:
             raise ConfigError("tanh weight must be positive")
-        if self.delay_distribution not in (UNIFORM, GRID):
-            raise ConfigError(f"unknown delay distribution {self.delay_distribution!r}")
         try:
             self.delay_model()
+            self.train_settings()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

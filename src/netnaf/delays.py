@@ -10,7 +10,6 @@ pair of known bounds a + b.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 
@@ -103,9 +102,6 @@ class DelayedChannel:
         self.last_arrival = -np.inf
         self._last_poll = -np.inf
 
-    def __len__(self):
-        return len(self._queue)
-
     def send(self, t_send: float, payload, delay: float) -> float:
         """Enqueue a payload; returns its (clamped) arrival time."""
         if t_send < self.last_send:
@@ -137,50 +133,23 @@ class Actuator:
 
     def __init__(self, input_dim: int):
         self.held = np.zeros(input_dim)
-        self.events = []  # applied (time, input) history
+        self.last_arrival = -np.inf
 
     def apply(self, arrivals) -> list:
         """Consume (time, input) arrivals; returns the switch fragment.
 
         Clamping can land several arrivals on one instant; the fragment
-        keeps only the last of them (later sends win ties), while the event
-        history records every arrival.
+        keeps only the last of them (later sends win ties).
         """
         fragment = []
-        prev = self.events[-1][0] if self.events else -np.inf
         for when, value in arrivals:
-            if when < prev:
+            if when < self.last_arrival:
                 raise ValueError("actuation arrivals must be nondecreasing in time")
-            prev = when
+            self.last_arrival = when
             value = np.atleast_1d(np.asarray(value, dtype=float))
             self.held = value
-            self.events.append((when, value))
             if fragment and fragment[-1][0] == when:
                 fragment[-1] = (when, value)
             else:
                 fragment.append((when, value))
         return fragment
-
-
-@dataclass
-class DelayRecord:
-    """Realized timing of one sampling step, for audit dumps."""
-
-    k: int
-    sent: float
-    sc_delay: float
-    cp_delay: float
-    ctrl_arrival: float
-    plant_arrival: float
-
-
-def dump_delay_trace(path, records):
-    """Write realized delays and clamped arrivals as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t_sent", "tau_sc", "tau_cp",
-                         "ctrl_arrival", "plant_arrival"])
-        for rec in records:
-            writer.writerow([rec.k] + [repr(float(v)) for v in
-                                       (rec.sent, rec.sc_delay, rec.cp_delay,
-                                        rec.ctrl_arrival, rec.plant_arrival)])

@@ -2,17 +2,17 @@
 
 The scale head emits the m(m+1)/2 entries of a lower-triangular matrix in
 row-major lower-triangle order, diagonal entries stored pre-exponentiation.
-From those: L (diagonal exponentiated, so it is always positive), the
-positive definite P = L L^T, the advantage A = -0.5 (u-mu)^T P (u-mu), and
-Q = V + A. A is computed as -0.5 ||L^T (u-mu)||^2, which keeps it <= 0 in
-floating point and makes u = mu the exact argmax of Q.
+From those come L (diagonal exponentiated, so it is always positive), the
+positive definite P = L L^T and
 
-All functions take either one sample or a batch (leading axis).
+    Q = V - 0.5 (u-mu)^T P (u-mu) = V - 0.5 ||L^T (u-mu)||^2.
+
+The squared-norm form keeps Q <= V in floating point and makes u = mu the
+exact argmax of Q. `quadratic_head` is the one place Q and its gradients
+are computed; it builds L once for both.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +33,19 @@ def _tri_indices(m: int):
     return rows, cols, diag
 
 
-def _batch(arr, width, name):
-    out = np.asarray(arr, dtype=float)
-    if out.ndim == 1 and out.shape[0] == width:
-        return out[None, :], False
-    if out.ndim == 2 and out.shape[1] == width:
-        return out, True
-    raise DimensionError(f"{name} must have {width} entries per sample, "
-                         f"got shape {out.shape}")
-
-
 def assemble_scale_matrix(l_entries, m: int) -> np.ndarray:
     """Lower-triangular L from its packed entries; diagonal exponentiated.
 
     Packing is row-major over the lower triangle, e.g. for m=2 the order is
-    (0,0), (1,0), (1,1).
+    (0,0), (1,0), (1,1). Takes one sample or a batch (leading axis).
     """
-    entries, batched = _batch(l_entries, tri_size(m), "l_entries")
+    entries = np.asarray(l_entries, dtype=float)
+    batched = entries.ndim == 2
+    if entries.ndim not in (1, 2) or entries.shape[-1] != tri_size(m):
+        raise DimensionError(f"l_entries must have {tri_size(m)} entries per "
+                             f"sample, got shape {entries.shape}")
+    if not batched:
+        entries = entries[None, :]
     rows, cols, diag = _tri_indices(m)
     vals = entries.copy()
     vals[:, diag] = np.exp(np.clip(vals[:, diag], -EXP_CLAMP, EXP_CLAMP))
@@ -58,85 +54,32 @@ def assemble_scale_matrix(l_entries, m: int) -> np.ndarray:
     return L if batched else L[0]
 
 
-def advantage(u, mu, L):
-    """A = -0.5 d^T (L L^T) d with d = u - mu; returns (A, P).
+def quadratic_head(value, action, scale_entries, u):
+    """Q over a batch of (head outputs, action) rows, and its pullback.
 
-    A <= 0 always, and A = 0 exactly when u = mu.
+    value is (B,), action and u are (B, m), scale_entries is (B, m(m+1)/2).
+    Returns (q, pullback). pullback(dq) takes a (B,) vector and returns
+    (d_value, d_action, d_scale): dq times the partials of Q with respect to
+    the raw head outputs, shaped to feed nn.backward. The exp on the
+    diagonal, and its clamp (flat outside the clip range), is accounted for.
     """
-    u = np.asarray(u, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    L = np.asarray(L, dtype=float)
-    batched = L.ndim == 3
-    if not batched:
-        u, mu, L = u[None, :], mu[None, :], L[None, :, :]
-    m = L.shape[-1]
-    if u.shape[-1] != m or mu.shape[-1] != m:
-        raise DimensionError("action, policy and scale matrix dimensions differ")
-    d = u - mu
+    b, m = action.shape
+    if value.shape != (b,) or u.shape != (b, m) or len(scale_entries) != b:
+        raise DimensionError(
+            f"value {value.shape}, action {action.shape}, scale entries "
+            f"{np.shape(scale_entries)} and u {u.shape} do not describe one batch")
+    L = assemble_scale_matrix(scale_entries, m)
+    d = u - action
     s = np.einsum("bij,bi->bj", L, d)          # L^T d
-    a = -0.5 * np.einsum("bj,bj->b", s, s)
-    p = np.einsum("bik,bjk->bij", L, L)        # L L^T
-    if batched:
-        return a, p
-    return float(a[0]), p[0]
+    q = value - 0.5 * np.einsum("bj,bj->b", s, s)
 
+    def pullback(dq):
+        rows, cols, diag = _tri_indices(m)
+        d_action = dq[:, None] * np.einsum("bij,bj->bi", L, s)  # dq * P d
+        dL = -dq[:, None, None] * d[:, :, None] * s[:, None, :]
+        d_scale = dL[:, rows, cols]
+        d_scale[:, diag] *= np.where(np.abs(scale_entries[:, diag]) < EXP_CLAMP,
+                                     np.diagonal(L, axis1=1, axis2=2), 0.0)
+        return dq, d_action, d_scale
 
-def q_value(v, a):
-    """Q = V + A."""
-    return v + a
-
-
-@dataclass
-class NafEval:
-    """All head quantities for one (state, action) pair."""
-
-    L: np.ndarray
-    P: np.ndarray
-    A: float
-    Q: float
-
-
-def evaluate(v, mu, l_entries, u, m: int) -> NafEval:
-    L = assemble_scale_matrix(l_entries, m)
-    a, p = advantage(u, mu, L)
-    return NafEval(L=L, P=p, A=a, Q=q_value(v, a))
-
-
-def head_gradients(mu, l_entries, u, dq, m: int):
-    """Partials of Q with respect to the raw head outputs, scaled by dq.
-
-    Returns (d_value, d_action, d_scale_entries) shaped to feed the network
-    backward pass. The exp on the diagonal (and its clamp, whose derivative
-    is zero outside the clip range) is accounted for.
-    """
-    entries, batched = _batch(l_entries, tri_size(m), "l_entries")
-    mu_b, _ = _batch(mu, m, "mu")
-    u_b, _ = _batch(u, m, "u")
-    if mu_b.shape[0] != entries.shape[0] or u_b.shape[0] != entries.shape[0]:
-        raise DimensionError("batch sizes of mu, l_entries and u differ")
-    b = entries.shape[0]
-    dq_b = np.asarray(dq, dtype=float).reshape(-1)
-    if dq_b.size == 1:
-        dq_b = np.full(b, dq_b[0])
-    if dq_b.shape != (b,):
-        raise DimensionError(f"dq has {dq_b.size} entries for batch of {b}")
-
-    rows, cols, diag = _tri_indices(m)
-    L = np.zeros((b, m, m))
-    vals = entries.copy()
-    raw_diag = vals[:, diag]
-    vals[:, diag] = np.exp(np.clip(raw_diag, -EXP_CLAMP, EXP_CLAMP))
-    L[:, rows, cols] = vals
-
-    d = u_b - mu_b
-    s = np.einsum("bij,bi->bj", L, d)                    # L^T d
-    d_mu = dq_b[:, None] * np.einsum("bij,bj->bi", L, s)  # dq * P d
-    dL = -dq_b[:, None, None] * d[:, :, None] * s[:, None, :]
-    d_entries = dL[:, rows, cols]
-    # chain through the exponentiated diagonal; flat where the clamp is active
-    factor = np.where(np.abs(raw_diag) < EXP_CLAMP, vals[:, diag], 0.0)
-    d_entries[:, diag] *= factor
-    d_value = dq_b.copy()
-    if batched:
-        return d_value, d_mu, d_entries
-    return float(d_value[0]), d_mu[0], d_entries[0]
+    return q, pullback

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -435,68 +436,69 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
 
 def _build_layer(spec, params, pos):
     n_w = spec["out"] * spec["in"]
-    w = params[pos:pos + n_w].reshape(spec["out"], spec["in"]).copy()
-    b = params[pos + n_w:pos + n_w + spec["out"]].copy()
+    w = params[pos:pos + n_w].reshape(spec["out"], spec["in"])
+    b = params[pos + n_w:pos + n_w + spec["out"]]
     layer = DenseLayer(w, b, spec["activation"], spec.get("tanh_weight", 0.0))
     return layer, pos + n_w + spec["out"]
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (network, adam state), bit-exact."""
+    """Read a checkpoint back; returns (network, adam state), bit-exact.
+
+    The float64 blocks are read straight into one array; the layer arrays
+    and the Adam moments are views into it, so nothing is copied.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(_MAGIC) + 12 or raw[:len(_MAGIC)] != _MAGIC:
-        raise CheckpointFormatError("bad magic bytes, not a checkpoint file")
-    pos = len(_MAGIC)
-    (version,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    if version != _VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, pos)
-    pos += 8
-    if len(raw) < pos + header_len:
-        raise CheckpointFormatError("truncated header")
-    try:
-        header = json.loads(raw[pos:pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"unreadable header: {exc}") from exc
-    pos += header_len
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(_MAGIC) + 12)
+        if len(prefix) < len(_MAGIC) + 12 or prefix[:len(_MAGIC)] != _MAGIC:
+            raise CheckpointFormatError("bad magic bytes, not a checkpoint file")
+        version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
+        if version != _VERSION:
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        pos = len(prefix) + header_len
+        if size < pos:
+            raise CheckpointFormatError("truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointFormatError("header is not a JSON object")
 
-    total = header.get("param_count")
-    declared = 0
-    specs = list(header.get("trunk", []))
-    heads = header.get("heads", {})
-    for key in ("value", "action", "scale"):
-        if key not in heads:
-            raise CheckpointFormatError(f"header missing {key} head")
-        specs.append(heads[key])
-    for spec in specs:
-        declared += spec["out"] * spec["in"] + spec["out"]
-    if declared != total:
-        raise CheckpointFormatError(
-            f"layout declares {declared} parameters, header says {total}")
-    want_bytes = pos + 3 * total * 8
-    if len(raw) != want_bytes:
-        raise CheckpointFormatError(
-            f"file has {len(raw)} bytes, expected {want_bytes}")
+        total = header.get("param_count")
+        heads = header.get("heads", {})
+        try:
+            specs = list(header.get("trunk", []))
+            for key in ("value", "action", "scale"):
+                if key not in heads:
+                    raise CheckpointFormatError(f"header missing {key} head")
+                specs.append(heads[key])
+            declared = sum(spec["out"] * spec["in"] + spec["out"] for spec in specs)
+        except (KeyError, TypeError) as exc:
+            raise CheckpointFormatError(f"malformed layer spec in header: {exc!r}") from exc
+        if not isinstance(total, int) or declared != total:
+            raise CheckpointFormatError(
+                f"layout declares {declared} parameters, header says {total}")
+        want_bytes = pos + 3 * total * 8
+        if size != want_bytes:
+            raise CheckpointFormatError(
+                f"file has {size} bytes, expected {want_bytes}")
+        block = np.empty(3 * total, dtype=_F8)
+        if fh.readinto(block) != block.nbytes:
+            raise CheckpointFormatError("file ended inside the parameter block")
 
-    block = np.frombuffer(raw, dtype=_F8, count=3 * total, offset=pos)
     params, m, v = block[:total], block[total:2 * total], block[2 * total:]
-
-    cursor = 0
-    trunk = []
-    for spec in header["trunk"]:
-        layer, cursor = _build_layer(spec, params, cursor)
-        trunk.append(layer)
-    value, cursor = _build_layer(heads["value"], params, cursor)
-    action, cursor = _build_layer(heads["action"], params, cursor)
-    scale, cursor = _build_layer(heads["scale"], params, cursor)
     try:
-        net = MlpNetwork(trunk, value, action, scale, header["action_dim"])
-    except (DimensionError, ValueError) as exc:
-        raise CheckpointFormatError(f"inconsistent dimensions: {exc}") from exc
-
-    a = header["adam"]
-    adam = AdamState(m.copy(), v.copy(), a["step"], a["lr"], a["beta1"],
-                     a["beta2"], a["eps"])
+        cursor = 0
+        layers = []
+        for spec in specs:
+            layer, cursor = _build_layer(spec, params, cursor)
+            layers.append(layer)
+        net = MlpNetwork(layers[:-3], *layers[-3:], header["action_dim"])
+        a = header["adam"]
+        adam = AdamState(m, v, a["step"], a["lr"], a["beta1"], a["beta2"],
+                         a["eps"])
+    except (KeyError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
+        raise CheckpointFormatError(f"inconsistent header: {exc!r}") from exc
     return net, adam

@@ -104,15 +104,6 @@ class InputSchedule:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("switch times must be strictly increasing")
 
-    def value_at(self, t: float) -> np.ndarray:
-        current = self.initial
-        for when, value in self.switches:
-            if when <= t:
-                current = value
-            else:
-                break
-        return np.atleast_1d(np.asarray(current, dtype=float))
-
 
 def _check_state(x, t):
     if not np.isfinite(x).all() or np.abs(x).max() > DIVERGENCE_LIMIT:
@@ -148,7 +139,7 @@ def _segments(schedule: InputSchedule, t0: float, t1: float):
         yield start, t1, current
 
 
-def _span(model, x, u, a, b, h, record=None):
+def _span(model, x, u, a, b, h, record):
     span = b - a
     if span <= 0.0:
         return x
@@ -171,13 +162,14 @@ def _span(model, x, u, a, b, h, record=None):
 
 
 def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
-              t1: float, substep: float) -> np.ndarray:
+              t1: float, substep: float, record=None) -> np.ndarray:
     """State at t1, starting from x0 at t0, input held per schedule.
 
     Fixed RK4 substeps, restarted exactly at every switch time inside the
     window; a shorter final step lands on each segment end. Raises
     DivergenceError (carrying the blow-up time) if the state leaves the
-    trusted region.
+    trusted region. record(t, x), if given, is called at every substep node
+    after t0.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -189,29 +181,19 @@ def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
                              f"({model.state_dim},)")
     _check_state(x, t0)
     for a, b, u in _segments(schedule, t0, t1):
-        x = _span(model, x, u, a, b, substep)
+        x = _span(model, x, u, a, b, substep, record)
     return x
 
 
 def integrate_trajectory(model: PlantModel, x0, schedule: InputSchedule,
                          t0: float, t1: float, substep: float):
     """Like integrate, but records every substep node; returns (times, states)."""
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if substep <= 0:
-        raise ValueError("substep must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (model.state_dim,):
-        raise DimensionError(f"x0 has shape {x.shape}, plant state is "
-                             f"({model.state_dim},)")
-    _check_state(x, t0)
     times = [t0]
-    states = [x.copy()]
+    states = [np.array(x0, dtype=float)]
 
     def record(t, xt):
         times.append(t)
         states.append(xt.copy())
 
-    for a, b, u in _segments(schedule, t0, t1):
-        x = _span(model, x, u, a, b, substep, record=record)
+    integrate(model, x0, schedule, t0, t1, substep, record)
     return np.array(times), np.array(states)

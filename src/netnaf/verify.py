@@ -1,9 +1,15 @@
-"""Fast self-check suites behind the `verify` subcommand.
+"""Acceptance generators, their pass/fail checks, and the `verify` suites.
 
-Each suite re-derives an expected answer from something independent
-(finite differences, closed forms, brute enumeration) and checks the
-production path against it. One suite deliberately feeds a corrupted
-advantage through the checker to prove the checker can fail.
+Each generate_* function re-derives an expected answer from something
+independent (finite differences, closed forms, brute enumeration), runs the
+production path against it and returns a JSON-serializable artifact; the
+matching check_* function turns that artifact into (ok, detail) with the
+acceptance thresholds. The acceptance tests run the generators at full
+size; `netnaf verify` runs them at the small sizes in ALL_SUITES. The
+mutation_guard suite feeds a sign-flipped head through the criterion-1
+generator to prove that its check can fail.
+
+Imports nothing beyond numpy and this package.
 """
 
 from __future__ import annotations
@@ -13,19 +19,24 @@ import time
 import numpy as np
 
 from . import naf, nn
-from .agent import ExtendedState, Transition, batch_loss_and_grad, extended_state_dim
-from .delays import SC, CP, DelayModel, DelayedChannel, sample_delay
-from .plant import ChuaCircuit, InputSchedule, integrate
+from .agent import (ExtendedState, HistoryBuffer, Transition, batch_loss_and_grad,
+                    extended_state_dim, run_episode)
+from .config import ExperimentConfig
+from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
+from .plant import ChuaCircuit, InputSchedule, integrate, sense
 from .reward import (RewardWeights, input_history_reward, output_change_reward,
                      output_history_reward, total_reward)
 
-
-def _rel_err(a, b):
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(a - b).max() / scale
+DELTA = 2.0 ** -4
 
 
-def _fd_grad(func, theta, step=1e-5):
+# ---------------------------------------------------------------------------
+# Independent oracles
+
+
+def fd_gradient(func, theta, step=1e-5):
+    """Central finite-difference gradient of a scalar function."""
+    theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
     for i in range(theta.size):
         probe = theta.copy()
@@ -37,105 +48,128 @@ def _fd_grad(func, theta, step=1e-5):
     return grad
 
 
-def _random_net(rng, dim, m, widths=(16, 16)):
-    return nn.init_network([dim, *widths], m, 4.0,
-                           int(rng.integers(0, 2 ** 31)))
+def rel_err(a, b):
+    """Max absolute difference scaled by the larger gradient magnitude."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
+    return float(np.abs(a - b).max() / scale)
 
 
-def suite_naf_algebra(pairs=240, actions_per_state=200):
-    """Q(mu) == V, A <= 0, P positive definite, over random nets and states."""
-    rng = np.random.default_rng(11)
+def classical_sampled_loop(net, setup, settings, x0):
+    """Undelayed sampled-data reference: sense at each period, act at once,
+    hold the input, integrate to the next sample. No channels anywhere."""
+    plant, sensor = setup.plant, setup.sensor
+    delta = sensor.period
+    hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
+                         settings.max_delay_steps, settings.output_history_len)
+    x = np.asarray(x0, dtype=float).copy()
+    states, inputs = [], []
+    u = np.zeros(plant.input_dim)
+    for k in range(settings.steps_per_episode + 1):
+        if k > 0:
+            x = integrate(plant, x, InputSchedule(u), (k - 1) * delta,
+                          k * delta, setup.substep)
+        y = sense(x, sensor)
+        if k == 0:
+            hist.reset(y)
+        else:
+            hist.push_output(y)
+        w = hist.extended_state()
+        u = nn.forward(net, w.vec).mu.copy()
+        hist.push_input(u)
+        states.append(x.copy())
+        inputs.append(u.copy())
+    return np.array(states), np.array(inputs)
+
+
+# ---------------------------------------------------------------------------
+# 1. advantage-head algebra
+
+
+def generate_naf_algebra(pairs=1000, actions=1000, head=naf.quadratic_head):
+    """Q(mu) = V, Q <= V and P positive definite over random nets and states.
+
+    head has the signature of naf.quadratic_head; the mutation guard passes
+    a corrupted one.
+    """
+    rng = np.random.default_rng(1001)
     worst_gap = 0.0
+    worst_adv = -np.inf
+    min_eig = np.inf
     for i in range(pairs):
-        m = int(rng.integers(1, 4))
-        dim = int(rng.integers(3, 9))
-        net = _random_net(rng, dim, m)
+        m = (1, 2, 3)[i % 3]
+        dim = int(rng.integers(4, 10))
+        net = nn.init_network([dim, 16, 16], m, 4.0, int(rng.integers(2 ** 31)))
         w = rng.normal(0.0, 2.0, size=dim)
-        tr = nn.forward(net, w)
-        ev = naf.evaluate(tr.v, tr.mu, tr.l_entries, tr.mu, m)
-        worst_gap = max(worst_gap, abs(ev.Q - tr.v))
-        if abs(ev.Q - tr.v) > 1e-12:
-            return False, f"Q(mu) - V = {ev.Q - tr.v:.3e} on pair {i}"
-        np.linalg.cholesky(ev.P)  # raises if not positive definite
-        u = tr.mu + rng.normal(0.0, 2.0, size=(actions_per_state, m))
-        a, _ = naf.advantage(u, np.broadcast_to(tr.mu, (actions_per_state, m)),
-                             np.broadcast_to(ev.L, (actions_per_state, m, m)))
-        if (a > 0.0).any():
-            return False, f"positive advantage on pair {i}"
-    return True, f"{pairs} pairs, worst |Q(mu)-V| = {worst_gap:.2e}"
+        tr = nn.forward(net, w[None, :])
+        L = naf.assemble_scale_matrix(tr.scale_entries[0], m)
+        p = L @ L.T
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(p).min()))
+        np.linalg.cholesky(p)
+        us = tr.action + rng.normal(0.0, 2.0, size=(actions, m))
+        us = np.vstack([tr.action, us])  # row 0 is u = mu
+        n = us.shape[0]
+        q, _ = head(np.repeat(tr.value, n), np.repeat(tr.action, n, axis=0),
+                    np.repeat(tr.scale_entries, n, axis=0), us)
+        adv = q - tr.value[0]
+        worst_gap = max(worst_gap, abs(float(adv[0])))
+        worst_adv = max(worst_adv, float(adv[1:].max()))
+    return {"pairs": pairs, "worst_abs_q_minus_v": worst_gap,
+            "worst_advantage": worst_adv, "min_p_eigenvalue": min_eig}
 
 
-def suite_gradients():
-    """Backward pass and TD-loss gradient against central finite differences."""
-    rng = np.random.default_rng(23)
-    dim, m = 6, 1
-    net = _random_net(rng, dim, m, widths=(8, 8))
-    x = rng.normal(size=dim)
-    head_grads = (rng.normal(), rng.normal(size=m),
-                  rng.normal(size=naf.tri_size(m)))
-    trace = nn.forward(net, x)
-    analytic, _ = nn.backward(net, trace, head_grads)
-    theta0 = nn.flatten_params(net)
+def check_naf_algebra(art):
+    ok = (art["worst_abs_q_minus_v"] <= 1e-12 and art["worst_advantage"] <= 0.0
+          and art["min_p_eigenvalue"] > 0.0)
+    return ok, (f"{art['pairs']} pairs, |Q(mu)-V| <= "
+                f"{art['worst_abs_q_minus_v']:.1e}, max Q-V "
+                f"{art['worst_advantage']:.2e}, min eig(P) "
+                f"{art['min_p_eigenvalue']:.2e}")
 
-    def scalar(theta):
-        nn.set_params(net, theta)
-        t = nn.forward(net, x)
-        return (head_grads[0] * t.v + head_grads[1] @ t.mu
-                + head_grads[2] @ t.l_entries)
 
-    err_b = _rel_err(analytic, _fd_grad(scalar, theta0))
-    nn.set_params(net, theta0)
-    if err_b > 1e-4:
-        return False, f"backward rel err {err_b:.2e}"
+# ---------------------------------------------------------------------------
+# 2. gradient correctness
 
-    dim_w = extended_state_dim(2, m, 2, 1)
-    main = _random_net(rng, dim_w, m, widths=(8, 8))
-    target = _random_net(rng, dim_w, m, widths=(8, 8))
-    def mk(vec):
+
+def generate_gradient_check():
+    """TD-loss gradient of a small batch against central finite differences."""
+    rng = np.random.default_rng(1002)
+    m = 1
+    dim = extended_state_dim(2, m, 2, 1)
+    net = nn.init_network([dim, 8, 8], m, 4.0, 77)
+    target = nn.init_network([dim, 8, 8], m, 4.0, 78)
+
+    def state(vec):
         return ExtendedState(np.asarray(vec, dtype=float), 2, m, 2, 1)
 
-    batch = [Transition(mk(rng.normal(size=dim_w)), rng.normal(size=m),
-                        mk(rng.normal(size=dim_w)), float(rng.normal()))
+    batch = [Transition(state(rng.normal(size=dim)), rng.normal(size=m),
+                        state(rng.normal(size=dim)), float(rng.normal()))
              for _ in range(4)]
-    _, analytic = batch_loss_and_grad(main, target, batch, 0.99)
-    theta0 = nn.flatten_params(main)
+    _, analytic = batch_loss_and_grad(net, target, batch, 0.99)
+    theta0 = nn.flatten_params(net)
 
     def loss_of(theta):
-        nn.set_params(main, theta)
-        loss, _ = batch_loss_and_grad(main, target, batch, 0.99)
+        nn.set_params(net, theta)
+        loss, _ = batch_loss_and_grad(net, target, batch, 0.99)
         return loss
 
-    err_j = _rel_err(analytic, _fd_grad(loss_of, theta0))
-    nn.set_params(main, theta0)
-    if err_j > 1e-4:
-        return False, f"TD loss rel err {err_j:.2e}"
-    return True, f"backward {err_b:.2e}, TD loss {err_j:.2e}"
+    fd = fd_gradient(loss_of, theta0, step=1e-5)
+    return {"rel_err": rel_err(analytic, fd), "params": int(theta0.size)}
 
 
-def suite_channels(sequences=400, sends=250):
-    """In-order delivery and the end-to-end bound under random delays."""
-    delta = 2.0 ** -4
-    model = DelayModel(delta, (delta, 3 * delta), (delta, 3 * delta), 4, 4)
-    bound = model.total_delay_steps * delta
-    rng = np.random.default_rng(37)
-    for s in range(sequences):
-        sc, cp = DelayedChannel(), DelayedChannel()
-        order = []
-        for k in range(sends):
-            t = k * delta
-            c = sc.send(t, k, sample_delay(model, SC, rng))
-            a = cp.send(c, k, sample_delay(model, CP, rng))
-            if a - t > bound + 1e-12:
-                return False, f"end-to-end delay {a - t:.4f} beyond {bound:.4f}"
-            order.extend(p for _, p in sc.poll(c))
-        order_cp = [p for _, p in cp.poll(np.inf)]
-        if order != list(range(sends)) or order_cp != list(range(sends)):
-            return False, f"delivery order broke on sequence {s}"
-    return True, f"{sequences * sends} sends in order, bound {bound:.4f}s held"
+def check_gradient(art):
+    return art["rel_err"] < 1e-4, (f"TD-loss gradient vs finite differences: "
+                                   f"rel err {art['rel_err']:.2e} over "
+                                   f"{art['params']} parameters")
 
 
-def suite_rk4_order():
-    """Order-4 convergence on dx/dt = -x and exact Chua rest points."""
+# ---------------------------------------------------------------------------
+# 3. integrator order and rest points
+
+
+def generate_rk4_order():
+    """RK4 error slope on dx/dt = -x and the Chua rest-point residuals."""
 
     class Linear:
         state_dim = 1
@@ -144,84 +178,143 @@ def suite_rk4_order():
         def deriv(self, x, u):
             return -x
 
-    model = Linear()
     schedule = InputSchedule(np.zeros(1))
-    errs = []
     steps = [2.0 ** -e for e in range(4, 9)]
-    for h in steps:
-        x1 = integrate(model, np.ones(1), schedule, 0.0, 1.0, h)
-        errs.append(abs(x1[0] - np.exp(-1.0)))
-    slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-    if not 3.8 <= slope <= 4.2:
-        return False, f"convergence slope {slope:.3f}"
+    errs = [abs(integrate(Linear(), np.ones(1), schedule, 0.0, 1.0, h)[0]
+                - np.exp(-1.0)) for h in steps]
+    slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     chua = ChuaCircuit()
-    for eq in chua.equilibria():
-        if np.linalg.norm(chua.deriv(eq, np.zeros(1))) >= 1e-12:
-            return False, f"residual at rest point {eq}"
-    return True, f"slope {slope:.3f}, rest-point residuals < 1e-12"
+    residuals = [float(np.linalg.norm(chua.deriv(eq, np.zeros(1))))
+                 for eq in chua.equilibria()]
+    return {"slope": slope, "errors": errs, "rest_point_residuals": residuals}
 
 
-def suite_reward_values():
-    """Hand-computed reward cases and nonpositivity on random histories."""
+def check_rk4_order(art):
+    ok = 3.8 <= art["slope"] <= 4.2 and max(art["rest_point_residuals"]) < 1e-12
+    return ok, (f"RK4 error slope {art['slope']:.3f} on the exponential "
+                f"oracle; rest-point residuals "
+                f"{max(art['rest_point_residuals']):.1e}")
+
+
+# ---------------------------------------------------------------------------
+# 5. delay channels
+
+
+def generate_channel_suite(sequences=400, sends=250):
+    """In-order delivery and the end-to-end bound under random delays, and
+    the zero-delay loop against the undelayed sampled-data oracle."""
+    model = DelayModel(DELTA, (DELTA, 3 * DELTA), (DELTA, 3 * DELTA), 4, 4)
+    bound = model.total_delay_steps * DELTA
+    rng = np.random.default_rng(1005)
+    total = 0
+    worst = 0.0
+    in_order = True
+    for _ in range(sequences):
+        sc, cp = DelayedChannel(), DelayedChannel()
+        got = []
+        for k in range(sends):
+            t = k * DELTA
+            c = sc.send(t, k, sample_delay(model, SC, rng))
+            a = cp.send(c, k, sample_delay(model, CP, rng))
+            worst = max(worst, a - t)
+            got.extend(p for _, p in sc.poll(c))
+            total += 1
+        got.extend(p for _, p in sc.poll(np.inf))
+        cp_order = [p for _, p in cp.poll(np.inf)]
+        in_order = in_order and got == list(range(sends)) \
+            and cp_order == list(range(sends))
+
+    cfg = ExperimentConfig(sc_min=0.0, sc_max=0.0, cp_min=0.0, cp_max=0.0,
+                           sc_bound_steps=0, cp_bound_steps=0, hidden=(8, 8),
+                           horizon=2.0)
+    setup = cfg.loop_setup()
+    settings = cfg.train_settings()
+    net = nn.init_network([cfg.extended_dim, 8, 8], 1, 4.0, 55)
+    x0 = np.array([1.0, -0.5, 0.3])
+    result = run_episode(net, setup, settings, x0=x0,
+                         rng=np.random.default_rng(0), mode="eval")
+    ref_states, _ = classical_sampled_loop(net, setup, settings, x0)
+    states = np.array([s.state for s in result.samples])
+    mismatch = float(np.abs(states - ref_states).max())
+    return {"sends": total, "in_order": in_order, "worst_end_to_end": worst,
+            "bound": bound, "zero_delay_mismatch": mismatch}
+
+
+def check_channels(art):
+    ok = (art["in_order"] and art["worst_end_to_end"] <= art["bound"] + 1e-12
+          and art["zero_delay_mismatch"] <= 1e-12)
+    return ok, (f"{art['sends']} sends in order: {art['in_order']}, "
+                f"end-to-end delay {art['worst_end_to_end']:.4f}s vs bound "
+                f"{art['bound']:.4f}s, zero-delay loop matches the undelayed "
+                f"oracle to {art['zero_delay_mismatch']:.1e}")
+
+
+# ---------------------------------------------------------------------------
+# 7. reward
+
+
+def generate_reward_suite(change_draws=100_000, history_draws=10_000):
+    """Hand-computed reward cases and the worst component over random draws."""
     w = RewardWeights()
-    cases = [
-        output_change_reward([1.0, 1.0], [0.0, 0.0], [1.0], w) == -2.6,
-        output_history_reward([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]], w) == -1.6,
-        input_history_reward([[2.0], [0.0], [0.0]], w) == -0.6,
-        total_reward(-2.6, -1.6, -0.6) == -4.8,
-    ]
-    if not all(cases):
-        return False, f"hand cases {cases}"
-    rng = np.random.default_rng(5)
-    for _ in range(2000):
-        ys = rng.normal(size=(5, 2))
-        us = rng.normal(size=(13, 1))
-        parts = (output_change_reward(ys[0], ys[1], us[0], w),
-                 output_history_reward(ys, w), input_history_reward(us, w))
-        if any(part > 0.0 for part in parts):
-            return False, f"positive reward component {parts}"
-    return True, "hand cases exact, 2000 random histories nonpositive"
+    hand = {
+        "r_change": output_change_reward([1.0, 1.0], [0.0, 0.0], [1.0], w),
+        "r_outputs": output_history_reward([[1.0, 0.0], [0.0, 0.0],
+                                            [0.0, -1.0]], w),
+        "r_inputs": input_history_reward([[2.0], [0.0], [0.0]], w),
+        "total": total_reward(-2.6, -1.6, -0.6),
+    }
+    rng = np.random.default_rng(1007)
+    worst = -np.inf
+    for _ in range(change_draws):
+        r1 = output_change_reward(rng.normal(size=2), rng.normal(size=2),
+                                  rng.normal(size=1), w)
+        worst = max(worst, r1)
+    for _ in range(history_draws):
+        worst = max(worst, output_history_reward(rng.normal(size=(5, 2)), w))
+        worst = max(worst, input_history_reward(rng.normal(size=(13, 1)), w))
+    return {"hand": hand, "worst_component": float(worst)}
+
+
+def check_reward(art):
+    hand = art["hand"]
+    ok = (hand["r_change"] == -2.6 and hand["r_outputs"] == -1.6
+          and hand["r_inputs"] == -0.6 and hand["total"] == -4.8
+          and art["worst_component"] <= 0.0)
+    return ok, (f"hand values {tuple(hand.values())}, worst random component "
+                f"{art['worst_component']:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# Suites behind `netnaf verify`
 
 
 def suite_mutation_guard():
-    """A sign-flipped advantage must be flagged by the nonpositivity check."""
-    rng = np.random.default_rng(41)
+    """The criterion-1 check must fail on a head with Q' = 2V - Q."""
 
-    def flipped_advantage(u, mu, L):
-        a, p = naf.advantage(u, mu, L)
-        return -a, p  # wrong sign on purpose
+    def flipped_head(value, action, scale_entries, u):
+        q, pullback = naf.quadratic_head(value, action, scale_entries, u)
+        return 2.0 * value - q, pullback  # wrong sign on purpose
 
-    caught = False
-    for _ in range(50):
-        m = int(rng.integers(1, 4))
-        L = naf.assemble_scale_matrix(rng.normal(size=naf.tri_size(m)), m)
-        u = rng.normal(size=m)
-        mu = rng.normal(size=m)
-        a, _ = flipped_advantage(u, mu, L)
-        if a > 0.0:
-            caught = True
-            break
-    if not caught:
-        return False, "checker failed to flag a sign-flipped advantage"
-    return True, "corrupted advantage detected by the A <= 0 check"
+    ok, detail = check_naf_algebra(generate_naf_algebra(240, 200, flipped_head))
+    if ok:
+        return False, f"criterion-1 check passed a sign-flipped head: {detail}"
+    return True, f"sign-flipped head caught: {detail}"
 
 
 ALL_SUITES = [
-    ("naf_algebra", suite_naf_algebra),
-    ("gradients", suite_gradients),
-    ("channels", suite_channels),
-    ("rk4_order", suite_rk4_order),
-    ("reward_values", suite_reward_values),
+    ("naf_algebra", lambda: check_naf_algebra(generate_naf_algebra(240, 200))),
+    ("gradients", lambda: check_gradient(generate_gradient_check())),
+    ("channels", lambda: check_channels(generate_channel_suite(400, 250))),
+    ("rk4_order", lambda: check_rk4_order(generate_rk4_order())),
+    ("reward_values", lambda: check_reward(generate_reward_suite(2000, 2000))),
     ("mutation_guard", suite_mutation_guard),
 ]
 
 
-def run_suites(names=None):
-    """Run the requested suites; returns a list of result dicts."""
+def run_suites():
+    """Run every suite; returns a list of result dicts."""
     results = []
     for name, fn in ALL_SUITES:
-        if names and name not in names:
-            continue
         started = time.perf_counter()
         try:
             ok, detail = fn()

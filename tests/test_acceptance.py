@@ -2,7 +2,9 @@
 
 Every criterion is backed by a generator function that computes a
 JSON-serializable artifact; the determinism criterion re-runs the
-generators with identical seeds and compares canonical bytes.
+generators with identical seeds and compares canonical bytes. The
+generators and checks of criteria 1, 2, 3, 5 and 7 live in netnaf.verify,
+which `netnaf verify` runs at smaller sizes.
 """
 
 import json
@@ -13,22 +15,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netnaf import naf, nn
-from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START, Transition,
-                          batch_loss_and_grad, build_extended_state,
-                          extended_state_dim, run_episode)
+from netnaf.agent import HistoryBuffer, extended_state_dim
 from netnaf.config import ExperimentConfig
-from netnaf.delays import CP, SC, DelayedChannel, DelayModel, sample_delay
-from netnaf.errors import DimensionError
-from netnaf.plant import (ChuaCircuit, InputSchedule, chua_sensor, integrate,
-                          integrate_trajectory)
-from netnaf.reward import (RewardWeights, input_history_reward,
-                           output_change_reward, output_history_reward,
-                           total_reward)
-
-from _oracles import classical_sampled_loop, fd_gradient, rel_err
-
-DELTA = 2.0 ** -4
+from netnaf.plant import ChuaCircuit, InputSchedule, integrate_trajectory
+from netnaf.verify import (DELTA, check_channels, check_gradient,
+                           check_naf_algebra, check_reward, check_rk4_order,
+                           generate_channel_suite, generate_gradient_check,
+                           generate_naf_algebra, generate_reward_suite,
+                           generate_rk4_order)
 
 # artifacts of this session, keyed by criterion number; criterion 10
 # regenerates and byte-compares them
@@ -64,108 +58,33 @@ def report(criterion, text):
 # 1. advantage-head algebra
 
 
-def generate_naf_algebra():
-    rng = np.random.default_rng(1001)
-    worst_gap = 0.0
-    worst_adv = -np.inf
-    min_eig = np.inf
-    for i in range(1000):
-        m = (1, 2, 3)[i % 3]
-        dim = int(rng.integers(4, 10))
-        net = nn.init_network([dim, 16, 16], m, 4.0, int(rng.integers(2 ** 31)))
-        w = rng.normal(0.0, 2.0, size=dim)
-        tr = nn.forward(net, w)
-        ev = naf.evaluate(tr.v, tr.mu, tr.l_entries, tr.mu, m)
-        worst_gap = max(worst_gap, abs(ev.Q - tr.v))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(ev.P).min()))
-        np.linalg.cholesky(ev.P)
-        us = tr.mu + rng.normal(0.0, 2.0, size=(1000, m))
-        a, _ = naf.advantage(us, np.broadcast_to(tr.mu, us.shape),
-                             np.broadcast_to(ev.L, (1000, m, m)))
-        worst_adv = max(worst_adv, float(a.max()))
-    return {"pairs": 1000, "worst_abs_q_minus_v": worst_gap,
-            "worst_advantage": worst_adv, "min_p_eigenvalue": min_eig}
-
-
 def test_criterion_1_naf_algebra():
-    art = record(1, generate_naf_algebra())
-    assert art["worst_abs_q_minus_v"] <= 1e-12
-    assert art["worst_advantage"] <= 0.0
-    assert art["min_p_eigenvalue"] > 0.0
-    report(1, f"1000 pairs, |Q(mu)-V| <= {art['worst_abs_q_minus_v']:.1e}, "
-              f"A <= 0, P positive definite")
+    ok, detail = check_naf_algebra(record(1, generate_naf_algebra()))
+    assert ok, detail
+    report(1, detail)
 
 
 # ---------------------------------------------------------------------------
 # 2. gradient correctness
 
 
-def generate_gradient_check():
-    rng = np.random.default_rng(1002)
-    m = 1
-    dim = extended_state_dim(2, m, 2, 1)
-    net = nn.init_network([dim, 8, 8], m, 4.0, 77)
-    target = nn.init_network([dim, 8, 8], m, 4.0, 78)
-
-    def state(vec):
-        from netnaf.agent import ExtendedState
-        return ExtendedState(np.asarray(vec, dtype=float), 2, m, 2, 1)
-
-    batch = [Transition(state(rng.normal(size=dim)), rng.normal(size=m),
-                        state(rng.normal(size=dim)), float(rng.normal()))
-             for _ in range(4)]
-    _, analytic = batch_loss_and_grad(net, target, batch, 0.99)
-    theta0 = nn.flatten_params(net)
-
-    def loss_of(theta):
-        nn.set_params(net, theta)
-        loss, _ = batch_loss_and_grad(net, target, batch, 0.99)
-        return loss
-
-    fd = fd_gradient(loss_of, theta0, step=1e-5)
-    return {"rel_err": rel_err(analytic, fd), "params": int(theta0.size)}
-
-
 def test_criterion_2_gradient_correctness():
     started = time.perf_counter()
-    art = record(2, generate_gradient_check())
+    ok, detail = check_gradient(record(2, generate_gradient_check()))
     elapsed = time.perf_counter() - started
-    assert art["rel_err"] < 1e-4
+    assert ok, detail
     assert elapsed < 10.0
-    report(2, f"TD-loss gradient vs finite differences: rel err "
-              f"{art['rel_err']:.2e} over {art['params']} parameters "
-              f"in {elapsed:.2f}s")
+    report(2, f"{detail} in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
 # 3. integrator order and rest points
 
 
-def generate_rk4_order():
-    class Linear:
-        state_dim = 1
-        input_dim = 1
-
-        def deriv(self, x, u):
-            return -x
-
-    schedule = InputSchedule(np.zeros(1))
-    steps = [2.0 ** -e for e in range(4, 9)]
-    errs = [abs(integrate(Linear(), np.ones(1), schedule, 0.0, 1.0, h)[0]
-                - np.exp(-1.0)) for h in steps]
-    slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
-    chua = ChuaCircuit()
-    residuals = [float(np.linalg.norm(chua.deriv(eq, np.zeros(1))))
-                 for eq in chua.equilibria()]
-    return {"slope": slope, "errors": errs, "rest_point_residuals": residuals}
-
-
 def test_criterion_3_integrator_order():
-    art = record(3, generate_rk4_order())
-    assert 3.8 <= art["slope"] <= 4.2
-    assert max(art["rest_point_residuals"]) < 1e-12
-    report(3, f"RK4 error slope {art['slope']:.3f} on the exponential oracle; "
-              f"rest-point residuals < 1e-12")
+    ok, detail = check_rk4_order(record(3, generate_rk4_order()))
+    assert ok, detail
+    report(3, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -214,55 +133,12 @@ def test_criterion_4_chua_qualitative():
 # 5. delay channels
 
 
-def generate_channel_suite():
-    model = DelayModel(DELTA, (DELTA, 3 * DELTA), (DELTA, 3 * DELTA), 4, 4)
-    bound = model.total_delay_steps * DELTA
-    rng = np.random.default_rng(1005)
-    total = 0
-    worst = 0.0
-    in_order = True
-    for _ in range(400):
-        sc, cp = DelayedChannel(), DelayedChannel()
-        got = []
-        for k in range(250):
-            t = k * DELTA
-            c = sc.send(t, k, sample_delay(model, SC, rng))
-            a = cp.send(c, k, sample_delay(model, CP, rng))
-            worst = max(worst, a - t)
-            got.extend(p for _, p in sc.poll(c))
-            total += 1
-        got.extend(p for _, p in sc.poll(np.inf))
-        cp_order = [p for _, p in cp.poll(np.inf)]
-        in_order = in_order and got == list(range(250)) \
-            and cp_order == list(range(250))
-
-    # zero-delay loop degenerates to the classical sampled-data loop
-    cfg = ExperimentConfig(sc_min=0.0, sc_max=0.0, cp_min=0.0, cp_max=0.0,
-                           sc_bound_steps=0, cp_bound_steps=0, hidden=(8, 8),
-                           horizon=2.0)
-    setup = cfg.loop_setup()
-    settings = cfg.train_settings()
-    dim = cfg.extended_dim
-    net = nn.init_network([dim, 8, 8], 1, 4.0, 55)
-    x0 = np.array([1.0, -0.5, 0.3])
-    result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0), mode="eval")
-    ref_states, _ = classical_sampled_loop(net, setup, settings, x0)
-    states = np.array([s.state for s in result.samples])
-    mismatch = float(np.abs(states - ref_states).max())
-    return {"sends": total, "in_order": in_order, "worst_end_to_end": worst,
-            "bound": bound, "zero_delay_mismatch": mismatch}
-
-
 def test_criterion_5_delay_channels():
     art = record(5, generate_channel_suite())
+    ok, detail = check_channels(art)
     assert art["sends"] == 100_000
-    assert art["in_order"]
-    assert art["worst_end_to_end"] <= art["bound"] + 1e-12
-    assert art["zero_delay_mismatch"] <= 1e-12
-    report(5, f"{art['sends']} sends delivered in order, end-to-end delay "
-              f"<= {art['bound']:.4f}s, zero-delay loop matches the "
-              f"undelayed oracle to {art['zero_delay_mismatch']:.1e}")
+    assert ok, detail
+    report(5, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +149,7 @@ def generate_extended_state_suite():
     dim = extended_state_dim(2, 1, 8, 4)
     hist = HistoryBuffer(2, 1, 8, 4)
     hist.reset(np.array([1.0, 2.0]))
-    w0 = build_extended_state(hist)
+    w0 = hist.extended_state()
     padding_ok = (np.array_equal(w0.outputs(), np.tile([1.0, 2.0], (5, 1)))
                   and np.array_equal(w0.inputs(), np.zeros((12, 1))))
 
@@ -281,13 +157,13 @@ def generate_extended_state_suite():
     rng = np.random.default_rng(1006)
     for _ in range(5):  # scripted 20-step episodes
         hist.reset(rng.normal(size=2))
-        prev = build_extended_state(hist)
+        prev = hist.extended_state()
         for _ in range(20):
             u = rng.normal(size=1)
             y = rng.normal(size=2)
             hist.push_input(u)
             hist.push_output(y)
-            w = build_extended_state(hist)
+            w = hist.extended_state()
             shift_ok = shift_ok and np.array_equal(w.outputs()[1:],
                                                    prev.outputs()[:-1])
             shift_ok = shift_ok and np.array_equal(w.outputs()[0], y)
@@ -311,36 +187,10 @@ def test_criterion_6_extended_state():
 # 7. reward
 
 
-def generate_reward_suite():
-    w = RewardWeights()
-    hand = {
-        "r_change": output_change_reward([1.0, 1.0], [0.0, 0.0], [1.0], w),
-        "r_outputs": output_history_reward([[1.0, 0.0], [0.0, 0.0],
-                                            [0.0, -1.0]], w),
-        "r_inputs": input_history_reward([[2.0], [0.0], [0.0]], w),
-        "total": total_reward(-2.6, -1.6, -0.6),
-    }
-    rng = np.random.default_rng(1007)
-    worst = -np.inf
-    for _ in range(100_000):
-        r1 = output_change_reward(rng.normal(size=2), rng.normal(size=2),
-                                  rng.normal(size=1), w)
-        worst = max(worst, r1)
-    for _ in range(10_000):
-        worst = max(worst, output_history_reward(rng.normal(size=(5, 2)), w))
-        worst = max(worst, input_history_reward(rng.normal(size=(13, 1)), w))
-    return {"hand": hand, "worst_component": float(worst)}
-
-
 def test_criterion_7_reward():
-    art = record(7, generate_reward_suite())
-    assert art["hand"]["r_change"] == -2.6
-    assert art["hand"]["r_outputs"] == -1.6
-    assert art["hand"]["r_inputs"] == -0.6
-    assert art["hand"]["total"] == -4.8
-    assert art["worst_component"] <= 0.0
-    report(7, "hand values (-2.6, -1.6, -0.6, -4.8) exact; components "
-              "nonpositive over random sweeps")
+    ok, detail = check_reward(record(7, generate_reward_suite()))
+    assert ok, detail
+    report(7, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,13 @@ from netnaf import nn
 from netnaf.agent import (ExtendedState, HistoryBuffer, LoopSetup, METRIC_START,
                           OrnsteinUhlenbeck, OuSettings, ReplayMemory, Trainer,
                           TrainSettings, Transition, batch_loss_and_grad,
-                          batch_targets, build_extended_state,
-                          extended_state_dim, noise_scale, run_episode,
-                          td_target, transition_reward)
+                          batch_targets, extended_state_dim, noise_scale,
+                          run_episode, transition_reward)
 from netnaf.delays import DelayModel, no_delay_model
 from netnaf.errors import NumericsError
-from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate, sense
+from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate
 from netnaf.reward import RewardWeights
-
-from _oracles import classical_sampled_loop, fd_gradient, rel_err
+from netnaf.verify import classical_sampled_loop, fd_gradient, rel_err
 
 DELTA = 2.0 ** -4
 
@@ -49,7 +47,7 @@ def test_extended_state_dimension():
 def test_initial_extended_state_padding():
     hist = HistoryBuffer(2, 1, 8, 4)
     hist.reset(np.array([1.0, 2.0]))
-    w = build_extended_state(hist)
+    w = hist.extended_state()
     assert w.vec.shape == (22,)
     assert np.array_equal(w.outputs(), np.tile([1.0, 2.0], (5, 1)))
     assert np.array_equal(w.inputs(), np.zeros((12, 1)))
@@ -64,7 +62,7 @@ def test_extended_state_shift_property():
     for k in range(20):
         hist.push_input(us[k])
         hist.push_output(ys[k])
-        w = build_extended_state(hist)
+        w = hist.extended_state()
         if prev is not None:
             # output block drops the oldest entry and prepends the new one
             assert np.array_equal(w.outputs()[1:], prev.outputs()[:-1])
@@ -132,8 +130,14 @@ def test_ou_deterministic_under_seed():
 
 
 def test_td_target_cases():
-    assert td_target(1.0, 5.0, 0.0) == 1.0
-    assert td_target(1.0, 1.0, 0.99) == 1.99
+    dim = extended_state_dim(2, 1, 2, 1)
+    target = zero_weight_net(dim)
+    w = make_state(np.ones(dim), tau=2, tau_o=1)
+    batch = [Transition(w, np.array([0.0]), w, 1.0)]
+    target.value_head.biases[0] = 5.0  # V(w'; target) = 5
+    assert batch_targets(target, batch, 0.0) == 1.0
+    target.value_head.biases[0] = 1.0
+    assert batch_targets(target, batch, 0.99) == 1.99
 
 
 def test_targets_use_target_network_on_next_state():

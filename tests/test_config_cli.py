@@ -105,6 +105,12 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(plant_name="lorenz")
     with pytest.raises(ConfigError):
         ExperimentConfig(output_history_len=0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(gamma=1.5)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(episodes=0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(replay_capacity=64, warmup=128)  # updates never start
 
 
 def test_apply_overrides():
@@ -183,6 +189,22 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, extra", [
+    ("gamma = 1.5", []),
+    ("replay = 0", []),
+    ("replay = 3", []),  # below warmup = 4: updates would never start
+    ("", ["--episodes", "0"]),
+], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes"])
+def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG + line + "\n")  # lands in [training]
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out), *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval command
 
@@ -256,6 +278,14 @@ def test_eval_missing_config_reports_error(small_run, tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("init", ["a,b,c", "1,2", ""])
+def test_eval_rejects_malformed_initial_state(small_run, capsys, init):
+    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                 f"--init={init}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # verify command
 
@@ -266,8 +296,8 @@ def test_verify_passes_and_reports_timing(capsys):
     assert code == 0
     assert out[-1] == "VERIFY PASS"
     suites = [json.loads(line) for line in out[:-1]]
-    names = {s["suite"] for s in suites}
-    assert {"naf_algebra", "gradients", "channels", "rk4_order",
-            "mutation_guard"} <= names
+    assert [s["suite"] for s in suites] == [
+        "naf_algebra", "gradients", "channels", "rk4_order", "reward_values",
+        "mutation_guard"]
     assert all(s["ok"] for s in suites)
     assert all("seconds" in s for s in suites)

@@ -184,7 +184,6 @@ def test_actuator_collapses_simultaneous_arrivals():
     frag = act.apply([(0.5, np.array([1.0])), (0.5, np.array([2.0]))])
     assert len(frag) == 1
     assert np.array_equal(frag[0][1], np.array([2.0]))
-    assert len(act.events) == 2  # audit history keeps both
 
 
 def test_actuator_rejects_time_regression():

@@ -3,8 +3,41 @@ import pytest
 
 from netnaf import naf
 from netnaf.errors import DimensionError
+from netnaf.verify import fd_gradient, rel_err
 
-from _oracles import fd_gradient, naf_q_oracle, rel_err
+
+def naf_q_oracle(v, mu, l_entries, u, m):
+    """Q from first principles: build L row by row, P = L L^T, quadratic form."""
+    L = np.zeros((m, m))
+    idx = 0
+    for i in range(m):
+        for j in range(i + 1):
+            L[i, j] = np.exp(l_entries[idx]) if i == j else l_entries[idx]
+            idx += 1
+    P = L @ L.T
+    d = np.asarray(u, dtype=float) - np.asarray(mu, dtype=float)
+    return float(v - 0.5 * d @ P @ d)
+
+
+def head1(v, mu, entries, u):
+    """quadratic_head on one row; returns (Q, pullback of a scalar dq)."""
+    q, pullback = naf.quadratic_head(
+        np.array([float(v)]), np.array([mu], dtype=float),
+        np.array([entries], dtype=float), np.array([u], dtype=float))
+
+    def grads(dq):
+        dv, dmu, dl = pullback(np.array([float(dq)]))
+        return float(dv[0]), dmu[0], dl[0]
+
+    return float(q[0]), grads
+
+
+def head_rows(v, mu, entries, us):
+    """Q for many actions against one (V, mu, L) row."""
+    n = us.shape[0]
+    q, _ = naf.quadratic_head(np.full(n, float(v)), np.tile(mu, (n, 1)),
+                              np.tile(entries, (n, 1)), us)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -41,41 +74,50 @@ def test_assemble_clamps_extreme_diagonals():
 
 
 # ---------------------------------------------------------------------------
-# advantage
+# Q = V + A
 
 
 def test_advantage_zero_at_mu():
-    L = naf.assemble_scale_matrix(np.array([0.3, -1.0, 0.1]), 2)
     u = np.array([0.5, -0.2])
-    a, _ = naf.advantage(u, u, L)
-    assert a == 0.0
+    q, _ = head1(1.25, u, [0.3, -1.0, 0.1], u)
+    assert q == 1.25
 
 
 def test_advantage_m1_hand_case():
-    a, p = naf.advantage(np.array([2.0]), np.array([0.0]), np.array([[1.0]]))
-    assert p == np.array([[1.0]])
-    assert a == -2.0
+    q, _ = head1(0.0, [0.0], [0.0], [2.0])
+    assert q == -2.0
 
 
 def test_advantage_m2_hand_case():
-    L = np.array([[2.0, 0.0], [3.0, 5.0]])
-    a, p = naf.advantage(np.array([1.0, 0.0]), np.zeros(2), L)
-    assert p[0, 0] == 4.0
-    assert a == -2.0
+    # L = [[2, 0], [3, 5]], d = (1, 0): L^T d = (2, 0), A = -2
+    q, _ = head1(0.0, [0.0, 0.0], [np.log(2.0), 3.0, np.log(5.0)], [1.0, 0.0])
+    assert q == pytest.approx(-2.0, rel=1e-15)
 
 
 def test_advantage_dimension_mismatch():
     with pytest.raises(DimensionError):
-        naf.advantage(np.zeros(3), np.zeros(2), np.eye(2))
-
-
-# ---------------------------------------------------------------------------
-# q value and argmax structure
+        naf.quadratic_head(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 3)),
+                           np.zeros((1, 3)))
+    with pytest.raises(DimensionError):
+        naf.quadratic_head(np.zeros(2), np.zeros((1, 2)), np.zeros((1, 3)),
+                           np.zeros((1, 2)))
+    with pytest.raises(DimensionError):
+        naf.quadratic_head(np.zeros(1), np.zeros((1, 2)), np.zeros((2, 3)),
+                           np.zeros((1, 2)))
 
 
 def test_q_value_cases():
-    assert naf.q_value(3.0, 0.0) == 3.0
-    assert naf.q_value(0.0, -2.0) == -2.0
+    # a batch of rows, each against the first-principles oracle
+    rng = np.random.default_rng(3)
+    m, b = 2, 8
+    v = rng.normal(size=b)
+    mu = rng.normal(size=(b, m))
+    entries = rng.normal(size=(b, naf.tri_size(m)))
+    u = rng.normal(size=(b, m))
+    q, _ = naf.quadratic_head(v, mu, entries, u)
+    for i in range(b):
+        assert np.isclose(q[i], naf_q_oracle(v[i], mu[i], entries[i], u[i], m),
+                          rtol=1e-12, atol=1e-15)
 
 
 def test_q_maximum_found_by_monte_carlo():
@@ -86,14 +128,12 @@ def test_q_maximum_found_by_monte_carlo():
         entries = rng.normal(0.0, 0.7, size=naf.tri_size(m))
         L = naf.assemble_scale_matrix(entries, m)
         us = mu + rng.uniform(-1.0, 1.0, size=(10_000, m))
-        a, p = naf.advantage(us, np.broadcast_to(mu, us.shape),
-                             np.broadcast_to(L, (us.shape[0], m, m)))
-        q = naf.q_value(v, a)
+        q = head_rows(v, mu, entries, us)
         # best sampled Q never beats V and comes within the quadratic bound
         # for the closest sample
         assert q.max() <= v
         d_min = np.linalg.norm(us - mu, axis=1).min()
-        lam_max = np.linalg.eigvalsh(p[0]).max()
+        lam_max = np.linalg.eigvalsh(L @ L.T).max()
         assert v - q.max() <= 0.5 * lam_max * d_min ** 2 + 1e-12
 
 
@@ -103,22 +143,12 @@ def test_argmax_consistency_exact():
         m = int(rng.integers(1, 4))
         v = float(rng.normal())
         mu = rng.normal(size=m)
-        L = naf.assemble_scale_matrix(rng.normal(size=naf.tri_size(m)), m)
-        ev = naf.evaluate(v, mu, naf_entries_of(L, m), mu, m)
-        assert ev.Q == v
+        entries = rng.normal(size=naf.tri_size(m))
         u = mu + rng.normal(size=m)
+        q = head_rows(v, mu, entries, np.vstack([mu, u]))
+        assert q[0] == v
         if not np.array_equal(u, mu):
-            a, _ = naf.advantage(u, mu, L)
-            assert naf.q_value(v, a) < v
-
-
-def naf_entries_of(L, m):
-    """Inverse of assemble_scale_matrix for test setup."""
-    entries = []
-    for i in range(m):
-        for j in range(i + 1):
-            entries.append(np.log(L[i, j]) if i == j else L[i, j])
-    return np.array(entries)
+            assert q[1] < v
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +163,7 @@ def test_p_symmetric_positive_definite_over_randoms():
         L = naf.assemble_scale_matrix(entries, m)
         assert np.all(np.diag(L) > 0.0)
         assert np.array_equal(np.triu(L, 1), np.zeros((m, m)))
-        _, p = naf.advantage(np.zeros(m), np.zeros(m), L)
+        p = L @ L.T
         assert np.array_equal(p, p.T)
         assert np.linalg.eigvalsh(p).min() > 0.0
 
@@ -142,14 +172,13 @@ def test_advantage_nonpositive_and_strictly_concave():
     rng = np.random.default_rng(37)
     for _ in range(200):
         m = int(rng.integers(1, 4))
-        L = naf.assemble_scale_matrix(rng.normal(size=naf.tri_size(m)), m)
+        entries = rng.normal(size=naf.tri_size(m))
         mu = rng.normal(size=m)
         u = rng.normal(0.0, 3.0, size=m)
-        a, p = naf.advantage(u, mu, L)
-        assert a <= 0.0
-        d = u - mu
-        if np.linalg.norm(d) > 0:
-            assert d @ p @ d > 0.0
+        q, _ = head1(0.0, mu, entries, u)
+        assert q <= 0.0
+        if np.linalg.norm(u - mu) > 0:
+            assert q < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +187,8 @@ def test_advantage_nonpositive_and_strictly_concave():
 
 def test_head_gradients_at_mu():
     mu = np.array([0.4, -0.1])
-    entries = np.array([0.2, 1.0, -0.3])
-    dv, dmu, dl = naf.head_gradients(mu, entries, mu.copy(), 2.5, 2)
+    _, grads = head1(0.0, mu, [0.2, 1.0, -0.3], mu.copy())
+    dv, dmu, dl = grads(2.5)
     assert dv == 2.5
     assert np.array_equal(dmu, np.zeros(2))
     assert np.array_equal(dl, np.zeros(3))
@@ -167,11 +196,15 @@ def test_head_gradients_at_mu():
 
 def test_head_gradients_m1_hand_case():
     # A = -0.5 exp(2l) d^2, at l=0, d=2: dA/dmu = P d = 2
-    dv, dmu, dl = naf.head_gradients(np.array([0.0]), np.array([0.0]),
-                                     np.array([2.0]), 1.0, 1)
+    _, grads = head1(0.0, [0.0], [0.0], [2.0])
+    dv, dmu, dl = grads(1.0)
     assert dv == 1.0
     assert np.allclose(dmu, [2.0], rtol=1e-15)
     assert np.allclose(dl, [-4.0], rtol=1e-15)
+    # beyond the clamp the diagonal no longer moves Q
+    _, grads = head1(0.0, [0.0], [2 * naf.EXP_CLAMP], [2.0])
+    _, dmu, dl = grads(1.0)
+    assert dmu[0] > 0.0 and dl[0] == 0.0
 
 
 def test_head_gradients_match_finite_differences():
@@ -184,7 +217,7 @@ def test_head_gradients_match_finite_differences():
             u = mu + rng.normal(size=m)
             dq = float(rng.normal())
             v = float(rng.normal())
-            dv, dmu, dl = naf.head_gradients(mu, entries, u, dq, m)
+            dv, dmu, dl = head1(v, mu, entries, u)[1](dq)
 
             packed = np.concatenate([[v], mu, entries])
 
@@ -199,14 +232,17 @@ def test_head_gradients_match_finite_differences():
 def test_head_gradients_batched_matches_loop():
     rng = np.random.default_rng(47)
     m, b = 2, 6
+    v = rng.normal(size=b)
     mu = rng.normal(size=(b, m))
     entries = rng.normal(size=(b, naf.tri_size(m)))
     u = rng.normal(size=(b, m))
     dq = rng.normal(size=b)
-    dv, dmu, dl = naf.head_gradients(mu, entries, u, dq, m)
+    q, pullback = naf.quadratic_head(v, mu, entries, u)
+    dv, dmu, dl = pullback(dq)
     for i in range(b):
-        dv1, dmu1, dl1 = naf.head_gradients(mu[i], entries[i], u[i],
-                                            float(dq[i]), m)
+        q1, grads = head1(v[i], mu[i], entries[i], u[i])
+        dv1, dmu1, dl1 = grads(dq[i])
+        assert np.isclose(q[i], q1, rtol=1e-14)
         assert np.isclose(dv[i], dv1, rtol=1e-14)
         assert np.allclose(dmu[i], dmu1, rtol=1e-12)
         assert np.allclose(dl[i], dl1, rtol=1e-12)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,7 @@ from hypothesis import strategies as st
 
 from netnaf import nn
 from netnaf.errors import CheckpointFormatError, DimensionError, NumericsError
-
-from _oracles import fd_gradient, rel_err
+from netnaf.verify import fd_gradient, rel_err
 
 
 def small_net(seed=7, widths=(4, 8, 8), m=1, tanh_weight=4.0):
@@ -350,19 +352,43 @@ def test_checkpoint_bad_version(tmp_path):
         nn.load_checkpoint(path)
 
 
-def test_checkpoint_inconsistent_header(tmp_path):
-    import json
-    import struct
+def checkpoint_with_header(tmp_path, edit):
+    """Save a small checkpoint, then replace its JSON header by edit(header)."""
     net = small_net()
     adam = nn.AdamState.fresh(nn.flatten_params(net).size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + hlen])
-    header["param_count"] += 7
+    header = edit(json.loads(raw[20:20 + hlen]))
     blob = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob
                      + raw[20 + hlen:])
+    return path
+
+
+def test_checkpoint_inconsistent_header(tmp_path):
+    def edit(header):
+        header["param_count"] += 7
+        return header
+
     with pytest.raises(CheckpointFormatError):
-        nn.load_checkpoint(path)
+        nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
+
+
+def _drop_trunk_in(header):
+    del header["trunk"][0]["in"]
+    return header
+
+
+def _drop_activation(header):
+    del header["heads"]["value"]["activation"]
+    return header
+
+
+@pytest.mark.parametrize("edit", [_drop_trunk_in, _drop_activation,
+                                  lambda header: [header]],
+                         ids=["missing_in", "missing_activation", "list"])
+def test_checkpoint_malformed_header(tmp_path, edit):
+    with pytest.raises(CheckpointFormatError):
+        nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
