@@ -6,10 +6,10 @@ an extended state of recent outputs and issued inputs instead of the
 unobservable plant state.
 """
 
-from .agent import (ExtendedState, HistoryBuffer, OrnsteinUhlenbeck, OuSettings,
-                    ReplayMemory, Trainer, TrainSettings, Transition, LoopSetup,
-                    batch_loss_and_grad, batch_targets, extended_state_dim,
-                    noise_scale, run_episode, transition_reward)
+from .agent import (HistoryBuffer, OrnsteinUhlenbeck, OuSettings, ReplayMemory,
+                    Trainer, TrainSettings, LoopSetup, batch_loss_and_grad,
+                    batch_targets, extended_state_dim, noise_scale, run_episode,
+                    split_extended_state, transition_reward)
 from .config import ExperimentConfig, load_config, parse_config
 from .delays import (Actuator, DelayedChannel, DelayModel, no_delay_model,
                      sample_delay)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,32 +39,16 @@ def extended_state_dim(output_dim: int, input_dim: int, delay_steps: int,
         delay_steps + output_history_len)
 
 
-@dataclass(frozen=True)
-class ExtendedState:
-    """Newest-first concatenation of recent outputs and issued inputs."""
-
-    vec: np.ndarray
-    output_dim: int
-    input_dim: int
-    delay_steps: int
-    output_history_len: int
-
-    def outputs(self) -> np.ndarray:
-        """(output_history_len + 1, p) block, newest first."""
-        n = self.output_dim * (self.output_history_len + 1)
-        return self.vec[:n].reshape(-1, self.output_dim)
-
-    def inputs(self) -> np.ndarray:
-        """(delay_steps + output_history_len, m) block, newest first."""
-        n = self.output_dim * (self.output_history_len + 1)
-        return self.vec[n:].reshape(-1, self.input_dim)
-
-    def newest_output(self) -> np.ndarray:
-        return self.vec[:self.output_dim]
+def split_extended_state(w: np.ndarray, output_dim: int, input_dim: int,
+                         output_history_len: int):
+    """Views of an extended state's blocks, newest first: outputs
+    (output_history_len + 1, p) and inputs (delay_steps + output_history_len, m)."""
+    n = output_dim * (output_history_len + 1)
+    return w[:n].reshape(-1, output_dim), w[n:].reshape(-1, input_dim)
 
 
 class HistoryBuffer:
-    """Ring buffers of past outputs and inputs backing the extended state.
+    """Past outputs and inputs, held as one vector in the extended-state layout.
 
     Before the first sample, inputs read as zero; outputs read as the first
     observed output (so the initial extended state carries no fictitious
@@ -78,91 +61,95 @@ class HistoryBuffer:
             raise ValueError("output history length must be >= 1")
         if delay_steps < 0:
             raise ValueError("delay steps must be >= 0")
-        self.output_dim = output_dim
-        self.input_dim = input_dim
-        self.delay_steps = delay_steps
-        self.output_history_len = output_history_len
-        self._outputs = deque(maxlen=output_history_len + 1)
-        self._inputs = deque(maxlen=delay_steps + output_history_len)
-        self.steps_seen = 0
+        self._vec = np.zeros(extended_state_dim(output_dim, input_dim,
+                                                delay_steps, output_history_len))
+        self._outputs, self._inputs = split_extended_state(
+            self._vec, output_dim, input_dim, output_history_len)
+        self._started = False
+
+    @staticmethod
+    def _shift_in(block, value, what):
+        """Drop the oldest row of a block and put value first."""
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        if value.shape != block.shape[1:]:
+            raise DimensionError(f"{what} has shape {value.shape}, expected "
+                                 f"{block.shape[1:]}")
+        block[1:] = block[:-1]
+        block[0] = value
 
     def reset(self, y0):
-        y0 = np.asarray(y0, dtype=float)
-        if y0.shape != (self.output_dim,):
-            raise DimensionError(f"output has shape {y0.shape}, expected "
-                                 f"({self.output_dim},)")
-        self._outputs.clear()
-        self._inputs.clear()
-        for _ in range(self._outputs.maxlen):
-            self._outputs.appendleft(y0.copy())
-        for _ in range(self._inputs.maxlen):
-            self._inputs.appendleft(np.zeros(self.input_dim))
-        self.steps_seen = 1
+        self._shift_in(self._outputs, y0, "output")
+        self._outputs[1:] = self._outputs[0]
+        self._inputs[:] = 0.0
+        self._started = True
 
     def push_output(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.output_dim,):
-            raise DimensionError(f"output has shape {y.shape}, expected "
-                                 f"({self.output_dim},)")
-        self._outputs.appendleft(y.copy())
-        self.steps_seen += 1
+        self._shift_in(self._outputs, y, "output")
 
     def push_input(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (self.input_dim,):
-            raise DimensionError(f"input has shape {u.shape}, expected "
-                                 f"({self.input_dim},)")
-        self._inputs.appendleft(u.copy())
+        self._shift_in(self._inputs, u, "input")
 
-    def extended_state(self) -> ExtendedState:
-        if self.steps_seen == 0:
+    def extended_state(self) -> np.ndarray:
+        """A copy: later pushes shift the buffer in place."""
+        if not self._started:
             raise RuntimeError("history not initialized; reset with the first output")
-        vec = np.concatenate([np.concatenate(list(self._outputs)),
-                              np.concatenate(list(self._inputs))])
-        return ExtendedState(vec, self.output_dim, self.input_dim,
-                             self.delay_steps, self.output_history_len)
+        return self._vec.copy()
 
 
 # ---------------------------------------------------------------------------
 # Replay memory and exploration noise
 
 
-@dataclass(frozen=True)
-class Transition:
-    w: ExtendedState
-    u: np.ndarray
-    w_next: ExtendedState
-    r: float
-
-
 class ReplayMemory:
-    """Bounded FIFO of transitions; uniform sampling without replacement."""
+    """Bounded FIFO of transitions (w, u, r, w') kept as four arrays;
+    uniform sampling without replacement.
 
-    def __init__(self, capacity: int):
+    Row i is the i-th push until the memory is full; then pushes overwrite
+    rows from 0 on. Rows are allocated by doubling, up to capacity.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, input_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self.w = np.empty((1, state_dim))
+        self.u = np.empty((1, input_dim))
+        self.r = np.empty(1)
+        self.w_next = np.empty((1, state_dim))
+        self._len = 0
         self._cursor = 0
 
     def __len__(self):
-        return len(self._items)
+        return self._len
 
-    def __iter__(self):
-        return iter(self._items)
+    def _grow(self):
+        rows = min(2 * self.r.shape[0], self.capacity)
+        for name in ("w", "u", "r", "w_next"):
+            old = getattr(self, name)
+            new = np.empty((rows, *old.shape[1:]))
+            new[:old.shape[0]] = old
+            setattr(self, name, new)
 
-    def push(self, item: Transition):
-        if len(self._items) < self.capacity:
-            self._items.append(item)
+    def push(self, w, u, r: float, w_next):
+        if self._len < self.capacity:
+            i = self._len
+            if i == self.r.shape[0]:
+                self._grow()
+            self._len += 1
         else:
-            self._items[self._cursor] = item
+            i = self._cursor
             self._cursor = (self._cursor + 1) % self.capacity
+        self.w[i] = w
+        self.u[i] = u
+        self.r[i] = r
+        self.w_next[i] = w_next
 
-    def sample(self, rng: np.random.Generator, n: int) -> list[Transition]:
-        if n > len(self._items):
-            raise ValueError(f"cannot sample {n} of {len(self._items)} transitions")
-        idx = rng.choice(len(self._items), size=n, replace=False)
-        return [self._items[i] for i in idx]
+    def sample(self, rng: np.random.Generator, n: int):
+        """(w, u, r, w') rows of n distinct transitions, as copies."""
+        if n > self._len:
+            raise ValueError(f"cannot sample {n} of {self._len} transitions")
+        idx = rng.choice(self._len, size=n, replace=False)
+        return self.w[idx], self.u[idx], self.r[idx], self.w_next[idx]
 
 
 @dataclass(frozen=True)
@@ -175,13 +162,15 @@ class OuSettings:
     decay_start: int = 1000
     scale_final: float = 0.05
 
+    def __post_init__(self):
+        if self.theta < 0 or self.sigma < 0:
+            raise ValueError("noise theta and sigma must be nonnegative")
+
 
 class OrnsteinUhlenbeck:
     """Euler-Maruyama mean-reverting process around zero."""
 
     def __init__(self, dim: int, theta: float = 0.15, sigma: float = 0.2):
-        if theta < 0 or sigma < 0:
-            raise ValueError("theta and sigma must be nonnegative")
         self.theta = theta
         self.sigma = sigma
         self.state = np.zeros(dim)
@@ -210,27 +199,26 @@ def noise_scale(settings: OuSettings, episode: int, total_episodes: int) -> floa
 # Temporal-difference pieces
 
 
-def batch_targets(target_net: MlpNetwork, batch, gamma: float) -> np.ndarray:
+def batch_targets(target_net: MlpNetwork, r: np.ndarray, w_next: np.ndarray,
+                  gamma: float) -> np.ndarray:
     """Bootstrap targets r + gamma * V(w'; target), one per transition."""
-    w_next = np.stack([tr.w_next.vec for tr in batch])
-    v_next = forward(target_net, w_next).value
-    r = np.array([tr.r for tr in batch])
-    return r + gamma * v_next
+    return r + gamma * forward(target_net, w_next).value
 
 
 def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
                         gamma: float):
-    """Mean squared TD error over the batch and its exact parameter gradient.
+    """Mean squared TD error over a (w, u, r, w') batch of row arrays and its
+    exact parameter gradient.
 
     Targets come from the target network and enter as constants; the
     gradient flows only through the main network's value, action and scale
     heads.
     """
-    if not batch:
+    w, u, r, w_next = batch
+    n = len(r)
+    if n == 0:
         raise ValueError("batch must be nonempty")
-    targets = batch_targets(target_net, batch, gamma)
-    w = np.stack([tr.w.vec for tr in batch])
-    u = np.stack([np.atleast_1d(tr.u) for tr in batch])
+    targets = batch_targets(target_net, r, w_next, gamma)
 
     trace = forward(net, w)
     q, pullback = quadratic_head(trace.value, trace.action,
@@ -239,7 +227,6 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
     if not np.isfinite(resid).all():
         bad = int(np.flatnonzero(~np.isfinite(resid))[0])
         raise NumericsError(f"non-finite TD error at transition {bad} of the batch")
-    n = len(batch)
     loss = float(resid @ resid) / n
 
     grad, _ = backward(net, trace, pullback(2.0 * resid / n))
@@ -298,15 +285,23 @@ class LoopSetup:
     substep: float
     reward_weights: RewardWeights = field(default_factory=RewardWeights)
 
+    def __post_init__(self):
+        if self.reward_weights.output_weights.shape[0] != self.sensor.output_dim:
+            raise DimensionError("reward output weights do not match the sensor")
 
-def transition_reward(w: ExtendedState, u, w_next: ExtendedState,
-                      weights: RewardWeights) -> float:
-    """Composite reward, a pure function of (w, u, w')."""
+
+def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
+                      weights: RewardWeights, output_history_len: int) -> float:
+    """Composite reward, a pure function of (w, u, w').
+
+    The output dimension is the weight matrix's, the input dimension u's.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    r_change = output_change_reward(w_next.newest_output(), w.newest_output(),
-                                    u, weights)
-    r_outputs = output_history_reward(w.outputs(), weights)
-    r_inputs = input_history_reward(np.vstack([u[None, :], w.inputs()]), weights)
+    p = weights.output_weights.shape[0]
+    outputs, inputs = split_extended_state(w, p, u.size, output_history_len)
+    r_change = output_change_reward(w_next[:p], outputs[0], u, weights)
+    r_outputs = output_history_reward(outputs, weights)
+    r_inputs = input_history_reward(np.vstack([u[None, :], inputs]), weights)
     return total_reward(r_change, r_outputs, r_inputs)
 
 
@@ -328,7 +323,6 @@ class SampleRow:
 @dataclass
 class EpisodeResult:
     rewards: list
-    transitions: list
     samples: list
     diverged: bool = False
     diverged_at: float | None = None
@@ -338,7 +332,7 @@ class EpisodeResult:
 
 
 def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
-                x0, rng: np.random.Generator, mode: str = "train",
+                x0, rng: np.random.Generator,
                 noise: OrnsteinUhlenbeck | None = None,
                 noise_scale_value: float = 0.0, replay: ReplayMemory | None = None,
                 on_step=None) -> EpisodeResult:
@@ -347,16 +341,15 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
     On the k-th sampling instant the sensed output goes through the
     sensor-to-controller channel; on its (clamped) arrival the controller
     extends its histories, scores and stores the previous transition,
-    evaluates the policy (plus scaled exploration noise in train mode) and
-    sends the input through the controller-to-plant channel. The actuator
-    holds each delayed input until the next one lands. on_step(k) fires
-    after the k-th input is issued.
+    evaluates the policy (plus scaled exploration noise when `noise` is
+    given) and sends the input through the controller-to-plant channel. The
+    actuator holds each delayed input until the next one lands. Transitions
+    go to `replay` when one is given. on_step(k) fires after the k-th input
+    is issued.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
     plant, sensor = setup.plant, setup.sensor
     delta = sensor.period
     sc_channel, cp_channel = DelayedChannel(), DelayedChannel()
@@ -368,7 +361,7 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
 
     x = np.asarray(x0, dtype=float).copy()
     t_plant = 0.0
-    result = EpisodeResult([], [], [])
+    result = EpisodeResult([], [])
     w_prev = None
     u_prev = None
 
@@ -388,11 +381,8 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
                 if w_prev is not None and u_prev is not None:
                     r = settings.divergence_penalty
                     result.rewards.append(r)
-                    if mode == "train":
-                        tr = Transition(w_prev, u_prev, w_prev, r)
-                        result.transitions.append(tr)
-                        if replay is not None:
-                            replay.push(tr)
+                    if replay is not None:
+                        replay.push(w_prev, u_prev, r, w_prev)
                 break
             t_plant = t_k
 
@@ -410,16 +400,14 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
         w_k = hist.extended_state()
 
         if k >= 1:
-            r = transition_reward(w_prev, u_prev, w_k, setup.reward_weights)
+            r = transition_reward(w_prev, u_prev, w_k, setup.reward_weights,
+                                  settings.output_history_len)
             result.rewards.append(r)
-            if mode == "train":
-                tr = Transition(w_prev, u_prev, w_k, r)
-                result.transitions.append(tr)
-                if replay is not None:
-                    replay.push(tr)
+            if replay is not None:
+                replay.push(w_prev, u_prev, r, w_k)
 
-        mu_k = forward(net, w_k.vec).mu
-        if mode == "train" and noise is not None:
+        mu_k = forward(net, w_k).mu
+        if noise is not None:
             u_k = mu_k + noise_scale_value * noise.step(delta, rng)
         else:
             u_k = mu_k.copy()
@@ -476,7 +464,7 @@ class Trainer:
         self.target = self.net.copy()
         self.theta_target = bind_flat_storage(self.target)
         self.adam = AdamState.fresh(self.theta.size, lr=settings.learning_rate)
-        self.replay = ReplayMemory(settings.replay_capacity)
+        self.replay = ReplayMemory(settings.replay_capacity, dim, m)
         self.noise = OrnsteinUhlenbeck(m, settings.noise.theta,
                                        settings.noise.sigma)
         self._sample_rng = np.random.default_rng(sample_ss)
@@ -508,9 +496,8 @@ class Trainer:
         scale = noise_scale(s.noise, episode, s.episodes)
         self._episode_losses = []
         result = run_episode(self.net, self.setup, s, x0=x0, rng=ep_rng,
-                             mode="train", noise=self.noise,
-                             noise_scale_value=scale, replay=self.replay,
-                             on_step=self._on_step)
+                             noise=self.noise, noise_scale_value=scale,
+                             replay=self.replay, on_step=self._on_step)
         losses = self._episode_losses
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         row = TrainRow(episode, result.reward_sum_from(), mean_loss, scale, 0.0)

@@ -132,7 +132,7 @@ def cmd_eval(args) -> int:
 
     rng = np.random.default_rng(args.delay_seed)
     result = run_episode(net, cfg.loop_setup(), cfg.train_settings(), x0=x0,
-                         rng=rng, mode="eval")
+                         rng=rng)
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
     write_trajectory(out, result.samples, plant.state_dim,

@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("hidden widths must be positive")
         if self.tanh_weight <= 0:
             raise ConfigError("tanh weight must be positive")
+        if self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be >= 0")
         try:
             self.delay_model()
             self.train_settings()

@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import naf, nn
-from .agent import (ExtendedState, HistoryBuffer, Transition, batch_loss_and_grad,
-                    extended_state_dim, run_episode)
+from .agent import (HistoryBuffer, batch_loss_and_grad, extended_state_dim,
+                    run_episode)
 from .config import ExperimentConfig
 from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
 from .plant import ChuaCircuit, InputSchedule, integrate, sense
@@ -75,8 +75,7 @@ def classical_sampled_loop(net, setup, settings, x0):
             hist.reset(y)
         else:
             hist.push_output(y)
-        w = hist.extended_state()
-        u = nn.forward(net, w.vec).mu.copy()
+        u = nn.forward(net, hist.extended_state()).mu.copy()
         hist.push_input(u)
         states.append(x.copy())
         inputs.append(u.copy())
@@ -132,6 +131,14 @@ def check_naf_algebra(art):
 # 2. gradient correctness
 
 
+def random_batch(rng, n, dim, m):
+    """(w, u, r, w') rows drawn per transition in the order w, u, w', r."""
+    rows = [(rng.normal(size=dim), rng.normal(size=m), rng.normal(size=dim),
+             rng.normal()) for _ in range(n)]
+    w, u, w_next, r = (np.array(col) for col in zip(*rows))
+    return w, u, r, w_next
+
+
 def generate_gradient_check():
     """TD-loss gradient of a small batch against central finite differences."""
     rng = np.random.default_rng(1002)
@@ -139,13 +146,7 @@ def generate_gradient_check():
     dim = extended_state_dim(2, m, 2, 1)
     net = nn.init_network([dim, 8, 8], m, 4.0, 77)
     target = nn.init_network([dim, 8, 8], m, 4.0, 78)
-
-    def state(vec):
-        return ExtendedState(np.asarray(vec, dtype=float), 2, m, 2, 1)
-
-    batch = [Transition(state(rng.normal(size=dim)), rng.normal(size=m),
-                        state(rng.normal(size=dim)), float(rng.normal()))
-             for _ in range(4)]
+    batch = random_batch(rng, 4, dim, m)
     _, analytic = batch_loss_and_grad(net, target, batch, 0.99)
     theta0 = nn.flatten_params(net)
 
@@ -232,7 +233,7 @@ def generate_channel_suite(sequences=400, sends=250):
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, 4.0, 55)
     x0 = np.array([1.0, -0.5, 0.3])
     result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0), mode="eval")
+                         rng=np.random.default_rng(0))
     ref_states, _ = classical_sampled_loop(net, setup, settings, x0)
     states = np.array([s.state for s in result.samples])
     mismatch = float(np.abs(states - ref_states).max())

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netnaf.agent import HistoryBuffer, extended_state_dim
+from netnaf.agent import HistoryBuffer, extended_state_dim, split_extended_state
 from netnaf.config import ExperimentConfig
 from netnaf.plant import ChuaCircuit, InputSchedule, integrate_trajectory
 from netnaf.verify import (DELTA, check_channels, check_gradient,
@@ -148,30 +148,32 @@ def test_criterion_5_delay_channels():
 def generate_extended_state_suite():
     dim = extended_state_dim(2, 1, 8, 4)
     hist = HistoryBuffer(2, 1, 8, 4)
+
+    def blocks():
+        return split_extended_state(hist.extended_state(), 2, 1, 4)
+
     hist.reset(np.array([1.0, 2.0]))
-    w0 = hist.extended_state()
-    padding_ok = (np.array_equal(w0.outputs(), np.tile([1.0, 2.0], (5, 1)))
-                  and np.array_equal(w0.inputs(), np.zeros((12, 1))))
+    outputs, inputs = blocks()
+    padding_ok = (np.array_equal(outputs, np.tile([1.0, 2.0], (5, 1)))
+                  and np.array_equal(inputs, np.zeros((12, 1))))
 
     shift_ok = True
     rng = np.random.default_rng(1006)
     for _ in range(5):  # scripted 20-step episodes
         hist.reset(rng.normal(size=2))
-        prev = hist.extended_state()
+        prev_outputs, prev_inputs = blocks()
         for _ in range(20):
             u = rng.normal(size=1)
             y = rng.normal(size=2)
             hist.push_input(u)
             hist.push_output(y)
-            w = hist.extended_state()
-            shift_ok = shift_ok and np.array_equal(w.outputs()[1:],
-                                                   prev.outputs()[:-1])
-            shift_ok = shift_ok and np.array_equal(w.outputs()[0], y)
-            shift_ok = shift_ok and np.array_equal(w.inputs()[1:],
-                                                   prev.inputs()[:-1])
-            shift_ok = shift_ok and np.array_equal(w.inputs()[0], u)
-            shift_ok = shift_ok and w.vec.size == dim
-            prev = w
+            outputs, inputs = blocks()
+            shift_ok = shift_ok and np.array_equal(outputs[1:], prev_outputs[:-1])
+            shift_ok = shift_ok and np.array_equal(outputs[0], y)
+            shift_ok = shift_ok and np.array_equal(inputs[1:], prev_inputs[:-1])
+            shift_ok = shift_ok and np.array_equal(inputs[0], u)
+            shift_ok = shift_ok and hist.extended_state().size == dim
+            prev_outputs, prev_inputs = outputs, inputs
     return {"dim": dim, "padding_ok": padding_ok, "shift_ok": shift_ok}
 
 

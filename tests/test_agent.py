@@ -3,16 +3,17 @@ import pytest
 from scipy import stats
 
 from netnaf import nn
-from netnaf.agent import (ExtendedState, HistoryBuffer, LoopSetup, METRIC_START,
+from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
                           OrnsteinUhlenbeck, OuSettings, ReplayMemory, Trainer,
-                          TrainSettings, Transition, batch_loss_and_grad,
-                          batch_targets, extended_state_dim, noise_scale,
-                          run_episode, transition_reward)
+                          TrainSettings, batch_loss_and_grad, batch_targets,
+                          extended_state_dim, noise_scale, run_episode,
+                          split_extended_state, transition_reward)
 from netnaf.delays import DelayModel, no_delay_model
-from netnaf.errors import NumericsError
+from netnaf.errors import DimensionError, NumericsError
 from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate
 from netnaf.reward import RewardWeights
-from netnaf.verify import classical_sampled_loop, fd_gradient, rel_err
+from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
+                           rel_err)
 
 DELTA = 2.0 ** -4
 
@@ -32,8 +33,8 @@ def chua_setup(delays=None, substep=DELTA / 16):
                      RewardWeights())
 
 
-def make_state(vec, p=2, m=1, tau=8, tau_o=4):
-    return ExtendedState(np.asarray(vec, dtype=float), p, m, tau, tau_o)
+def blocks(w, p=2, m=1, tau_o=4):
+    return split_extended_state(w, p, m, tau_o)
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +49,10 @@ def test_initial_extended_state_padding():
     hist = HistoryBuffer(2, 1, 8, 4)
     hist.reset(np.array([1.0, 2.0]))
     w = hist.extended_state()
-    assert w.vec.shape == (22,)
-    assert np.array_equal(w.outputs(), np.tile([1.0, 2.0], (5, 1)))
-    assert np.array_equal(w.inputs(), np.zeros((12, 1)))
+    assert w.shape == (22,)
+    outputs, inputs = blocks(w)
+    assert np.array_equal(outputs, np.tile([1.0, 2.0], (5, 1)))
+    assert np.array_equal(inputs, np.zeros((12, 1)))
 
 
 def test_extended_state_shift_property():
@@ -62,14 +64,36 @@ def test_extended_state_shift_property():
     for k in range(20):
         hist.push_input(us[k])
         hist.push_output(ys[k])
-        w = hist.extended_state()
+        outputs, inputs = blocks(hist.extended_state())
         if prev is not None:
             # output block drops the oldest entry and prepends the new one
-            assert np.array_equal(w.outputs()[1:], prev.outputs()[:-1])
-            assert np.array_equal(w.outputs()[0], ys[k])
-            assert np.array_equal(w.inputs()[1:], prev.inputs()[:-1])
-            assert np.array_equal(w.inputs()[0], us[k])
-        prev = w
+            assert np.array_equal(outputs[1:], prev[0][:-1])
+            assert np.array_equal(outputs[0], ys[k])
+            assert np.array_equal(inputs[1:], prev[1][:-1])
+            assert np.array_equal(inputs[0], us[k])
+        prev = outputs, inputs
+
+
+def test_extended_state_is_a_copy():
+    # the buffer shifts one vector in place; earlier states must not move
+    hist = HistoryBuffer(2, 1, 8, 4)
+    hist.reset(np.array([1.0, 2.0]))
+    w = hist.extended_state()
+    kept = w.copy()
+    for k in range(3):
+        hist.push_input(np.array([5.0 + k]))
+        hist.push_output(np.array([3.0, 4.0 + k]))
+    assert np.array_equal(w, kept)
+    assert not np.array_equal(hist.extended_state(), kept)
+
+
+def test_split_extended_state_blocks():
+    w = np.arange(22.0)
+    outputs, inputs = split_extended_state(w, 2, 1, 4)
+    assert np.array_equal(outputs, np.arange(10.0).reshape(5, 2))
+    assert np.array_equal(inputs, np.arange(10.0, 22.0).reshape(12, 1))
+    # blocks are views of the vector, not copies
+    assert np.shares_memory(outputs, w) and np.shares_memory(inputs, w)
 
 
 def test_history_buffer_requires_reset():
@@ -132,12 +156,11 @@ def test_ou_deterministic_under_seed():
 def test_td_target_cases():
     dim = extended_state_dim(2, 1, 2, 1)
     target = zero_weight_net(dim)
-    w = make_state(np.ones(dim), tau=2, tau_o=1)
-    batch = [Transition(w, np.array([0.0]), w, 1.0)]
+    r, w_next = np.array([1.0]), np.ones((1, dim))
     target.value_head.biases[0] = 5.0  # V(w'; target) = 5
-    assert batch_targets(target, batch, 0.0) == 1.0
+    assert batch_targets(target, r, w_next, 0.0) == 1.0
     target.value_head.biases[0] = 1.0
-    assert batch_targets(target, batch, 0.99) == 1.99
+    assert batch_targets(target, r, w_next, 0.99) == 1.99
 
 
 def test_targets_use_target_network_on_next_state():
@@ -145,21 +168,18 @@ def test_targets_use_target_network_on_next_state():
     dim = extended_state_dim(2, 1, 2, 1)
     main = nn.init_network([dim, 8, 8], 1, 4.0, 1)
     target = nn.init_network([dim, 8, 8], 1, 4.0, 2)
-    batch = [Transition(make_state(rng.normal(size=dim), tau=2, tau_o=1),
-                        np.array([0.1]),
-                        make_state(rng.normal(size=dim), tau=2, tau_o=1), 0.5)
-             for _ in range(3)]
-    t0 = batch_targets(target, batch, 0.99)
+    r, w_next = np.full(3, 0.5), rng.normal(size=(3, dim))
+    t0 = batch_targets(target, r, w_next, 0.99)
     # changing the main network must not move the targets
     nn.set_params(main, nn.flatten_params(main) * 2.0)
-    assert np.array_equal(batch_targets(target, batch, 0.99), t0)
+    assert np.array_equal(batch_targets(target, r, w_next, 0.99), t0)
     # changing the target network must move them
     nn.set_params(target, nn.flatten_params(target) + 0.1)
-    assert not np.array_equal(batch_targets(target, batch, 0.99), t0)
-    # and they bootstrap from the next state, not the current one
-    v_next = nn.forward(target, np.stack([tr.w_next.vec for tr in batch])).value
-    assert np.array_equal(batch_targets(target, batch, 0.99),
-                          np.array([tr.r for tr in batch]) + 0.99 * v_next)
+    assert not np.array_equal(batch_targets(target, r, w_next, 0.99), t0)
+    # and they bootstrap from the next state
+    v_next = nn.forward(target, w_next).value
+    assert np.array_equal(batch_targets(target, r, w_next, 0.99),
+                          r + 0.99 * v_next)
 
 
 def test_batch_loss_zero_on_perfect_fit():
@@ -167,13 +187,10 @@ def test_batch_loss_zero_on_perfect_fit():
     dim = extended_state_dim(2, 1, 2, 1)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 3)
     target = zero_weight_net(dim)  # V(w'; target) = 0, so r + gamma*V' = r
-    ws = [make_state(rng.normal(size=dim), tau=2, tau_o=1) for _ in range(4)]
-    wns = [make_state(rng.normal(size=dim), tau=2, tau_o=1) for _ in range(4)]
+    w, w_next = rng.normal(size=(4, dim)), rng.normal(size=(4, dim))
     # evaluate through the same batched path the loss uses
-    tw = nn.forward(net, np.stack([w.vec for w in ws]))
-    batch = [Transition(ws[i], tw.action[i].copy(), wns[i],
-                        float(tw.value[i]))
-             for i in range(4)]
+    tw = nn.forward(net, w)
+    batch = (w, tw.action.copy(), tw.value.copy(), w_next)
     loss, grad = batch_loss_and_grad(net, target, batch, 0.99)
     assert loss == 0.0
     assert np.all(grad == 0.0)
@@ -184,11 +201,7 @@ def test_batch_loss_gradient_matches_finite_differences():
     dim = extended_state_dim(2, 1, 2, 1)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 5)
     target = nn.init_network([dim, 8, 8], 1, 4.0, 6)
-    batch = [Transition(make_state(rng.normal(size=dim), tau=2, tau_o=1),
-                        rng.normal(size=1),
-                        make_state(rng.normal(size=dim), tau=2, tau_o=1),
-                        float(rng.normal()))
-             for _ in range(4)]
+    batch = random_batch(rng, 4, dim, 1)
     _, analytic = batch_loss_and_grad(net, target, batch, 0.99)
     theta0 = nn.flatten_params(net)
 
@@ -206,13 +219,10 @@ def test_batch_loss_invariant_to_duplication():
     dim = extended_state_dim(2, 1, 2, 1)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 7)
     target = nn.init_network([dim, 8, 8], 1, 4.0, 8)
-    batch = [Transition(make_state(rng.normal(size=dim), tau=2, tau_o=1),
-                        rng.normal(size=1),
-                        make_state(rng.normal(size=dim), tau=2, tau_o=1),
-                        float(rng.normal()))
-             for _ in range(4)]
+    batch = random_batch(rng, 4, dim, 1)
+    doubled = tuple(np.concatenate([a, a]) for a in batch)
     l1, g1 = batch_loss_and_grad(net, target, batch, 0.99)
-    l2, g2 = batch_loss_and_grad(net, target, batch + batch, 0.99)
+    l2, g2 = batch_loss_and_grad(net, target, doubled, 0.99)
     assert np.isclose(l1, l2, rtol=1e-12)
     assert np.allclose(g1, g2, rtol=1e-9, atol=1e-15)
 
@@ -220,50 +230,92 @@ def test_batch_loss_invariant_to_duplication():
 def test_batch_loss_rejects_nonfinite():
     dim = extended_state_dim(2, 1, 2, 1)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 9)
-    bad = Transition(make_state(np.zeros(dim), tau=2, tau_o=1),
-                     np.array([0.0]),
-                     make_state(np.zeros(dim), tau=2, tau_o=1), float("nan"))
+    bad = (np.zeros((1, dim)), np.zeros((1, 1)), np.array([np.nan]),
+           np.zeros((1, dim)))
     with pytest.raises(NumericsError):
-        batch_loss_and_grad(net, net.copy(), [bad], 0.99)
+        batch_loss_and_grad(net, net.copy(), bad, 0.99)
 
 
 # ---------------------------------------------------------------------------
 # replay memory
 
 
+def push_numbered(mem, count, start=0):
+    """Push transitions whose every field holds its push number."""
+    for i in range(start, start + count):
+        mem.push(np.full(22, i), np.array([float(i)]), float(i), np.full(22, -i))
+
+
 def test_replay_evicts_oldest_first():
-    mem = ReplayMemory(10)
-    items = [Transition(make_state(np.full(22, i)), np.array([float(i)]),
-                        make_state(np.full(22, i)), float(i))
-             for i in range(14)]
-    for it in items:
-        mem.push(it)
-    kept = {tr.r for tr in mem}
-    assert kept == set(range(4, 14))
+    mem = ReplayMemory(10, 22, 1)
+    push_numbered(mem, 14)
+    assert set(mem.r[:len(mem)]) == set(range(4, 14))
     assert len(mem) == 10
+
+
+def test_replay_slots_across_growth_and_wraparound():
+    # slot i must hold what position i of an append-then-overwrite list
+    # holds, so the same rng.choice call picks the same transitions
+    capacity = 1000
+    mem = ReplayMemory(capacity, 22, 1)
+    reference, cursor = [], 0
+    for i in range(2500):
+        push_numbered(mem, 1, start=i)
+        if len(reference) < capacity:
+            reference.append(i)
+        else:
+            reference[cursor] = i
+            cursor = (cursor + 1) % capacity
+        if i in (0, 1, 2, 511, 512, 999, 1000, 1733, 2499):
+            n = len(mem)
+            assert n == len(reference)
+            assert np.array_equal(mem.r[:n], reference)
+            assert np.array_equal(mem.w[:n], np.repeat(reference, 22).reshape(n, 22))
+            assert np.array_equal(mem.u[:n, 0], reference)
+            assert np.array_equal(mem.w_next[:n, 0], -np.array(reference))
+    w, u, r, w_next = mem.sample(np.random.default_rng(9), 128)
+    expected = np.array(reference)[
+        np.random.default_rng(9).choice(capacity, size=128, replace=False)]
+    assert np.array_equal(r, expected) and np.array_equal(u[:, 0], expected)
+    assert np.array_equal(w[:, 3], expected) and np.array_equal(w_next[:, 3], -expected)
+
+
+def test_replay_grows_by_doubling_up_to_capacity():
+    mem = ReplayMemory(1000, 22, 1)
+    for n in range(1, 2501):
+        push_numbered(mem, 1, start=n)
+        for rows in (mem.w, mem.u, mem.r, mem.w_next):
+            assert rows.shape[0] <= min(1000, 2 * len(mem))
+    assert all(a.shape[0] == 1000 for a in (mem.w, mem.u, mem.r, mem.w_next))
+
+
+def test_replay_samples_are_copies():
+    mem = ReplayMemory(4, 22, 1)
+    push_numbered(mem, 4)
+    batch = mem.sample(np.random.default_rng(0), 4)
+    kept = [a.copy() for a in batch]
+    push_numbered(mem, 4, start=100)  # overwrites every slot
+    assert all(np.array_equal(a, b) for a, b in zip(batch, kept))
 
 
 def test_replay_uniform_sampling_chi_square():
     size = 200
-    mem = ReplayMemory(size)
-    for i in range(size):
-        mem.push(Transition(make_state(np.zeros(22)), np.array([0.0]),
-                            make_state(np.zeros(22)), float(i)))
+    mem = ReplayMemory(size, 22, 1)
+    push_numbered(mem, size)
     rng = np.random.default_rng(23)
     counts = np.zeros(size)
     draws = 0
     while draws < 100_000:
-        for tr in mem.sample(rng, 128):
-            counts[int(tr.r)] += 1
+        _, _, r, _ = mem.sample(rng, 128)
+        np.add.at(counts, r.astype(int), 1)
         draws += 128
     _, p = stats.chisquare(counts)
     assert p > 0.01
 
 
 def test_replay_rejects_oversized_sample():
-    mem = ReplayMemory(10)
-    mem.push(Transition(make_state(np.zeros(22)), np.array([0.0]),
-                        make_state(np.zeros(22)), 0.0))
+    mem = ReplayMemory(10, 22, 1)
+    push_numbered(mem, 1)
     with pytest.raises(ValueError):
         mem.sample(np.random.default_rng(0), 2)
 
@@ -286,7 +338,7 @@ def test_zero_delay_zero_net_equals_uncontrolled_plant():
     net = zero_weight_net(dim)
     x0 = np.array([-0.2, 0.1, -0.1])
     result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0), mode="eval")
+                         rng=np.random.default_rng(0))
     _, free = None, integrate(setup.plant, x0, InputSchedule(np.zeros(1)),
                               0.0, 32 * DELTA, setup.substep)
     states = np.array([s.state for s in result.samples])
@@ -304,7 +356,7 @@ def test_zero_delay_loop_matches_classical_oracle():
     net = nn.init_network([dim, 8, 8], 1, 4.0, 42)  # arbitrary fixed policy
     x0 = np.array([1.0, -0.5, 0.3])
     result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0), mode="eval")
+                         rng=np.random.default_rng(0))
     ref_states, ref_inputs = classical_sampled_loop(net, setup, settings, x0)
     states = np.array([s.state for s in result.samples])
     assert np.abs(states - ref_states).max() <= 1e-12
@@ -321,7 +373,7 @@ def test_full_horizon_step_count():
     net = zero_weight_net(dim)
     result = run_episode(net, setup, settings,
                          x0=np.array([-0.2, 0.1, -0.1]),
-                         rng=np.random.default_rng(1), mode="eval")
+                         rng=np.random.default_rng(1))
     assert len(result.samples) == 193
     assert result.samples[-1].t == 12.0
     assert len(result.rewards) == 192
@@ -337,7 +389,7 @@ def test_max_delay_first_effect_time():
     net = nn.init_network([dim, 8, 8], 1, 4.0, 4)
     result = run_episode(net, setup, settings,
                          x0=np.array([0.5, 0.5, 0.5]),
-                         rng=np.random.default_rng(2), mode="eval")
+                         rng=np.random.default_rng(2))
     for s in result.samples:
         assert np.isclose(s.plant_arrival - s.t, 8 * DELTA, atol=1e-12)
     # before t = tau * delta the plant runs uncontrolled
@@ -353,16 +405,23 @@ def test_transition_alignment():
     dim = extended_state_dim(2, 1, settings.max_delay_steps,
                              settings.output_history_len)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 5)
+    mem = ReplayMemory(100, dim, 1)
     result = run_episode(net, setup, settings,
                          x0=np.array([0.2, -0.2, 0.1]),
-                         rng=np.random.default_rng(3), mode="train",
-                         noise=OrnsteinUhlenbeck(1), noise_scale_value=1.0)
-    assert len(result.transitions) == 20
-    for tr in result.transitions:
-        assert np.array_equal(tr.w_next.inputs()[0], tr.u)
+                         rng=np.random.default_rng(3),
+                         noise=OrnsteinUhlenbeck(1), noise_scale_value=1.0,
+                         replay=mem)
+    assert len(mem) == 20
+    assert np.array_equal(mem.r[:20], result.rewards)
+    for i in range(20):
+        w, u, r, w_next = mem.w[i], mem.u[i], mem.r[i], mem.w_next[i]
+        assert np.array_equal(blocks(w_next)[1][0], u)
+        # w' of one transition is w of the next
+        if i < 19:
+            assert np.array_equal(w_next, mem.w[i + 1])
         # reward recomputes exactly from (w, u, w')
-        assert tr.r == transition_reward(tr.w, tr.u, tr.w_next,
-                                         setup.reward_weights)
+        assert r == transition_reward(w, u, w_next, setup.reward_weights,
+                                      settings.output_history_len)
 
 
 def test_episode_rewards_nonpositive():
@@ -373,7 +432,7 @@ def test_episode_rewards_nonpositive():
     net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
     result = run_episode(net, setup, settings,
                          x0=np.array([1.0, 1.0, -1.0]),
-                         rng=np.random.default_rng(4), mode="train",
+                         rng=np.random.default_rng(4),
                          noise=OrnsteinUhlenbeck(1), noise_scale_value=3.5)
     assert all(r <= 0.0 for r in result.rewards)
 
@@ -394,17 +453,23 @@ def test_divergence_aborts_episode_with_penalty():
                              divergence_penalty=-1234.0)
     dim = extended_state_dim(1, 1, 0, 4)
     net = zero_weight_net(dim)
-    mem = ReplayMemory(100)
+    mem = ReplayMemory(100, dim, 1)
     result = run_episode(net, setup, settings, x0=np.array([40.0]),
-                         rng=np.random.default_rng(5), mode="train",
-                         replay=mem)
+                         rng=np.random.default_rng(5), replay=mem)
     assert result.diverged
     assert result.diverged_at is not None
     assert result.rewards[-1] == -1234.0
-    last = result.transitions[-1]
-    assert last.r == -1234.0
-    assert np.array_equal(last.w.vec, last.w_next.vec)
-    assert len(mem) == len(result.transitions)
+    last = len(mem) - 1
+    assert mem.r[last] == -1234.0
+    assert np.array_equal(mem.w[last], mem.w_next[last])
+    assert len(mem) == len(result.rewards)
+
+
+def test_loop_setup_rejects_reward_weights_of_another_output_dim():
+    # transition_reward takes p from the weights to split the extended state
+    with pytest.raises(DimensionError):
+        LoopSetup(ChuaCircuit(), chua_sensor(DELTA), no_delay_model(DELTA),
+                  DELTA / 16, RewardWeights(output_weights=np.eye(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,12 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(episodes=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(replay_capacity=64, warmup=128)  # updates never start
+    with pytest.raises(ConfigError):
+        ExperimentConfig(ou_theta=-0.1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(ou_sigma=-0.2)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(checkpoint_every=-2)  # would checkpoint every 2nd episode
 
 
 def test_apply_overrides():
@@ -171,6 +181,28 @@ def test_train_same_seed_reproduces_curve(small_run, tmp_path):
             == (out2 / "final.nnc").read_bytes())
 
 
+def test_train_identical_across_blas_threads(tmp_path):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netnaf.cli", "train", "--config",
+             str(cfg_path), "--seed", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(out)
+    a, b = runs
+    assert (rows_without_wall_clock(a / "learning_curve.csv")
+            == rows_without_wall_clock(b / "learning_curve.csv"))
+    assert (a / "final.nnc").read_bytes() == (b / "final.nnc").read_bytes()
+
+
 def test_train_episode_override_changes_row_count(tmp_path):
     cfg_path = tmp_path / "exp.txt"
     cfg_path.write_text(SMALL_CONFIG)
@@ -189,19 +221,28 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, extra", [
-    ("gamma = 1.5", []),
-    ("replay = 0", []),
-    ("replay = 3", []),  # below warmup = 4: updates would never start
-    ("", ["--episodes", "0"]),
-], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes"])
-def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra):
+@pytest.mark.parametrize("line, extra, reason", [
+    ("gamma = 1.5", [], "gamma"),
+    ("replay = 0", [], "replay capacity"),
+    ("replay = 3", [], "replay capacity"),  # below warmup = 4
+    ("", ["--episodes", "0"], "episodes"),
+    ("checkpoint_every = -2", [], "checkpoint_every"),
+    ("[noise]\ntheta = -0.1", [], "theta and sigma"),
+    ("[noise]\nsigma = -0.2", [], "theta and sigma"),
+], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes",
+        "negative_checkpoint_every", "negative_noise_theta",
+        "negative_noise_sigma"])
+def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
+                                             reason):
     cfg_path = tmp_path / "exp.txt"
-    cfg_path.write_text(SMALL_CONFIG + line + "\n")  # lands in [training]
+    # the line takes the place of the last [training] key
+    cfg_path.write_text(SMALL_CONFIG.replace("checkpoint_every = 2\n",
+                                             line + "\n"))
     out = tmp_path / "run"
     code = main(["train", "--config", str(cfg_path), "--out", str(out), *extra])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
     assert not out.exists()
 
 
