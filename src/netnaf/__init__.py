@@ -17,9 +17,8 @@ from .errors import (CheckpointFormatError, ConfigError, DimensionError,
                      DivergenceError, NumericsError)
 from .naf import EXP_CLAMP, assemble_scale_matrix, quadratic_head, tri_size
 from .nn import (AdamState, DenseLayer, ForwardTrace, MlpNetwork, adam_step,
-                 backward, bind_flat_storage, flatten_params, forward,
-                 init_network, load_checkpoint, parameter_layout,
-                 save_checkpoint, set_params, soft_update)
+                 backward, forward, init_network, load_checkpoint,
+                 parameter_layout, save_checkpoint, soft_update)
 from .plant import (ChuaCircuit, InputSchedule, SensorMap, chua_sensor,
                     integrate, integrate_trajectory, sense)
 from .reward import (RewardWeights, input_history_reward, output_change_reward,

@@ -19,8 +19,8 @@ import numpy as np
 from .delays import CP, SC, Actuator, DelayModel, DelayedChannel, sample_delay
 from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
-from .nn import (AdamState, MlpNetwork, adam_step, backward, bind_flat_storage,
-                 forward, init_network, soft_update)
+from .nn import (AdamState, MlpNetwork, adam_step, backward, forward,
+                 init_network, soft_update)
 from .plant import InputSchedule, PlantModel, SensorMap, integrate, sense
 from .reward import (RewardWeights, input_history_reward, output_change_reward,
                      output_history_reward, total_reward)
@@ -229,8 +229,7 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
         raise NumericsError(f"non-finite TD error at transition {bad} of the batch")
     loss = float(resid @ resid) / n
 
-    grad, _ = backward(net, trace, pullback(2.0 * resid / n))
-    return loss, grad
+    return loss, backward(net, trace, pullback(2.0 * resid / n))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,6 @@ class TrainSettings:
 
     episodes: int
     steps_per_episode: int
-    delta: float
     max_delay_steps: int
     output_history_len: int
     gamma: float = 0.99
@@ -460,10 +458,8 @@ class Trainer:
         net_ss, sample_ss, self._episode_root = root.spawn(3)
         net_seed = int(net_ss.generate_state(1)[0])
         self.net = init_network([dim, *hidden_widths], m, tanh_weight, net_seed)
-        self.theta = bind_flat_storage(self.net)
         self.target = self.net.copy()
-        self.theta_target = bind_flat_storage(self.target)
-        self.adam = AdamState.fresh(self.theta.size, lr=settings.learning_rate)
+        self.adam = AdamState.fresh(self.net.params.size, lr=settings.learning_rate)
         self.replay = ReplayMemory(settings.replay_capacity, dim, m)
         self.noise = OrnsteinUhlenbeck(m, settings.noise.theta,
                                        settings.noise.sigma)
@@ -476,10 +472,8 @@ class Trainer:
         for _ in range(s.update_iters):
             batch = self.replay.sample(self._sample_rng, s.batch_size)
             loss, grad = batch_loss_and_grad(self.net, self.target, batch, s.gamma)
-            new_theta, self.adam = adam_step(self.theta, grad, self.adam)
-            self.theta[:] = new_theta
-            self.theta_target[:] = soft_update(self.theta_target, self.theta,
-                                               s.soft_update_rate)
+            adam_step(self.net.params, grad, self.adam)
+            soft_update(self.target.params, self.net.params, s.soft_update_rate)
             self._episode_losses.append(loss)
             self.update_count += 1
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -115,6 +116,8 @@ def _find_config_for(checkpoint_path: Path, explicit) -> ExperimentConfig:
 
 
 def cmd_eval(args) -> int:
+    if args.delay_seed < 0:
+        raise ConfigError("--delay-seed must be >= 0")
     ckpt_path = Path(args.checkpoint)
     net, _ = load_checkpoint(ckpt_path)
     cfg = _find_config_for(ckpt_path, args.config)
@@ -154,6 +157,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # main() may run many times in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netnaf",

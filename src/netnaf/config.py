@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError("tanh weight must be positive")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         try:
             self.delay_model()
             self.train_settings()
@@ -156,7 +158,6 @@ class ExperimentConfig:
         return TrainSettings(
             episodes=self.episodes,
             steps_per_episode=self.steps_per_episode,
-            delta=self.delta,
             max_delay_steps=self.max_delay_steps,
             output_history_len=self.output_history_len,
             gamma=self.gamma,

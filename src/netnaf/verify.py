@@ -148,10 +148,10 @@ def generate_gradient_check():
     target = nn.init_network([dim, 8, 8], m, 4.0, 78)
     batch = random_batch(rng, 4, dim, m)
     _, analytic = batch_loss_and_grad(net, target, batch, 0.99)
-    theta0 = nn.flatten_params(net)
+    theta0 = net.params.copy()
 
     def loss_of(theta):
-        nn.set_params(net, theta)
+        net.params[:] = theta
         loss, _ = batch_loss_and_grad(net, target, batch, 0.99)
         return loss
 

@@ -19,10 +19,9 @@ DELTA = 2.0 ** -4
 
 
 def make_settings(**kw):
-    args = dict(episodes=3, steps_per_episode=16, delta=DELTA,
-                max_delay_steps=4, output_history_len=4, batch_size=4,
-                warmup=4, update_iters=2, update_period=4,
-                learning_rate=1e-3, replay_capacity=1000)
+    args = dict(episodes=3, steps_per_episode=16, max_delay_steps=4,
+                output_history_len=4, batch_size=4, warmup=4, update_iters=2,
+                update_period=4, learning_rate=1e-3, replay_capacity=1000)
     args.update(kw)
     return TrainSettings(**args)
 
@@ -171,10 +170,10 @@ def test_targets_use_target_network_on_next_state():
     r, w_next = np.full(3, 0.5), rng.normal(size=(3, dim))
     t0 = batch_targets(target, r, w_next, 0.99)
     # changing the main network must not move the targets
-    nn.set_params(main, nn.flatten_params(main) * 2.0)
+    main.params *= 2.0
     assert np.array_equal(batch_targets(target, r, w_next, 0.99), t0)
     # changing the target network must move them
-    nn.set_params(target, nn.flatten_params(target) + 0.1)
+    target.params += 0.1
     assert not np.array_equal(batch_targets(target, r, w_next, 0.99), t0)
     # and they bootstrap from the next state
     v_next = nn.forward(target, w_next).value
@@ -203,10 +202,10 @@ def test_batch_loss_gradient_matches_finite_differences():
     target = nn.init_network([dim, 8, 8], 1, 4.0, 6)
     batch = random_batch(rng, 4, dim, 1)
     _, analytic = batch_loss_and_grad(net, target, batch, 0.99)
-    theta0 = nn.flatten_params(net)
+    theta0 = net.params.copy()
 
     def loss_of(theta):
-        nn.set_params(net, theta)
+        net.params[:] = theta
         loss, _ = batch_loss_and_grad(net, target, batch, 0.99)
         return loss
 
@@ -326,7 +325,7 @@ def test_replay_rejects_oversized_sample():
 
 def zero_weight_net(dim, m=1):
     net = nn.init_network([dim, 8, 8], m, 4.0, 0)
-    nn.set_params(net, np.zeros(nn.flatten_params(net).size))
+    net.params[:] = 0.0
     return net
 
 

@@ -121,6 +121,8 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(ou_sigma=-0.2)
     with pytest.raises(ConfigError):
         ExperimentConfig(checkpoint_every=-2)  # would checkpoint every 2nd episode
+    with pytest.raises(ConfigError):
+        ExperimentConfig(seed=-1)  # SeedSequence rejects it
 
 
 def test_apply_overrides():
@@ -229,9 +231,11 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     ("checkpoint_every = -2", [], "checkpoint_every"),
     ("[noise]\ntheta = -0.1", [], "theta and sigma"),
     ("[noise]\nsigma = -0.2", [], "theta and sigma"),
+    ("", ["--seed", "-1"], "seed"),
+    ("[run]\nseed = -1", [], "seed"),
 ], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes",
         "negative_checkpoint_every", "negative_noise_theta",
-        "negative_noise_sigma"])
+        "negative_noise_sigma", "negative_seed_flag", "negative_seed_key"])
 def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
                                              reason):
     cfg_path = tmp_path / "exp.txt"
@@ -284,12 +288,12 @@ def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
                        "sc_bound_steps = 0\ncp_bound_steps = 0\n")
     dim = cfg.extended_dim
     net = nn.init_network([dim, *cfg.hidden], 1, cfg.tanh_weight, 0)
-    nn.set_params(net, np.zeros(nn.flatten_params(net).size))
+    net.params[:] = 0.0
     run = tmp_path / "zero"
     run.mkdir()
     cfg.save(run / "config.txt")
     nn.save_checkpoint(run / "zero.nnc", net,
-                       nn.AdamState.fresh(nn.flatten_params(net).size))
+                       nn.AdamState.fresh(net.params.size))
     out_csv = tmp_path / "traj.csv"
     code = main(["eval", "--checkpoint", str(run / "zero.nnc"),
                  "--init", "2.0,-1.0,1.0", "--out", str(out_csv)])
@@ -319,12 +323,28 @@ def test_eval_missing_config_reports_error(small_run, tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("init", ["a,b,c", "1,2", ""])
-def test_eval_rejects_malformed_initial_state(small_run, capsys, init):
+@pytest.mark.parametrize("init, extra", [
+    ("a,b,c", []), ("1,2", []), ("", []),
+    ("0,0,0", ["--delay-seed", "-1"]),
+], ids=["a,b,c", "1,2", "", "negative_delay_seed"])
+def test_eval_rejects_malformed_initial_state(small_run, capsys, init, extra):
     code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
-                 f"--init={init}"])
+                 f"--init={init}", *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_rejects_nonfinite_checkpoint(small_run, capsys):
+    raw = bytearray((small_run / "final.nnc").read_bytes())
+    _, adam = nn.load_checkpoint(small_run / "final.nnc")
+    first_param = len(raw) - 3 * adam.m.size * 8
+    raw[first_param:first_param + 8] = np.array(np.nan, dtype="<f8").tobytes()
+    (small_run / "final.nnc").write_bytes(bytes(raw))
+    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                 "--init", "0,0,0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ def small_net(seed=7, widths=(4, 8, 8), m=1, tanh_weight=4.0):
 
 
 def test_init_deterministic_under_seed():
-    a = nn.flatten_params(small_net(seed=7))
-    b = nn.flatten_params(small_net(seed=7))
+    a = small_net(seed=7).params
+    b = small_net(seed=7).params
     assert np.array_equal(a, b)
 
 
@@ -57,17 +57,17 @@ def test_scaled_tanh_weight_must_be_positive():
 
 def test_forward_zero_network_gives_zero_heads():
     net = small_net()
-    nn.set_params(net, np.zeros(nn.flatten_params(net).size))
+    net.params[:] = 0.0
     tr = nn.forward(net, np.ones(4))
-    assert tr.v == 0.0
-    assert np.array_equal(tr.l_entries, np.zeros(1))
+    assert tr.value[0] == 0.0
+    assert np.array_equal(tr.scale_entries[0], np.zeros(1))
     assert np.array_equal(tr.mu, np.zeros(1))
 
 
 def test_single_linear_layer_is_identity():
     layer = nn.DenseLayer(np.eye(4), np.zeros(4), nn.LINEAR)
     v = np.array([0.3, -1.2, 5.0, 0.0])
-    _, out = nn.apply_layer(layer, v[None, :])
+    out = nn.apply_layer(layer, v[None, :])
     assert np.array_equal(out[0], v)
 
 
@@ -92,7 +92,7 @@ def test_forward_batch_matches_single():
     batch = nn.forward(net, xs)
     for i, x in enumerate(xs):
         one = nn.forward(net, x)
-        assert np.isclose(one.v, batch.value[i], rtol=1e-12, atol=0.0)
+        assert np.isclose(one.value[0], batch.value[i], rtol=1e-12, atol=0.0)
         assert np.allclose(one.mu, batch.action[i], rtol=1e-12, atol=1e-300)
 
 
@@ -100,53 +100,72 @@ def test_forward_batch_matches_single():
 # backward
 
 
+def head_grads_of(rng, m):
+    """Random (d_value, d_action, d_scale) for a batch of one row."""
+    return (rng.normal(size=1), rng.normal(size=(1, m)),
+            rng.normal(size=(1, m * (m + 1) // 2)))
+
+
+def head_sum(net, x, hg):
+    """sum <head_grads, head_outputs> at one input row."""
+    t = nn.forward(net, x)
+    return float(hg[0] @ t.value + np.sum(hg[1] * t.action)
+                 + np.sum(hg[2] * t.scale_entries))
+
+
 def test_backward_matches_finite_differences():
     net = nn.init_network([6, 8, 8], 2, 4.0, 11)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=6)
-    hg = (rng.normal(), rng.normal(size=2), rng.normal(size=3))
-    analytic, _ = nn.backward(net, nn.forward(net, x), hg)
-    theta0 = nn.flatten_params(net)
+    x = rng.normal(size=(1, 6))
+    hg = head_grads_of(rng, 2)
+    analytic = nn.backward(net, nn.forward(net, x), hg)
+    theta0 = net.params.copy()
 
     def scalar(theta):
-        nn.set_params(net, theta)
-        t = nn.forward(net, x)
-        return hg[0] * t.v + hg[1] @ t.mu + hg[2] @ t.l_entries
+        net.params[:] = theta
+        return head_sum(net, x, hg)
 
     fd = fd_gradient(scalar, theta0)
     assert rel_err(analytic, fd) < 1e-4
 
 
-def test_backward_input_gradient_matches_finite_differences():
+def test_backward_gradient_has_the_params_layout():
     net = small_net(seed=2)
     rng = np.random.default_rng(6)
-    x0 = rng.normal(size=4)
-    hg = (1.3, np.array([-0.7]), np.array([0.4]))
-    _, dx = nn.backward(net, nn.forward(net, x0), hg)
+    x = rng.normal(size=(1, 4))
+    hg = head_grads_of(rng, 1)
+    grad = nn.backward(net, nn.forward(net, x), hg)
+    assert grad.shape == net.params.shape
+    layout, _ = nn.parameter_layout(net)
+    offset, shape = next((off, shp) for name, off, shp in layout
+                         if name == "trunk0.w")
+    w_grad = grad[offset:offset + shape[0] * shape[1]].reshape(shape)
+    # finite differences in the layer's own array, not in the flat vector
+    weights = net.trunk[0].weights
+    w0 = weights.copy()
 
-    def scalar(x):
-        t = nn.forward(net, x)
-        return hg[0] * t.v + hg[1] @ t.mu + hg[2] @ t.l_entries
+    def scalar(w):
+        weights[...] = w.reshape(shape)
+        return head_sum(net, x, hg)
 
-    assert rel_err(dx, fd_gradient(scalar, x0)) < 1e-4
+    assert rel_err(w_grad.ravel(), fd_gradient(scalar, w0.ravel())) < 1e-4
 
 
 def test_backward_zero_head_grads_give_zero_gradient():
     net = small_net()
-    tr = nn.forward(net, np.ones(4))
-    grad, dx = nn.backward(net, tr, (0.0, np.zeros(1), np.zeros(1)))
+    tr = nn.forward(net, np.ones((1, 4)))
+    grad = nn.backward(net, tr, (np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1))))
     assert np.all(grad == 0.0)
-    assert np.all(dx == 0.0)
 
 
 def test_relu_blocks_gradient_through_dead_units():
     rng = np.random.default_rng(9)
     net = small_net(seed=4)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(1, 4))
     tr = nn.forward(net, x)
-    dead = tr.trunk_pre[0][0] < 0.0
+    dead = tr.trunk_post[0][0] == 0.0
     assert dead.any(), "test input should kill at least one unit"
-    grad, _ = nn.backward(net, tr, (1.0, np.ones(1), np.ones(1)))
+    grad = nn.backward(net, tr, (np.ones(1), np.ones((1, 1)), np.ones((1, 1))))
     layout, _ = nn.parameter_layout(net)
     offset, shape = next((off, shp) for name, off, shp in layout
                          if name == "trunk0.w")
@@ -157,9 +176,9 @@ def test_relu_blocks_gradient_through_dead_units():
 def test_backward_rejects_mismatched_trace():
     net = small_net()
     other = nn.init_network([4, 8, 8, 8], 1, 4.0, 1)
-    tr = nn.forward(other, np.zeros(4))
+    tr = nn.forward(other, np.zeros((1, 4)))
     with pytest.raises(DimensionError):
-        nn.backward(net, tr, (1.0, np.zeros(1), np.zeros(1)))
+        nn.backward(net, tr, (np.ones(1), np.zeros((1, 1)), np.zeros((1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +188,9 @@ def test_backward_rejects_mismatched_trace():
 def test_adam_zero_gradient_is_noop():
     state = nn.AdamState.fresh(5, lr=1e-3)
     params = np.arange(5.0)
-    new, state2 = nn.adam_step(params, np.zeros(5), state)
-    assert np.array_equal(new, params)
-    assert state2.step == 1
+    nn.adam_step(params, np.zeros(5), state)
+    assert np.array_equal(params, np.arange(5.0))
+    assert state.step == 1
 
 
 def test_adam_first_step_moves_by_lr_sign():
@@ -179,27 +198,43 @@ def test_adam_first_step_moves_by_lr_sign():
     state = nn.AdamState.fresh(3, lr=lr)
     params = np.zeros(3)
     g = np.array([0.5, -2.0, 1e-3])
-    new, _ = nn.adam_step(params, g, state)
-    expected = params - lr * g / (np.abs(g) + state.eps)
-    assert np.allclose(new, expected, rtol=1e-12, atol=0.0)
-    assert np.allclose(new, -lr * np.sign(g), rtol=1e-4)
+    nn.adam_step(params, g, state)
+    expected = -lr * g / (np.abs(g) + state.eps)
+    assert np.allclose(params, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(params, -lr * np.sign(g), rtol=1e-4)
 
 
-def test_adam_is_pure():
-    state = nn.AdamState.fresh(4, lr=1e-2)
-    params = np.ones(4)
-    g = np.array([1.0, -1.0, 0.5, 2.0])
-    a1, s1 = nn.adam_step(params, g, state)
-    a2, s2 = nn.adam_step(params, g, state)
-    assert np.array_equal(a1, a2)
-    assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
-    assert np.array_equal(params, np.ones(4))
+def test_adam_in_place_matches_reference():
+    """The in-place step equals the out-of-place formulas bit for bit."""
+    rng = np.random.default_rng(31)
+    n = 5000
+    state = nn.AdamState.fresh(n, lr=2.5e-4)
+    params = rng.normal(size=n)
+    ref_params, ref_m, ref_v = params.copy(), state.m.copy(), state.v.copy()
+    moments = state.m, state.v
+    b1, b2 = state.beta1, state.beta2
+    for t in range(1, 6):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n)
+        nn.adam_step(params, g, state)
+        ref_m = b1 * ref_m + (1.0 - b1) * g
+        ref_v = b2 * ref_v + (1.0 - b2) * g * g
+        m_hat = ref_m / (1.0 - b1 ** t)
+        v_hat = ref_v / (1.0 - b2 ** t)
+        ref_params = ref_params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        assert state.step == t
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+    assert state.m is moments[0] and state.v is moments[1]
 
 
 def test_adam_rejects_nonfinite_gradient():
     state = nn.AdamState.fresh(2)
+    params = np.ones(2)
     with pytest.raises(NumericsError):
-        nn.adam_step(np.zeros(2), np.array([1.0, np.nan]), state)
+        nn.adam_step(params, np.array([1.0, np.nan]), state)
+    # rejected before anything is written
+    assert np.array_equal(params, np.ones(2)) and state.step == 0
+    assert not state.m.any() and not state.v.any()
 
 
 def test_adam_shape_mismatch():
@@ -215,13 +250,27 @@ def test_adam_shape_mismatch():
 def test_soft_update_rate_one_copies_main():
     t = np.array([1.0, 2.0])
     m = np.array([-3.0, 4.0])
-    assert np.array_equal(nn.soft_update(t, m, 1.0), m)
+    nn.soft_update(t, m, 1.0)
+    assert np.array_equal(t, m)
 
 
 def test_soft_update_rate_zero_is_noop():
     t = np.array([1.0, 2.0])
     m = np.array([-3.0, 4.0])
-    assert np.array_equal(nn.soft_update(t, m, 0.0), t)
+    nn.soft_update(t, m, 0.0)
+    assert np.array_equal(t, [1.0, 2.0])
+
+
+def test_soft_update_in_place_matches_reference():
+    """The in-place blend equals rate*main + (1-rate)*target bit for bit."""
+    rng = np.random.default_rng(32)
+    target = rng.normal(size=5000)
+    ref = target.copy()
+    for rate in (0.001, 0.3, 0.001, 1.0, 0.0):
+        main = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=5000)
+        nn.soft_update(target, main, rate)
+        ref = rate * main + (1.0 - rate) * ref
+        assert np.array_equal(target, ref)
 
 
 def test_soft_update_geometric_contraction():
@@ -231,7 +280,7 @@ def test_soft_update_geometric_contraction():
     rate = 0.001
     current = target.copy()
     for _ in range(100):
-        current = nn.soft_update(current, main, rate)
+        nn.soft_update(current, main, rate)
     expected = (1.0 - rate) ** 100
     actual = np.linalg.norm(current - main) / np.linalg.norm(target - main)
     assert abs(actual - expected) < 1e-12
@@ -244,9 +293,10 @@ def test_soft_update_geometric_contraction():
 def test_soft_update_is_affine(values, rate, shift):
     t = np.asarray(values)
     m = t[::-1].copy()
-    base = nn.soft_update(t, m, rate)
-    shifted = nn.soft_update(t + shift, m + shift, rate)
-    assert np.allclose(shifted - base, shift, atol=1e-9)
+    shifted = t + shift
+    nn.soft_update(t, m, rate)
+    nn.soft_update(shifted, m + shift, rate)
+    assert np.allclose(shifted - t, shift, atol=1e-9)
 
 
 def test_soft_update_layout_mismatch():
@@ -258,31 +308,53 @@ def test_soft_update_layout_mismatch():
 # flat parameter views
 
 
+def layer_arrays(net):
+    """Every layer's weights then biases, flattened in layer order."""
+    return np.concatenate([a for _, l in net.all_layers()
+                           for a in (l.weights.ravel(), l.biases)])
+
+
 @pytest.mark.parametrize("widths,m", [((4, 8), 1), ((4, 8, 8), 2),
                                       ((3, 16, 8, 8), 3)])
 def test_flatten_set_roundtrip(widths, m):
     net = nn.init_network(list(widths), m, 4.0, 21)
-    flat = nn.flatten_params(net)
-    nn.set_params(net, flat * 2.0)
-    assert np.array_equal(nn.flatten_params(net), flat * 2.0)
-    nn.set_params(net, flat)
-    assert np.array_equal(nn.flatten_params(net), flat)
+    flat = net.params.copy()
+    assert np.array_equal(layer_arrays(net), flat)
+    net.params[:] = flat * 2.0
+    assert np.array_equal(layer_arrays(net), flat * 2.0)
+    net.params[:] = flat
+    assert np.array_equal(layer_arrays(net), flat)
 
 
 def test_layout_is_value_independent():
     net = small_net()
     layout1, total1 = nn.parameter_layout(net)
-    nn.set_params(net, np.zeros(total1))
+    net.params[:] = 0.0
     layout2, total2 = nn.parameter_layout(net)
     assert layout1 == layout2 and total1 == total2
 
 
-def test_bind_flat_storage_views():
+def test_params_writes_seen_by_forward():
     net = small_net()
-    flat = nn.bind_flat_storage(net)
-    flat[:] = 0.0
-    tr = nn.forward(net, np.ones(4))
-    assert tr.v == 0.0
+    net.params[:] = 0.0
+    assert nn.forward(net, np.ones(4)).value[0] == 0.0
+    layout, _ = nn.parameter_layout(net)
+    offset = next(off for name, off, _ in layout if name == "value.b")
+    net.params[offset] = 2.5
+    assert net.value_head.biases[0] == 2.5
+    assert nn.forward(net, np.ones(4)).value[0] == 2.5
+
+
+def test_copy_shares_no_memory():
+    net = small_net()
+    dup = net.copy()
+    assert np.array_equal(dup.params, net.params)
+    assert not np.shares_memory(dup.params, net.params)
+    for (_, a), (_, b) in zip(net.all_layers(), dup.all_layers()):
+        assert np.shares_memory(b.weights, dup.params)
+        assert not np.shares_memory(a.weights, b.weights)
+    dup.params[:] = 0.0
+    assert np.array_equal(net.params, small_net().params)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +363,16 @@ def test_bind_flat_storage_views():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     net = nn.init_network([5, 8, 8], 2, 3.0, 33)
-    adam = nn.AdamState.fresh(nn.flatten_params(net).size, lr=2e-4)
+    adam = nn.AdamState.fresh(net.params.size, lr=2e-4)
     g = np.random.default_rng(1).normal(size=adam.m.size)
-    _, adam = nn.adam_step(nn.flatten_params(net), g, adam)
+    nn.adam_step(net.params, g, adam)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     net2, adam2 = nn.load_checkpoint(path)
-    assert np.array_equal(nn.flatten_params(net), nn.flatten_params(net2))
+    assert np.array_equal(net.params, net2.params)
+    # the layers and the moments are views into the one block read
+    assert np.shares_memory(net2.trunk[0].weights, net2.params)
+    assert adam2.m.base is not None and net2.params.base is adam2.m.base
     assert np.array_equal(adam.m, adam2.m)
     assert np.array_equal(adam.v, adam2.v)
     assert adam2.step == adam.step and adam2.lr == adam.lr
@@ -307,7 +382,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_checkpoint_forward_equality_after_load(tmp_path):
     net = nn.init_network([6, 8, 8], 1, 4.0, 3)
-    adam = nn.AdamState.fresh(nn.flatten_params(net).size)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     net2, _ = nn.load_checkpoint(path)
@@ -320,7 +395,7 @@ def test_checkpoint_forward_equality_after_load(tmp_path):
 
 def test_checkpoint_corrupt_magic(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(nn.flatten_params(net).size)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
@@ -332,7 +407,7 @@ def test_checkpoint_corrupt_magic(tmp_path):
 
 def test_checkpoint_truncated(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(nn.flatten_params(net).size)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     path.write_bytes(path.read_bytes()[:-16])
@@ -342,7 +417,7 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_bad_version(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(nn.flatten_params(net).size)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
@@ -355,7 +430,7 @@ def test_checkpoint_bad_version(tmp_path):
 def checkpoint_with_header(tmp_path, edit):
     """Save a small checkpoint, then replace its JSON header by edit(header)."""
     net = small_net()
-    adam = nn.AdamState.fresh(nn.flatten_params(net).size)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = path.read_bytes()
@@ -392,3 +467,18 @@ def _drop_activation(header):
 def test_checkpoint_malformed_header(tmp_path, edit):
     with pytest.raises(CheckpointFormatError):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
+
+
+@pytest.mark.parametrize("block", [0, 1, 2], ids=["params", "adam_m", "adam_v"])
+def test_checkpoint_nonfinite_block(tmp_path, block):
+    net = small_net()
+    adam = nn.AdamState.fresh(net.params.size)
+    path = tmp_path / "net.nnc"
+    nn.save_checkpoint(path, net, adam)
+    raw = bytearray(path.read_bytes())
+    # the three float64 blocks end the file; poison the middle of one
+    at = len(raw) - (3 - block) * net.params.size * 8 + 8 * 3
+    raw[at:at + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="non-finite"):
+        nn.load_checkpoint(path)
