@@ -11,8 +11,7 @@ from .agent import (HistoryBuffer, OrnsteinUhlenbeck, OuSettings, ReplayMemory,
                     batch_targets, extended_state_dim, noise_scale, run_episode,
                     split_extended_state, transition_reward)
 from .config import ExperimentConfig, load_config, parse_config
-from .delays import (Actuator, DelayedChannel, DelayModel, no_delay_model,
-                     sample_delay)
+from .delays import Actuator, DelayedChannel, DelayModel, sample_delay
 from .errors import (CheckpointFormatError, ConfigError, DimensionError,
                      DivergenceError, NumericsError)
 from .naf import EXP_CLAMP, assemble_scale_matrix, quadratic_head, tri_size
@@ -20,7 +19,7 @@ from .nn import (AdamState, DenseLayer, ForwardTrace, MlpNetwork, adam_step,
                  backward, forward, init_network, load_checkpoint,
                  parameter_layout, save_checkpoint, soft_update)
 from .plant import (ChuaCircuit, InputSchedule, SensorMap, chua_sensor,
-                    integrate, integrate_trajectory, sense)
+                    integrate, sense)
 from .reward import (RewardWeights, input_history_reward, output_change_reward,
                      output_history_reward, total_reward)
 

@@ -69,11 +69,6 @@ class DelayModel:
         return self.sc_bound_steps + self.cp_bound_steps
 
 
-def no_delay_model(delta: float) -> DelayModel:
-    """Degenerate model: both channels deliver instantly."""
-    return DelayModel(delta, (0.0, 0.0), (0.0, 0.0), 0, 0)
-
-
 def sample_delay(model: DelayModel, channel: str, rng: np.random.Generator) -> float:
     """Draw one delay for the given channel; always inside [min, max]."""
     if channel == SC:

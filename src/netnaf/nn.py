@@ -15,7 +15,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -268,7 +268,8 @@ def parameter_layout(net: MlpNetwork):
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators for one flat parameter vector."""
+    """Bias-corrected Adam accumulators for one flat parameter vector, and
+    two scratch vectors (not checkpointed) so a step allocates none."""
 
     m: np.ndarray
     v: np.ndarray
@@ -277,6 +278,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def fresh(cls, n_params: int, lr: float = 1.25e-5, beta1: float = 0.9,
@@ -288,9 +293,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     """One Adam update of params and state, in place.
 
     The operations and their order are those of the out-of-place formulas,
-    so the results are bit-identical to them. A non-finite gradient is
-    rejected before anything is written; non-finite parameters are
-    reported after the step wrote them.
+    run through the two scratch vectors, so the results are bit-identical
+    to them. A non-finite gradient is rejected before anything is written;
+    non-finite parameters are reported after the step wrote them.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError("params, grads and Adam state must share one shape")
@@ -298,13 +303,18 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
         raise NumericsError("non-finite gradient passed to Adam")
     state.step += 1
     t = state.step
+    a, b = state.scratch
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
+    state.m += np.multiply(1.0 - state.beta1, grads, out=a)
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(1.0 - state.beta2, grads, out=b)
+    state.v += np.multiply(b, grads, out=b)
+    np.divide(state.m, 1.0 - state.beta1 ** t, out=a)   # m_hat
+    a *= state.lr
+    np.divide(state.v, 1.0 - state.beta2 ** t, out=b)   # v_hat
+    np.sqrt(b, out=b)
+    b += state.eps
+    params -= np.divide(a, b, out=a)
     if not np.isfinite(params).all():
         raise NumericsError("Adam step produced non-finite parameters")
 

@@ -2,13 +2,15 @@
 
 The integrator is classical fixed-step RK4 with exact event splitting:
 integration segments never straddle an input switch time, so hold semantics
-are preserved to the bit. The Chua circuit (cubic nonlinearity) is the
-default plant; its parameters are known only to the simulator, never to the
-learner.
+are preserved to the bit. States and inputs are tuples of Python floats,
+far cheaper than numpy for a 3-vector. The Chua circuit (cubic
+nonlinearity) is the default plant; its parameters are known only to the
+simulator, never to the learner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -25,7 +27,7 @@ class PlantModel(Protocol):
     state_dim: int
     input_dim: int
 
-    def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def deriv(self, x: tuple, u: tuple) -> tuple: ...
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,8 @@ class ChuaCircuit:
 
     def deriv(self, x, u):
         x1, x2, x3 = x
-        drive = u[0] if np.ndim(u) else float(u)
         cubic = (2.0 * x1 ** 3 - x1) / 7.0
-        return np.array([
-            self.p1 * (x2 - cubic),
-            x1 - x2 + x3 + drive,
-            -self.p2 * x2,
-        ])
+        return (self.p1 * (x2 - cubic), x1 - x2 + x3 + u[0], -self.p2 * x2)
 
     def equilibria(self) -> np.ndarray:
         """The three unforced rest points: origin and (+/-s, 0, -/+s), s=1/sqrt(2)."""
@@ -106,16 +103,28 @@ class InputSchedule:
 
 
 def _check_state(x, t):
-    if not np.isfinite(x).all() or np.abs(x).max() > DIVERGENCE_LIMIT:
-        raise DivergenceError(t)
+    for v in x:
+        if not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
+            raise DivergenceError(t)
 
 
-def _rk4_step(model, x, u, h):
-    k1 = model.deriv(x, u)
-    k2 = model.deriv(x + 0.5 * h * k1, u)
-    k3 = model.deriv(x + 0.5 * h * k2, u)
-    k4 = model.deriv(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(model, x, u, h, t):
+    """RK4 step of length h ending at time t; per element, the operations of
+    the array formula in its order. A float power that overflows raises
+    OverflowError where numpy gave inf: either way the step diverged."""
+    half = 0.5 * h
+    try:
+        k1 = model.deriv(x, u)
+        k2 = model.deriv(tuple([a + half * k for a, k in zip(x, k1)]), u)
+        k3 = model.deriv(tuple([a + half * k for a, k in zip(x, k2)]), u)
+        k4 = model.deriv(tuple([a + h * k for a, k in zip(x, k3)]), u)
+    except OverflowError:
+        raise DivergenceError(t) from None
+    sixth = h / 6.0
+    x = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+               for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+    _check_state(x, t)
+    return x
 
 
 def _segments(schedule: InputSchedule, t0: float, t1: float):
@@ -143,19 +152,17 @@ def _span(model, x, u, a, b, h, record):
     span = b - a
     if span <= 0.0:
         return x
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n_full = int(np.floor(span / h + 1e-9))
+    u = tuple(np.atleast_1d(np.asarray(u, dtype=float)).tolist())
+    n_full = math.floor(span / h + 1e-9)
     t = a
     for i in range(n_full):
-        x = _rk4_step(model, x, u, h)
         t = a + (i + 1) * h
-        _check_state(x, t)
+        x = _rk4_step(model, x, u, h, t)
         if record is not None:
             record(t, x)
     rem = b - t
     if rem > h * 1e-9:
-        x = _rk4_step(model, x, u, rem)
-        _check_state(x, b)
+        x = _rk4_step(model, x, u, rem, b)
         if record is not None:
             record(b, x)
     return x
@@ -169,31 +176,19 @@ def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
     window; a shorter final step lands on each segment end. Raises
     DivergenceError (carrying the blow-up time) if the state leaves the
     trusted region. record(t, x), if given, is called at every substep node
-    after t0.
+    after t0, with x a tuple of floats.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if substep <= 0:
         raise ValueError("substep must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (model.state_dim,):
-        raise DimensionError(f"x0 has shape {x.shape}, plant state is "
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.state_dim,):
+        raise DimensionError(f"x0 has shape {x0.shape}, plant state is "
                              f"({model.state_dim},)")
+    x = tuple(x0.tolist())
     _check_state(x, t0)
     for a, b, u in _segments(schedule, t0, t1):
         x = _span(model, x, u, a, b, substep, record)
-    return x
+    return np.array(x)
 
-
-def integrate_trajectory(model: PlantModel, x0, schedule: InputSchedule,
-                         t0: float, t1: float, substep: float):
-    """Like integrate, but records every substep node; returns (times, states)."""
-    times = [t0]
-    states = [np.array(x0, dtype=float)]
-
-    def record(t, xt):
-        times.append(t)
-        states.append(xt.copy())
-
-    integrate(model, x0, schedule, t0, t1, substep, record)
-    return np.array(times), np.array(states)

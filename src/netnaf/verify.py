@@ -177,7 +177,7 @@ def generate_rk4_order():
         input_dim = 1
 
         def deriv(self, x, u):
-            return -x
+            return (-x[0],)
 
     schedule = InputSchedule(np.zeros(1))
     steps = [2.0 ** -e for e in range(4, 9)]
@@ -185,7 +185,7 @@ def generate_rk4_order():
                 - np.exp(-1.0)) for h in steps]
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     chua = ChuaCircuit()
-    residuals = [float(np.linalg.norm(chua.deriv(eq, np.zeros(1))))
+    residuals = [float(np.linalg.norm(chua.deriv(tuple(eq.tolist()), (0.0,))))
                  for eq in chua.equilibria()]
     return {"slope": slope, "errors": errs, "rest_point_residuals": residuals}
 

@@ -17,12 +17,13 @@ from scipy import stats
 
 from netnaf.agent import HistoryBuffer, extended_state_dim, split_extended_state
 from netnaf.config import ExperimentConfig
-from netnaf.plant import ChuaCircuit, InputSchedule, integrate_trajectory
+from netnaf.plant import ChuaCircuit, InputSchedule
 from netnaf.verify import (DELTA, check_channels, check_gradient,
                            check_naf_algebra, check_reward, check_rk4_order,
                            generate_channel_suite, generate_gradient_check,
                            generate_naf_algebra, generate_reward_suite,
                            generate_rk4_order)
+from support import integrate_trajectory
 
 # artifacts of this session, keyed by criterion number; criterion 10
 # regenerates and byte-compares them

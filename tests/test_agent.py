@@ -8,12 +8,13 @@ from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
                           TrainSettings, batch_loss_and_grad, batch_targets,
                           extended_state_dim, noise_scale, run_episode,
                           split_extended_state, transition_reward)
-from netnaf.delays import DelayModel, no_delay_model
+from netnaf.delays import DelayModel
 from netnaf.errors import DimensionError, NumericsError
 from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate
 from netnaf.reward import RewardWeights
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
                            rel_err)
+from support import no_delay_model
 
 DELTA = 2.0 ** -4
 
@@ -442,7 +443,7 @@ def test_divergence_aborts_episode_with_penalty():
         input_dim = 1
 
         def deriv(self, x, u):
-            return x * x
+            return (x[0] * x[0],)
 
     from netnaf.plant import SensorMap
     setup = LoopSetup(Exploder(), SensorMap(np.eye(1), DELTA),

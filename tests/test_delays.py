@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netnaf.delays import (CP, GRID, SC, Actuator, DelayModel, DelayedChannel,
-                           no_delay_model, sample_delay)
+                           sample_delay)
+from support import no_delay_model
 
 DELTA = 2.0 ** -4
 

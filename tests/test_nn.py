@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,21 @@ def test_adam_in_place_matches_reference():
         assert np.array_equal(params, ref_params)
         assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
     assert state.m is moments[0] and state.v is moments[1]
+
+
+def test_adam_step_allocates_no_parameter_sized_temporary():
+    n = 5000
+    state = nn.AdamState.fresh(n, lr=1e-3)
+    params = np.ones(n)
+    g = np.random.default_rng(2).normal(size=n)
+    nn.adam_step(params, g, state)
+    tracemalloc.start()
+    try:
+        nn.adam_step(params, g, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * params.itemsize
 
 
 def test_adam_rejects_nonfinite_gradient():

@@ -3,7 +3,11 @@ import pytest
 
 from netnaf.errors import DimensionError, DivergenceError
 from netnaf.plant import (ChuaCircuit, InputSchedule, SensorMap, chua_sensor,
-                          integrate, integrate_trajectory, sense)
+                          integrate, sense)
+from support import integrate_trajectory
+
+DELTA = 2.0 ** -4
+SUBSTEP = 2.0 ** -8
 
 
 class LinearDecay:
@@ -13,7 +17,7 @@ class LinearDecay:
     input_dim = 1
 
     def deriv(self, x, u):
-        return -x
+        return (-x[0],)
 
 
 class Integrator:
@@ -23,7 +27,7 @@ class Integrator:
     input_dim = 1
 
     def deriv(self, x, u):
-        return np.array([u[0]])
+        return (u[0],)
 
 
 # ---------------------------------------------------------------------------
@@ -32,26 +36,27 @@ class Integrator:
 
 def test_chua_origin_is_equilibrium():
     chua = ChuaCircuit()
-    assert np.array_equal(chua.deriv(np.zeros(3), np.zeros(1)), np.zeros(3))
+    assert chua.deriv((0.0, 0.0, 0.0), (0.0,)) == (0.0, 0.0, 0.0)
 
 
 def test_chua_nonzero_equilibria():
     chua = ChuaCircuit()
     s = 1.0 / np.sqrt(2.0)
-    for x in (np.array([s, 0.0, -s]), np.array([-s, 0.0, s])):
-        assert np.linalg.norm(chua.deriv(x, np.zeros(1))) < 1e-12
+    for x in ((s, 0.0, -s), (-s, 0.0, s)):
+        assert np.linalg.norm(chua.deriv(x, (0.0,))) < 1e-12
 
 
 def test_chua_direct_evaluation():
     chua = ChuaCircuit()
-    dx = chua.deriv(np.array([1.0, 0.0, 0.0]), np.zeros(1))
+    dx = chua.deriv((1.0, 0.0, 0.0), (0.0,))
+    assert type(dx) is tuple and all(type(v) is float for v in dx)
     assert np.allclose(dx, [-10.0 / 7.0, 1.0, 0.0], rtol=1e-15)
 
 
 def test_chua_input_enters_second_component():
     chua = ChuaCircuit()
-    base = chua.deriv(np.array([0.5, -0.5, 1.0]), np.zeros(1))
-    driven = chua.deriv(np.array([0.5, -0.5, 1.0]), np.array([2.0]))
+    base = chua.deriv((0.5, -0.5, 1.0), (0.0,))
+    driven = chua.deriv((0.5, -0.5, 1.0), (2.0,))
     assert driven[1] - base[1] == 2.0
     assert driven[0] == base[0] and driven[2] == base[2]
 
@@ -125,12 +130,90 @@ def test_divergence_reports_time():
         input_dim = 1
 
         def deriv(self, x, u):
-            return x * x  # finite-time blow-up from x0 > 0
+            return (x[0] * x[0],)  # finite-time blow-up from x0 > 0
 
     with pytest.raises(DivergenceError) as err:
         integrate(Exploder(), np.array([10.0]), InputSchedule(np.zeros(1)),
                   0.0, 1.0, 2.0 ** -8)
     assert 0.0 < err.value.time <= 1.0
+
+
+@pytest.mark.parametrize("x1", [1e5, 1e6])
+def test_overflowing_stage_is_divergence(x1):
+    # x1 ** 3 overflows within the first substep: a float power raises
+    # OverflowError where numpy gave inf, and both must end the same way.
+    with pytest.raises(DivergenceError) as err:
+        integrate(ChuaCircuit(), [x1, 0.0, 0.0], InputSchedule(np.zeros(1)),
+                  0.0, DELTA, SUBSTEP)
+    assert err.value.time == SUBSTEP
+
+
+def test_nan_derivative_is_divergence():
+    # abs(nan) > limit is False, so only the finiteness test can catch this
+    class NanPlant:
+        state_dim = 1
+        input_dim = 1
+
+        def deriv(self, x, u):
+            return (float("nan"),)
+
+    with pytest.raises(DivergenceError) as err:
+        integrate(NanPlant(), [1.0], InputSchedule(np.zeros(1)), 0.0, DELTA,
+                  SUBSTEP)
+    assert err.value.time == SUBSTEP
+
+
+def _reference_deriv(chua, x, u):
+    x1, x2, x3 = x
+    cubic = (2.0 * x1 ** 3 - x1) / 7.0
+    return np.array([chua.p1 * (x2 - cubic), x1 - x2 + x3 + u[0],
+                     -chua.p2 * x2])
+
+
+def _reference_integrate(chua, x, segments, h):
+    """RK4 on numpy arrays, written as the array formula."""
+    for a, b, u in segments:
+        n_full = int(np.floor((b - a) / h + 1e-9))
+        steps = [h] * n_full
+        if b - (a + n_full * h) > h * 1e-9:
+            steps.append(b - (a + n_full * h))
+        for step in steps:
+            k1 = _reference_deriv(chua, x, u)
+            k2 = _reference_deriv(chua, x + 0.5 * step * k1, u)
+            k3 = _reference_deriv(chua, x + 0.5 * step * k2, u)
+            k4 = _reference_deriv(chua, x + step * k3, u)
+            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def test_float_rk4_bit_identical_to_array_formula():
+    chua = ChuaCircuit()
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        x0 = rng.normal(scale=2.0, size=3)
+        u0, u1 = rng.normal(scale=3.0, size=(2, 1))
+        switch = float(rng.uniform(0.0, DELTA))
+        held = integrate(chua, x0, InputSchedule(u0), 0.0, DELTA, SUBSTEP)
+        assert np.array_equal(
+            held, _reference_integrate(chua, x0, [(0.0, DELTA, u0)], SUBSTEP))
+        switched = integrate(chua, x0, InputSchedule(u0, [(switch, u1)]), 0.0,
+                             DELTA, SUBSTEP)
+        assert np.array_equal(switched, _reference_integrate(
+            chua, x0, [(0.0, switch, u0), (switch, DELTA, u1)], SUBSTEP))
+
+
+def test_one_period_calls_deriv_four_times_per_substep(monkeypatch):
+    calls = []
+    original = ChuaCircuit.deriv
+
+    def counting(self, x, u):
+        calls.append(None)
+        return original(self, x, u)
+
+    monkeypatch.setattr(ChuaCircuit, "deriv", counting)
+    integrate(ChuaCircuit(), [0.3, -0.1, 0.2], InputSchedule(np.zeros(1)), 0.0,
+              DELTA, SUBSTEP)
+    assert len(calls) == 64
 
 
 def test_schedule_requires_increasing_switch_times():
