@@ -190,7 +190,7 @@ def noise_scale(settings: OuSettings, episode: int, total_episodes: int) -> floa
     """Full scale through decay_start, then linear decay to scale_final at
     the final episode."""
     if episode <= settings.decay_start or total_episodes <= settings.decay_start:
-        return settings.scale
+        return float(settings.scale)
     frac = (episode - settings.decay_start) / (total_episodes - settings.decay_start)
     return settings.scale + (settings.scale_final - settings.scale) * frac
 
@@ -303,29 +303,24 @@ def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
     return total_reward(r_change, r_outputs, r_inputs)
 
 
-@dataclass
-class SampleRow:
-    """Closed-loop log entry at one sampling instant."""
-
-    k: int
-    t: float
-    state: np.ndarray
-    output: np.ndarray
-    applied_input: np.ndarray
-    sc_delay: float
-    cp_delay: float
-    ctrl_arrival: float
-    plant_arrival: float
+def episode_log_dtype(state_dim: int, output_dim: int, input_dim: int) -> np.dtype:
+    """One row per sampling instant: k, t, plant state x, sensed output y, held
+    input u, the two realized delays and the two clamped arrivals."""
+    return np.dtype([("k", np.int64), ("t", float), ("x", float, (state_dim,)),
+                     ("y", float, (output_dim,)), ("u", float, (input_dim,)),
+                     ("tau_sc", float), ("tau_cp", float),
+                     ("ctrl_arrival", float), ("plant_arrival", float)])
 
 
 @dataclass
 class EpisodeResult:
     rewards: list
-    samples: list
+    samples: np.ndarray  # the filled rows of an episode_log_dtype array
     diverged: bool = False
     diverged_at: float | None = None
 
     def reward_sum_from(self, start: int = METRIC_START) -> float:
+        # Python's sequential sum: np.sum is pairwise, with other last bits
         return float(sum(self.rewards[start:]))
 
 
@@ -343,10 +338,11 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
     given) and sends the input through the controller-to-plant channel. The
     actuator holds each delayed input until the next one lands. Transitions
     go to `replay` when one is given. on_step(k) fires after the k-th input
-    is issued.
+    is issued and the instant is logged as row k of `samples`.
 
     Plant divergence ends the episode early: the final transition is a
-    self-loop carrying the divergence penalty.
+    self-loop carrying the divergence penalty, and the log stops at the last
+    completed instant.
     """
     plant, sensor = setup.plant, setup.sensor
     delta = sensor.period
@@ -359,7 +355,10 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
 
     x = np.asarray(x0, dtype=float).copy()
     t_plant = 0.0
-    result = EpisodeResult([], [])
+    log = np.empty(settings.steps_per_episode + 1,
+                   dtype=episode_log_dtype(plant.state_dim, sensor.output_dim,
+                                           plant.input_dim))
+    result = EpisodeResult([], log[:0])
     w_prev = None
     u_prev = None
 
@@ -412,9 +411,9 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
         hist.push_input(u_k)
         plant_arrival = cp_channel.send(ctrl_arrival, u_k, cp_delay)
 
-        result.samples.append(SampleRow(k, t_k, x.copy(), y_k,
-                                        actuator.held.copy(), sc_delay,
-                                        cp_delay, ctrl_arrival, plant_arrival))
+        log[k] = (k, t_k, x, y_k, actuator.held, sc_delay, cp_delay,
+                  ctrl_arrival, plant_arrival)
+        result.samples = log[:k + 1]
         w_prev, u_prev = w_k, u_k
         if on_step is not None:
             on_step(k)

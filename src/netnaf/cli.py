@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -25,55 +26,51 @@ from .verify import run_suites
 
 LEARNING_CURVE_COLUMNS = ["episode", "reward_sum_from_50th", "mean_loss",
                           "noise_scale", "seconds_elapsed"]
+DELAY_TRACE_FIELDS = ("k", "t", "tau_sc", "tau_cp", "ctrl_arrival",
+                      "plant_arrival")
 
 
 def default_out_root() -> Path:
     return Path(os.environ.get("NETNAF_OUT_ROOT", "runs"))
 
 
-def _fmt(value) -> str:
-    """Shortest exact decimal for a double; stable across runs."""
-    return repr(float(value))
-
-
-def write_learning_curve(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEARNING_CURVE_COLUMNS)
-        for row in rows:
-            writer.writerow([row.episode, _fmt(row.reward_sum),
-                             _fmt(row.mean_loss), _fmt(row.noise_scale),
-                             _fmt(row.seconds_elapsed)])
-
-
-def write_trajectory(path, samples, state_dim, output_dim, input_dim):
-    header = (["k", "t"]
-              + [f"x{i + 1}" for i in range(state_dim)]
-              + [f"y{i + 1}" for i in range(output_dim)]
-              + [f"u{i + 1}" for i in range(input_dim)]
-              + ["tau_sc", "tau_cp", "ctrl_arrival", "plant_arrival"])
+def _write_csv(path, header, rows):
+    """Rows of Python ints and floats; csv writes a float as its str, the
+    shortest exact decimal, so the bytes are stable across runs."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in samples:
-            writer.writerow([s.k, _fmt(s.t)]
-                            + [_fmt(v) for v in s.state]
-                            + [_fmt(v) for v in s.output]
-                            + [_fmt(v) for v in s.applied_input]
-                            + [_fmt(s.sc_delay), _fmt(s.cp_delay),
-                               _fmt(s.ctrl_arrival), _fmt(s.plant_arrival)])
+        writer.writerows(rows)
+
+
+def write_learning_curve(path, rows):
+    _write_csv(path, LEARNING_CURVE_COLUMNS, map(astuple, rows))
+
+
+def _write_log(path, samples, fields, header=None):
+    """Fields of an episode log, one row per sampling instant; a vector
+    field spreads over numbered columns (x1, x2, ...)."""
+    names, columns = [], []
+    for name in fields:
+        col = samples[name]
+        if col.ndim == 1:
+            names.append(name)
+            columns.append(col.tolist())
+        else:
+            names += [f"{name}{i + 1}" for i in range(col.shape[1])]
+            columns += col.T.tolist()
+    _write_csv(path, header or names, zip(*columns))
+
+
+def write_trajectory(path, samples):
+    """Every field of the episode log."""
+    _write_log(path, samples, samples.dtype.names)
 
 
 def write_delay_trace(path, samples):
     """Realized delays and clamped arrivals, one row per sampling instant."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t_sent", "tau_sc", "tau_cp",
-                         "ctrl_arrival", "plant_arrival"])
-        for s in samples:
-            writer.writerow([s.k] + [_fmt(v) for v in
-                                     (s.t, s.sc_delay, s.cp_delay,
-                                      s.ctrl_arrival, s.plant_arrival)])
+    _write_log(path, samples, DELAY_TRACE_FIELDS,
+               ["k", "t_sent", *DELAY_TRACE_FIELDS[2:]])
 
 
 def cmd_train(args) -> int:
@@ -129,6 +126,8 @@ def cmd_eval(args) -> int:
         x0 = np.array([float(part) for part in args.init.split(",")])
     except ValueError as exc:
         raise ConfigError(f"--init must be comma separated numbers: {exc}") from exc
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"--init components must be finite, got {args.init}")
     plant = cfg.plant()
     if x0.shape != (plant.state_dim,):
         raise DimensionError(f"initial state needs {plant.state_dim} components")
@@ -138,8 +137,7 @@ def cmd_eval(args) -> int:
                          rng=rng)
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
-    write_trajectory(out, result.samples, plant.state_dim,
-                     cfg.sensor().output_dim, plant.input_dim)
+    write_trajectory(out, result.samples)
     if args.delay_trace:
         write_delay_trace(args.delay_trace, result.samples)
     status = "diverged" if result.diverged else "ok"
@@ -195,7 +193,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CheckpointFormatError, DimensionError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -235,8 +235,7 @@ def generate_channel_suite(sequences=400, sends=250):
     result = run_episode(net, setup, settings, x0=x0,
                          rng=np.random.default_rng(0))
     ref_states, _ = classical_sampled_loop(net, setup, settings, x0)
-    states = np.array([s.state for s in result.samples])
-    mismatch = float(np.abs(states - ref_states).max())
+    mismatch = float(np.abs(result.samples["x"] - ref_states).max())
     return {"sends": total, "in_order": in_order, "worst_end_to_end": worst,
             "bound": bound, "zero_delay_mismatch": mismatch}
 

@@ -269,6 +269,25 @@ def test_eval_logs_requested_initial_state(small_run, tmp_path):
     assert trace[0] == ["k", "t_sent", "tau_sc", "tau_cp", "ctrl_arrival",
                         "plant_arrival"]
     assert len(trace) == 1 + 17
+    # the delay trace is the trajectory's k, t and delay columns, verbatim
+    cols = [rows[0].index(name) for name in
+            ("k", "t", "tau_sc", "tau_cp", "ctrl_arrival", "plant_arrival")]
+    assert trace[1:] == [[row[i] for i in cols] for row in rows[1:]]
+
+
+def test_eval_diverged_rollout_logs_completed_instants_only(small_run, tmp_path,
+                                                           capsys):
+    out_csv = tmp_path / "traj.csv"
+    trace_csv = tmp_path / "delays.csv"
+    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                 "--init=1e5,0,0", "--out", str(out_csv),
+                 "--delay-trace", str(trace_csv)])
+    assert code == 0
+    assert "eval diverged: 1 samples" in capsys.readouterr().out
+    for path in (out_csv, trace_csv):
+        rows = read_csv(path)
+        assert len(rows) == 1 + 1  # header and instant 0; t = delta diverged
+        assert all(np.isfinite(float(v)) for v in rows[1])
 
 
 def test_eval_second_initial_state(small_run, tmp_path):
@@ -326,11 +345,29 @@ def test_eval_missing_config_reports_error(small_run, tmp_path, capsys):
 @pytest.mark.parametrize("init, extra", [
     ("a,b,c", []), ("1,2", []), ("", []),
     ("0,0,0", ["--delay-seed", "-1"]),
-], ids=["a,b,c", "1,2", "", "negative_delay_seed"])
+    ("nan,0,0", []), ("0,inf,0", []),
+], ids=["a,b,c", "1,2", "", "negative_delay_seed", "nan,0,0", "0,inf,0"])
 def test_eval_rejects_malformed_initial_state(small_run, capsys, init, extra):
     code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
                  f"--init={init}", *extra])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", ["eval_out_is_directory",
+                                  "eval_checkpoint_is_directory",
+                                  "train_out_under_file"])
+def test_unusable_paths_report_errors(small_run, tmp_path, capsys, case):
+    ckpt = str(small_run / "final.nnc")
+    argv = {
+        "eval_out_is_directory": ["eval", "--checkpoint", ckpt,
+                                  "--init", "0,0,0", "--out", str(tmp_path)],
+        "eval_checkpoint_is_directory": ["eval", "--checkpoint", str(small_run),
+                                         "--init", "0,0,0"],
+        "train_out_under_file": ["train", "--episodes", "1", "--out",
+                                 str(small_run / "config.txt" / "run")],
+    }[case]
+    assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
