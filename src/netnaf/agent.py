@@ -19,8 +19,8 @@ import numpy as np
 from .delays import CP, SC, Actuator, DelayModel, DelayedChannel, sample_delay
 from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
-from .nn import (AdamState, MlpNetwork, adam_step, backward, forward,
-                 init_network, soft_update)
+from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
+                 forward, init_network, soft_update)
 from .plant import InputSchedule, PlantModel, SensorMap, integrate, sense
 from .reward import (RewardWeights, input_history_reward, output_change_reward,
                      output_history_reward, total_reward)
@@ -200,27 +200,37 @@ def noise_scale(settings: OuSettings, episode: int, total_episodes: int) -> floa
 
 
 def batch_targets(target_net: MlpNetwork, r: np.ndarray, w_next: np.ndarray,
-                  gamma: float) -> np.ndarray:
-    """Bootstrap targets r + gamma * V(w'; target), one per transition."""
-    return r + gamma * forward(target_net, w_next).value
+                  gamma: float, trace: ForwardTrace | None = None) -> np.ndarray:
+    """Bootstrap targets r + gamma * V(w'; target), one per transition.
+
+    Only V is read, so the target pass skips the action and scale heads;
+    `trace` is an optional buffer for it (see `forward`).
+    """
+    return r + gamma * forward(target_net, w_next, trace, value_only=True).value
 
 
 def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
-                        gamma: float):
+                        gamma: float, trace: ForwardTrace | None = None,
+                        target_trace: ForwardTrace | None = None,
+                        grad: np.ndarray | None = None):
     """Mean squared TD error over a (w, u, r, w') batch of row arrays and its
     exact parameter gradient.
 
     Targets come from the target network and enter as constants; the
     gradient flows only through the main network's value, action and scale
-    heads.
+    heads. `trace`, `target_trace` and `grad` are optional buffers the
+    caller owns, for the main pass, the target pass and the gradient
+    (`Trainer` keeps one set); the returned gradient is then `grad`
+    itself, overwritten by the next call. Results are bit-identical with
+    or without them.
     """
     w, u, r, w_next = batch
     n = len(r)
     if n == 0:
         raise ValueError("batch must be nonempty")
-    targets = batch_targets(target_net, r, w_next, gamma)
+    targets = batch_targets(target_net, r, w_next, gamma, target_trace)
 
-    trace = forward(net, w)
+    trace = forward(net, w, trace)
     q, pullback = quadratic_head(trace.value, trace.action,
                                  trace.scale_entries, u)
     resid = q - targets
@@ -229,7 +239,7 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
         raise NumericsError(f"non-finite TD error at transition {bad} of the batch")
     loss = float(resid @ resid) / n
 
-    return loss, backward(net, trace, pullback(2.0 * resid / n))
+    return loss, backward(net, trace, pullback(2.0 * resid / n), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +447,8 @@ class TrainRow:
 
 
 class Trainer:
-    """Owns the networks, optimizer, replay memory and all random streams.
+    """Owns the networks, optimizer, replay memory, all random streams and
+    the update step's buffers.
 
     A fixed seed makes the whole run deterministic: network init, initial
     states, delays, exploration noise and minibatch choices all derive from
@@ -459,6 +470,13 @@ class Trainer:
         self.net = init_network([dim, *hidden_widths], m, tanh_weight, net_seed)
         self.target = self.net.copy()
         self.adam = AdamState.fresh(self.net.params.size, lr=settings.learning_rate)
+        # written by every update, so one update allocates no batch trace or
+        # gradient vector; a batch is always batch_size rows
+        self.update_buffers = {
+            "trace": ForwardTrace.empty(self.net, settings.batch_size),
+            "target_trace": ForwardTrace.empty(self.target, settings.batch_size),
+            "grad": np.empty_like(self.net.params),
+        }
         self.replay = ReplayMemory(settings.replay_capacity, dim, m)
         self.noise = OrnsteinUhlenbeck(m, settings.noise.theta,
                                        settings.noise.sigma)
@@ -470,7 +488,8 @@ class Trainer:
         s = self.settings
         for _ in range(s.update_iters):
             batch = self.replay.sample(self._sample_rng, s.batch_size)
-            loss, grad = batch_loss_and_grad(self.net, self.target, batch, s.gamma)
+            loss, grad = batch_loss_and_grad(self.net, self.target, batch,
+                                             s.gamma, **self.update_buffers)
             adam_step(self.net.params, grad, self.adam)
             soft_update(self.target.params, self.net.params, s.soft_update_rate)
             self._episode_losses.append(loss)

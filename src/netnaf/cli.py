@@ -8,6 +8,7 @@ learning curve (wall-clock column aside).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -34,20 +35,44 @@ def default_out_root() -> Path:
     return Path(os.environ.get("NETNAF_OUT_ROOT", "runs"))
 
 
-def _write_csv(path, header, rows):
-    """Rows of Python ints and floats; csv writes a float as its str, the
-    shortest exact decimal, so the bytes are stable across runs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(fh, header, rows):
+    """Rows of Python ints and floats to an open text file; csv writes a
+    float as its str, the shortest exact decimal, so the bytes are stable
+    across runs."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def _open_outputs(*paths):
+    """Open every path for writing before anything is written to any; a
+    None path gives a None handle.
+
+    If an open or the writing fails, the files opened so far are removed,
+    so a command that fails leaves none of its outputs behind.
+    """
+    handles = []
+    try:
+        for path in paths:
+            handles.append(None if path is None else open(path, "w", newline=""))
+        yield handles
+    except BaseException:
+        for fh in filter(None, handles):
+            fh.close()
+            os.remove(fh.name)
+        raise
+    finally:
+        for fh in filter(None, handles):
+            fh.close()
 
 
 def write_learning_curve(path, rows):
-    _write_csv(path, LEARNING_CURVE_COLUMNS, map(astuple, rows))
+    with open(path, "w", newline="") as fh:
+        _write_csv(fh, LEARNING_CURVE_COLUMNS, map(astuple, rows))
 
 
-def _write_log(path, samples, fields, header=None):
+def _write_log(fh, samples, fields, header=None):
     """Fields of an episode log, one row per sampling instant; a vector
     field spreads over numbered columns (x1, x2, ...)."""
     names, columns = [], []
@@ -59,17 +84,17 @@ def _write_log(path, samples, fields, header=None):
         else:
             names += [f"{name}{i + 1}" for i in range(col.shape[1])]
             columns += col.T.tolist()
-    _write_csv(path, header or names, zip(*columns))
+    _write_csv(fh, header or names, zip(*columns))
 
 
-def write_trajectory(path, samples):
-    """Every field of the episode log."""
-    _write_log(path, samples, samples.dtype.names)
+def write_trajectory(fh, samples):
+    """Every field of the episode log, to an open text file."""
+    _write_log(fh, samples, samples.dtype.names)
 
 
-def write_delay_trace(path, samples):
+def write_delay_trace(fh, samples):
     """Realized delays and clamped arrivals, one row per sampling instant."""
-    _write_log(path, samples, DELAY_TRACE_FIELDS,
+    _write_log(fh, samples, DELAY_TRACE_FIELDS,
                ["k", "t_sent", *DELAY_TRACE_FIELDS[2:]])
 
 
@@ -137,9 +162,11 @@ def cmd_eval(args) -> int:
                          rng=rng)
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
-    write_trajectory(out, result.samples)
-    if args.delay_trace:
-        write_delay_trace(args.delay_trace, result.samples)
+    # both files are written, or neither is left behind
+    with _open_outputs(out, args.delay_trace or None) as (traj_fh, trace_fh):
+        write_trajectory(traj_fh, result.samples)
+        if trace_fh is not None:
+            write_delay_trace(trace_fh, result.samples)
     status = "diverged" if result.diverged else "ok"
     print(f"eval {status}: {len(result.samples)} samples, "
           f"reward sum {result.reward_sum_from(0):.3f}, wrote {out}")

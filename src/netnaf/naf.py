@@ -14,6 +14,8 @@ are computed; it builds L once for both.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError
@@ -27,9 +29,14 @@ def tri_size(m: int) -> int:
     return m * (m + 1) // 2
 
 
+@functools.cache
 def _tri_indices(m: int):
+    """(rows, cols) of the packed lower triangle and the packed positions of
+    its diagonal; built once per m and read-only, since every call shares them."""
     rows, cols = np.tril_indices(m)
     diag = np.flatnonzero(rows == cols)
+    for idx in (rows, cols, diag):
+        idx.flags.writeable = False
     return rows, cols, diag
 
 
@@ -76,8 +83,8 @@ def quadratic_head(value, action, scale_entries, u):
     def pullback(dq):
         rows, cols, diag = _tri_indices(m)
         d_action = dq[:, None] * np.einsum("bij,bj->bi", L, s)  # dq * P d
-        dL = -dq[:, None, None] * d[:, :, None] * s[:, None, :]
-        d_scale = dL[:, rows, cols]
+        # dq * dQ/dL[i, j] = -dq * d_i * s_j, on the packed entries only
+        d_scale = -dq[:, None] * d[:, rows] * s[:, cols]
         d_scale[:, diag] *= np.where(np.abs(scale_entries[:, diag]) < EXP_CLAMP,
                                      np.diagonal(L, axis1=1, axis2=2), 0.0)
         return dq, d_action, d_scale

@@ -6,7 +6,10 @@ reverse-mode gradients, Adam, soft target blending, and a binary checkpoint
 format. A network's parameters are one flat vector; its layers, the
 gradient, Adam's moments and the checkpoint blocks all share its layout.
 Forward accepts a single input vector or a batch (rows are samples);
-backward takes a batch trace and sums gradients over the batch.
+backward takes a batch trace and sums gradients over the batch. Both
+allocate their results unless the caller passes buffers to fill, a
+`ForwardTrace` and a gradient vector it owns and reuses (the trainer keeps
+one set for its update step); the results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -157,32 +160,58 @@ def init_network(layer_widths, action_dim: int, tanh_weight: float,
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, kept batched internally."""
+    """Everything the backward pass needs, kept batched internally.
 
-    x: np.ndarray                 # (B, in)
+    A trace is also a set of output buffers: `forward(..., out=trace)`
+    writes a new batch of the same number of rows into its arrays.
+    """
+
+    x: np.ndarray                 # (B, in), the last input, not copied
     trunk_post: list[np.ndarray]  # each (B, width), after the ReLU
     value: np.ndarray             # (B,)
-    action: np.ndarray            # (B, m)
-    scale_entries: np.ndarray     # (B, m(m+1)/2)
+    action: np.ndarray | None     # (B, m); None from a value-only pass
+    scale_entries: np.ndarray | None  # (B, m(m+1)/2); likewise
     batched: bool
+
+    @classmethod
+    def empty(cls, net: MlpNetwork, rows: int) -> ForwardTrace:
+        """Unfilled buffers for a batch of `rows` samples of `net`."""
+        return cls(np.empty((rows, net.input_dim)),
+                   [np.empty((rows, l.out_dim)) for l in net.trunk],
+                   np.empty(rows), np.empty((rows, net.action_head.out_dim)),
+                   np.empty((rows, net.scale_head.out_dim)), True)
 
     @property
     def mu(self):
         return self.action if self.batched else self.action[0]
 
 
-def apply_layer(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
-    """One layer on a batch of rows; returns the post-activation."""
-    pre = a @ layer.weights.T + layer.biases
+def apply_layer(layer: DenseLayer, a: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One layer on a batch of rows; returns the post-activation, written
+    into `out` when given. The same operations as act(a @ W.T + b), in
+    place."""
+    pre = np.matmul(a, layer.weights.T, out=out)
+    pre += layer.biases
     if layer.activation == RELU:
-        return np.maximum(pre, 0.0)
-    if layer.activation == SCALED_TANH:
-        return layer.tanh_weight * np.tanh(pre)
+        np.maximum(pre, 0.0, out=pre)
+    elif layer.activation == SCALED_TANH:
+        np.tanh(pre, out=pre)
+        pre *= layer.tanh_weight
     return pre
 
 
-def forward(net: MlpNetwork, x) -> ForwardTrace:
-    """Run the network on one vector or a batch of rows."""
+def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
+            value_only: bool = False) -> ForwardTrace:
+    """Run the network on one vector or a batch of rows.
+
+    Without `out`, every output array is allocated anew. With `out`, a
+    trace the caller owns (from `ForwardTrace.empty` with as many rows as
+    x), the pass writes into its arrays and returns it; the results are
+    bit-identical either way. `value_only` runs the trunk and the value
+    head only; the trace's action and scale entries are then left as they
+    were (None on a new trace).
+    """
     arr = np.asarray(x, dtype=float)
     batched = arr.ndim == 2
     if not batched:
@@ -192,16 +221,22 @@ def forward(net: MlpNetwork, x) -> ForwardTrace:
     if arr.shape[1] != net.input_dim:
         raise DimensionError(
             f"input width {arr.shape[1]}, network expects {net.input_dim}")
+    if out is None:
+        out = ForwardTrace(arr, [None] * len(net.trunk), None, None, None, batched)
+    elif out.value.shape[0] != arr.shape[0] or len(out.trunk_post) != len(net.trunk):
+        raise DimensionError("output trace does not match this input and network")
+    out.x, out.batched = arr, batched
 
-    posts = []
+    # each layer writes into its buffer when there is one, and returns it
     a = arr
-    for layer in net.trunk:
-        a = apply_layer(layer, a)
-        posts.append(a)
-    value = apply_layer(net.value_head, a)
-    action = apply_layer(net.action_head, a)
-    scale = apply_layer(net.scale_head, a)
-    return ForwardTrace(arr, posts, value[:, 0], action, scale, batched)
+    for i, layer in enumerate(net.trunk):
+        a = out.trunk_post[i] = apply_layer(layer, a, out.trunk_post[i])
+    value_col = None if out.value is None else out.value[:, None]
+    out.value = apply_layer(net.value_head, a, value_col)[:, 0]
+    if not value_only:
+        out.action = apply_layer(net.action_head, a, out.action)
+        out.scale_entries = apply_layer(net.scale_head, a, out.scale_entries)
+    return out
 
 
 def _fill_layer_grad(views, dz, below):
@@ -210,12 +245,22 @@ def _fill_layer_grad(views, dz, below):
     dz.sum(axis=0, out=views[1])
 
 
-def backward(net: MlpNetwork, trace: ForwardTrace, head_grads) -> np.ndarray:
+def _pull_back(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """dout @ weights. For a one-unit layer that is an outer product, one
+    rounded multiplication per entry either way, so it is formed as one."""
+    if weights.shape[0] == 1:
+        return np.multiply(dout, weights)
+    return dout @ weights
+
+
+def backward(net: MlpNetwork, trace: ForwardTrace, head_grads,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of sum_b <head_grads_b, head_outputs_b> over a batch.
 
     head_grads is (d_value (B,), d_action (B, m), d_scale_entries
     (B, m(m+1)/2)). Returns the parameter gradient in the layout of
-    `net.params`.
+    `net.params`: a new vector, or `out` filled in place when the caller
+    passes one of that shape (every entry is overwritten).
     """
     d_value, d_action, d_scale = (np.asarray(g, dtype=float) for g in head_grads)
     if len(trace.trunk_post) != len(net.trunk):
@@ -223,9 +268,12 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads) -> np.ndarray:
     if (d_value.shape, d_action.shape, d_scale.shape) != (
             trace.value.shape, trace.action.shape, trace.scale_entries.shape):
         raise DimensionError("head gradients do not match the trace's heads")
+    if out is None:
+        out = np.empty_like(net.params)
+    elif out.shape != net.params.shape:
+        raise DimensionError("gradient buffer does not match the parameters")
 
-    grad = np.empty_like(net.params)
-    views = _layer_views(net.specs, grad)
+    views = _layer_views(net.specs, out)
     top = trace.trunk_post[-1]
 
     def head_back(layer, layer_views, dout, out_post):
@@ -233,7 +281,7 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads) -> np.ndarray:
             c = layer.tanh_weight
             dout = dout * (c - out_post * out_post / c)
         _fill_layer_grad(layer_views, dout, top)
-        return dout @ layer.weights
+        return _pull_back(dout, layer.weights)
 
     da = head_back(net.value_head, views[-3], d_value[:, None],
                    trace.value[:, None])
@@ -247,7 +295,7 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads) -> np.ndarray:
         _fill_layer_grad(views[i], dz, below)
         if i > 0:
             da = dz @ net.trunk[i].weights
-    return grad
+    return out
 
 
 def parameter_layout(net: MlpNetwork):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netnaf import nn
+from netnaf import agent, nn
 from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
                           OrnsteinUhlenbeck, OuSettings, ReplayMemory, Trainer,
                           TrainSettings, batch_loss_and_grad, batch_targets,
@@ -225,6 +225,48 @@ def test_batch_loss_invariant_to_duplication():
     l2, g2 = batch_loss_and_grad(net, target, doubled, 0.99)
     assert np.isclose(l1, l2, rtol=1e-12)
     assert np.allclose(g1, g2, rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_batch_loss_with_buffers_is_bit_identical(m):
+    rng = np.random.default_rng(19 + m)
+    dim, b = extended_state_dim(2, m, 2, 1), 16
+    net = nn.init_network([dim, 8, 8], m, 4.0, 10)
+    target = nn.init_network([dim, 8, 8], m, 4.0, 11)
+    buffers = {"trace": nn.ForwardTrace.empty(net, b),
+               "target_trace": nn.ForwardTrace.empty(target, b),
+               "grad": np.empty_like(net.params)}
+    previous = None
+    for _ in range(4):
+        batch = random_batch(rng, b, dim, m)
+        loss, grad = batch_loss_and_grad(net, target, batch, 0.99)
+        loss_b, grad_b = batch_loss_and_grad(net, target, batch, 0.99, **buffers)
+        assert grad_b is buffers["grad"]
+        assert loss_b == loss and np.array_equal(grad_b, grad)
+        # a second call through the same buffers is not stale from the first
+        if previous is not None:
+            assert not np.array_equal(grad_b, previous)
+        previous = grad_b.copy()
+
+
+def test_trainer_updates_write_into_its_buffers(monkeypatch):
+    tr = tiny_trainer(batch_size=4, update_iters=3)
+    rng = np.random.default_rng(2)
+    dim = tr.net.input_dim
+    for _ in range(8):
+        tr.replay.push(rng.normal(size=dim), rng.normal(size=1), rng.normal(),
+                       rng.normal(size=dim))
+    grads = []
+
+    def recording(*args, **kwargs):
+        loss, grad = batch_loss_and_grad(*args, **kwargs)
+        grads.append(grad)
+        return loss, grad
+
+    monkeypatch.setattr(agent, "batch_loss_and_grad", recording)
+    tr._update_block()
+    assert len(grads) == 3
+    assert all(g is tr.update_buffers["grad"] for g in grads)
 
 
 def test_batch_loss_rejects_nonfinite():

@@ -371,6 +371,20 @@ def test_unusable_paths_report_errors(small_run, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("trace_at", ["directory", "under_a_file"])
+def test_eval_failed_delay_trace_leaves_no_trajectory(small_run, tmp_path,
+                                                      capsys, trace_at):
+    out_csv = tmp_path / "traj.csv"
+    trace = {"directory": tmp_path,
+             "under_a_file": small_run / "config.txt" / "delays.csv"}[trace_at]
+    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                 "--init", "0.5,-0.2,0.1", "--out", str(out_csv),
+                 "--delay-trace", str(trace)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_csv.exists()
+
+
 def test_eval_rejects_nonfinite_checkpoint(small_run, capsys):
     raw = bytearray((small_run / "final.nnc").read_bytes())
     _, adam = nn.load_checkpoint(small_run / "final.nnc")

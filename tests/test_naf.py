@@ -246,3 +246,46 @@ def test_head_gradients_batched_matches_loop():
         assert np.isclose(dv[i], dv1, rtol=1e-14)
         assert np.allclose(dmu[i], dmu1, rtol=1e-12)
         assert np.allclose(dl[i], dl1, rtol=1e-12)
+
+
+def old_dense_d_scale(action, entries, u, dq, m):
+    """The packed-entry pullback as first written: the full (B, m, m) dL
+    tensor, indexed at the lower triangle afterwards."""
+    rows, cols = np.tril_indices(m)
+    diag = np.flatnonzero(rows == cols)
+    L = naf.assemble_scale_matrix(entries, m)
+    d = u - action
+    s = np.einsum("bij,bi->bj", L, d)
+    dL = -dq[:, None, None] * d[:, :, None] * s[:, None, :]
+    d_scale = dL[:, rows, cols]
+    d_scale[:, diag] *= np.where(np.abs(entries[:, diag]) < naf.EXP_CLAMP,
+                                 np.diagonal(L, axis1=1, axis2=2), 0.0)
+    return d_scale
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_packed_d_scale_equals_dense_formula_bit_for_bit(m):
+    rng = np.random.default_rng(53 + m)
+    b = 64
+    for _ in range(10):
+        v = rng.normal(size=b)
+        mu = rng.normal(size=(b, m))
+        entries = rng.normal(0.0, 3.0, size=(b, naf.tri_size(m)))
+        entries[::7] *= 8.0  # some diagonals beyond the exp clamp
+        u = rng.normal(size=(b, m))
+        dq = rng.normal(size=b)
+        _, pullback = naf.quadratic_head(v, mu, entries, u)
+        assert np.array_equal(pullback(dq)[2],
+                              old_dense_d_scale(mu, entries, u, dq, m))
+
+
+def test_tri_indices_are_shared_and_read_only():
+    for m in (1, 2, 3):
+        first, again = naf._tri_indices(m), naf._tri_indices(m)
+        assert all(a is b for a, b in zip(first, again))
+        rows, cols = np.tril_indices(m)
+        assert np.array_equal(first[0], rows) and np.array_equal(first[1], cols)
+        assert np.array_equal(first[2], np.flatnonzero(rows == cols))
+        for idx in first:
+            with pytest.raises(ValueError):
+                idx[0] = 1

@@ -174,6 +174,90 @@ def test_relu_blocks_gradient_through_dead_units():
     assert np.all(w_grad[dead] == 0.0)
 
 
+def reference_backward(net, trace, head_grads):
+    """backward as first written: every pullback through a weight matrix is
+    a matmul, and the gradient is a new vector."""
+    d_value, d_action, d_scale = head_grads
+    grads = []
+    top = trace.trunk_post[-1]
+    da = None
+    for layer, dout, post in ((net.value_head, d_value[:, None], trace.value[:, None]),
+                              (net.action_head, d_action, trace.action),
+                              (net.scale_head, d_scale, trace.scale_entries)):
+        if layer.activation == nn.SCALED_TANH:
+            c = layer.tanh_weight
+            dout = dout * (c - post * post / c)
+        grads.append((dout.T @ top, dout.sum(axis=0)))
+        da = dout @ layer.weights if da is None else da + dout @ layer.weights
+    trunk = []
+    for i in range(len(net.trunk) - 1, -1, -1):
+        dz = da * (trace.trunk_post[i] > 0.0)
+        below = trace.trunk_post[i - 1] if i > 0 else trace.x
+        trunk.insert(0, (dz.T @ below, dz.sum(axis=0)))
+        da = dz @ net.trunk[i].weights
+    return np.concatenate([part.ravel() for pair in trunk + grads for part in pair])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_rank_one_head_pullback_equals_matmul_bit_for_bit(m):
+    net = nn.init_network([6, 16, 16], m, 4.0, 13)
+    rng = np.random.default_rng(21 + m)
+    heads = [(net.value_head, 1), (net.action_head, m),
+             (net.scale_head, m * (m + 1) // 2)]
+    for _ in range(10):
+        for layer, width in heads:
+            dout = rng.normal(size=(32, width))
+            assert np.array_equal(nn._pull_back(dout, layer.weights),
+                                  dout @ layer.weights)
+        x = rng.normal(size=(32, 6))
+        hg = (rng.normal(size=32), rng.normal(size=(32, m)),
+              rng.normal(size=(32, m * (m + 1) // 2)))
+        trace = nn.forward(net, x)
+        assert np.array_equal(nn.backward(net, trace, hg),
+                              reference_backward(net, trace, hg))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_forward_and_backward_fill_buffers_bit_for_bit(m):
+    net = nn.init_network([6, 16, 16], m, 4.0, 17)
+    rng = np.random.default_rng(31 + m)
+    trace = nn.ForwardTrace.empty(net, 32)
+    grad = np.empty_like(net.params)
+    for _ in range(5):
+        x = rng.normal(size=(32, 6))
+        fresh = nn.forward(net, x)
+        assert nn.forward(net, x, trace) is trace
+        for name in ("value", "action", "scale_entries"):
+            assert np.array_equal(getattr(trace, name), getattr(fresh, name))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(trace.trunk_post, fresh.trunk_post))
+        hg = (rng.normal(size=32), rng.normal(size=(32, m)),
+              rng.normal(size=(32, m * (m + 1) // 2)))
+        assert nn.backward(net, trace, hg, grad) is grad
+        assert np.array_equal(grad, nn.backward(net, fresh, hg))
+
+
+def test_value_only_forward_leaves_the_other_heads_unwritten():
+    net = small_net(m=2)
+    x = np.random.default_rng(3).normal(size=(5, 4))
+    trace = nn.ForwardTrace.empty(net, 5)
+    trace.action[...] = 7.0
+    trace.scale_entries[...] = 7.0
+    nn.forward(net, x, trace, value_only=True)
+    assert np.array_equal(trace.value, nn.forward(net, x).value)
+    assert np.all(trace.action == 7.0) and np.all(trace.scale_entries == 7.0)
+
+
+def test_buffers_must_match():
+    net = small_net()
+    with pytest.raises(DimensionError):
+        nn.forward(net, np.zeros((3, 4)), nn.ForwardTrace.empty(net, 4))
+    tr = nn.forward(net, np.zeros((3, 4)))
+    hg = (np.ones(3), np.zeros((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(DimensionError):
+        nn.backward(net, tr, hg, np.empty(net.params.size + 1))
+
+
 def test_backward_rejects_mismatched_trace():
     net = small_net()
     other = nn.init_network([4, 8, 8, 8], 1, 4.0, 1)
