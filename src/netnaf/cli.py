@@ -21,7 +21,8 @@ import numpy as np
 
 from .agent import run_episode
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import CheckpointFormatError, ConfigError, DimensionError
+from .errors import (CheckpointFormatError, ConfigError, DimensionError,
+                     NumericsError)
 from .nn import load_checkpoint, save_checkpoint
 from .verify import run_suites
 
@@ -67,9 +68,9 @@ def _open_outputs(*paths):
             fh.close()
 
 
-def write_learning_curve(path, rows):
-    with open(path, "w", newline="") as fh:
-        _write_csv(fh, LEARNING_CURVE_COLUMNS, map(astuple, rows))
+def write_learning_curve(fh, rows):
+    """One row per episode, to an open text file."""
+    _write_csv(fh, LEARNING_CURVE_COLUMNS, map(astuple, rows))
 
 
 def _write_log(fh, samples, fields, header=None):
@@ -120,9 +121,13 @@ def cmd_train(args) -> int:
                   f"loss={row.mean_loss:.4g} noise={row.noise_scale:.3f}",
                   flush=True)
 
-    rows = trainer.run(on_episode=on_episode)
-    write_learning_curve(out_dir / "learning_curve.csv", rows)
-    save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
+    # an unwritable curve path fails here, before any episode runs; the
+    # final weights are saved before the curve, so a failed curve write
+    # cannot take them with it
+    with _open_outputs(out_dir / "learning_curve.csv") as (curve_fh,):
+        rows = trainer.run(on_episode=on_episode)
+        save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
+        write_learning_curve(curve_fh, rows)
     print(f"trained {cfg.episodes} episodes, artifacts in {out_dir}")
     return 0
 
@@ -219,7 +224,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointFormatError, DimensionError,
+    except (ConfigError, CheckpointFormatError, DimensionError, NumericsError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

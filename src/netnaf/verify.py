@@ -170,18 +170,21 @@ def check_gradient(art):
 
 
 def generate_rk4_order():
-    """RK4 error slope on dx/dt = -x and the Chua rest-point residuals."""
+    """RK4 error slope on dx/dt = -x and the Chua rest-point residuals.
+
+    The oracle has three states, like the Chua circuit, so it runs through
+    the RK4 step the plant uses; its first component is the one read."""
 
     class Linear:
-        state_dim = 1
+        state_dim = 3
         input_dim = 1
 
         def deriv(self, x, u):
-            return (-x[0],)
+            return (-x[0], -x[1], -x[2])
 
     schedule = InputSchedule(np.zeros(1))
     steps = [2.0 ** -e for e in range(4, 9)]
-    errs = [abs(integrate(Linear(), np.ones(1), schedule, 0.0, 1.0, h)[0]
+    errs = [abs(integrate(Linear(), np.ones(3), schedule, 0.0, 1.0, h)[0]
                 - np.exp(-1.0)) for h in steps]
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     chua = ChuaCircuit()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netnaf import nn
+from netnaf import cli, nn
 from netnaf.cli import main
 from netnaf.config import (ExperimentConfig, apply_overrides, load_config,
                            parse_config)
@@ -248,6 +248,49 @@ def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
     assert not out.exists()
+
+
+def test_train_unwritable_curve_fails_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    out = tmp_path / "run"
+    (out / "learning_curve.csv").mkdir(parents=True)
+    code = main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--progress", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "episode" not in captured.out
+    assert not any((out / "checkpoints").iterdir())
+    assert not (out / "final.nnc").exists()
+
+
+def test_train_failed_curve_write_keeps_final_weights(tmp_path, monkeypatch,
+                                                      capsys):
+    def full_disk(fh, rows):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "write_learning_curve", full_disk)
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert (out / "final.nnc").is_file()
+    assert not (out / "learning_curve.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_nonfinite_numerics_report_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.txt"
+    # a step this large sends the weights past float range in a few updates
+    cfg_path.write_text(SMALL_CONFIG + "lr = 1e100\n")
+    code = main(["train", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
 
 
 # ---------------------------------------------------------------------------

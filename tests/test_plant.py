@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from netnaf.errors import DimensionError, DivergenceError
-from netnaf.plant import (ChuaCircuit, InputSchedule, SensorMap, chua_sensor,
-                          integrate, sense)
+from netnaf.plant import (ChuaCircuit, InputSchedule, SensorMap, _rk4_step,
+                          _rk4_step3, chua_sensor, integrate, sense)
 from support import integrate_trajectory
 
 DELTA = 2.0 ** -4
@@ -28,6 +28,35 @@ class Integrator:
 
     def deriv(self, x, u):
         return (u[0],)
+
+
+class OneComponent:
+    """Component `i` of a `state_dim`-state plant follows dx_i/dt = f(x_i);
+    the others rest at zero. With state_dim 1 the generic RK4 step runs, with
+    state_dim 3 the three-state step, on the same arithmetic for x_i."""
+
+    input_dim = 1
+
+    def __init__(self, state_dim, i, f):
+        self.state_dim, self.i, self.f = state_dim, i, f
+
+    def deriv(self, x, u):
+        dx = [0.0] * self.state_dim
+        dx[self.i] = self.f(x[self.i])
+        return tuple(dx)
+
+
+# (state_dim, component): the one-state plant, and each component of a
+# three-state one, so every component's divergence test is exercised
+PLANT_SHAPES = pytest.mark.parametrize(
+    "state_dim, i", [(1, 0), (3, 0), (3, 1), (3, 2)],
+    ids=["one_state", "three_state_x1", "three_state_x2", "three_state_x3"])
+
+
+def _start(state_dim, i, value):
+    x0 = np.zeros(state_dim)
+    x0[i] = value
+    return x0
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +153,22 @@ def test_integrate_rejects_reversed_interval():
                   1.0, 0.0, 0.1)
 
 
-def test_divergence_reports_time():
-    class Exploder:
-        state_dim = 1
-        input_dim = 1
-
-        def deriv(self, x, u):
-            return (x[0] * x[0],)  # finite-time blow-up from x0 > 0
-
+def _divergence_time(plant, x0, t1, substep):
     with pytest.raises(DivergenceError) as err:
-        integrate(Exploder(), np.array([10.0]), InputSchedule(np.zeros(1)),
-                  0.0, 1.0, 2.0 ** -8)
-    assert 0.0 < err.value.time <= 1.0
+        integrate(plant, x0, InputSchedule(np.zeros(1)), 0.0, t1, substep)
+    return err.value.time
+
+
+@PLANT_SHAPES
+def test_divergence_reports_time(state_dim, i):
+    def square(v):
+        return v * v  # finite-time blow-up from x0 > 0
+
+    time = _divergence_time(OneComponent(state_dim, i, square),
+                            _start(state_dim, i, 10.0), 1.0, 2.0 ** -8)
+    assert 0.0 < time <= 1.0
+    assert time == _divergence_time(OneComponent(1, 0, square), [10.0], 1.0,
+                                    2.0 ** -8)
 
 
 @pytest.mark.parametrize("x1", [1e5, 1e6])
@@ -148,19 +181,12 @@ def test_overflowing_stage_is_divergence(x1):
     assert err.value.time == SUBSTEP
 
 
-def test_nan_derivative_is_divergence():
+@PLANT_SHAPES
+def test_nan_derivative_is_divergence(state_dim, i):
     # abs(nan) > limit is False, so only the finiteness test can catch this
-    class NanPlant:
-        state_dim = 1
-        input_dim = 1
-
-        def deriv(self, x, u):
-            return (float("nan"),)
-
-    with pytest.raises(DivergenceError) as err:
-        integrate(NanPlant(), [1.0], InputSchedule(np.zeros(1)), 0.0, DELTA,
-                  SUBSTEP)
-    assert err.value.time == SUBSTEP
+    plant = OneComponent(state_dim, i, lambda v: float("nan"))
+    assert _divergence_time(plant, _start(state_dim, i, 1.0), DELTA,
+                            SUBSTEP) == SUBSTEP
 
 
 def _reference_deriv(chua, x, u):
@@ -200,6 +226,31 @@ def test_float_rk4_bit_identical_to_array_formula():
                              DELTA, SUBSTEP)
         assert np.array_equal(switched, _reference_integrate(
             chua, x0, [(0.0, switch, u0), (switch, DELTA, u1)], SUBSTEP))
+
+
+def _step_outcome(step, *args):
+    """The state's bytes (so -0.0 differs from 0.0), or the divergence time."""
+    try:
+        return np.array(step(*args)).tobytes()
+    except DivergenceError as err:
+        return "diverged", err.time
+
+
+def test_three_state_step_bit_identical_to_generic_step():
+    chua = ChuaCircuit()
+    rng = np.random.default_rng(21)
+    diverged = 0
+    for n in range(4000):
+        # states from 0.1 to 1e3 in size, so about a third of the steps
+        # leave the trusted region; every third step is a short remainder
+        x = tuple((rng.normal(size=3) * 10.0 ** rng.uniform(-1.0, 3.0)).tolist())
+        u = (float(rng.normal(scale=3.0)),)
+        h = SUBSTEP * (float(rng.uniform(1e-9, 1.0)) if n % 3 == 0 else 1.0)
+        t = float(rng.uniform(0.0, 12.0))
+        generic = _step_outcome(_rk4_step, chua, x, u, h, t)
+        assert _step_outcome(_rk4_step3, chua, x, u, h, t) == generic
+        diverged += isinstance(generic, tuple)
+    assert 500 < diverged < 2000  # at least 2,000 finite steps compared
 
 
 def test_one_period_calls_deriv_four_times_per_substep(monkeypatch):
