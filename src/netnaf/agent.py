@@ -22,8 +22,8 @@ from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
                  forward, init_network, soft_update)
 from .plant import InputSchedule, PlantModel, SensorMap, integrate, sense
-from .reward import (RewardWeights, input_history_reward, output_change_reward,
-                     output_history_reward, total_reward)
+from .reward import (RewardWeights, _change_penalty, _input_steps_penalty,
+                     _output_steps_penalty, total_reward)
 
 # Episode score: sum of stepwise rewards from this sampling index onward.
 METRIC_START = 50
@@ -206,7 +206,7 @@ def batch_targets(target_net: MlpNetwork, r: np.ndarray, w_next: np.ndarray,
     Only V is read, so the target pass skips the action and scale heads;
     `trace` is an optional buffer for it (see `forward`).
     """
-    return r + gamma * forward(target_net, w_next, trace, value_only=True).value
+    return r + gamma * forward(target_net, w_next, trace, head="value").value
 
 
 def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
@@ -303,14 +303,28 @@ def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
     """Composite reward, a pure function of (w, u, w').
 
     The output dimension is the weight matrix's, the input dimension u's.
+    The value is `total_reward` of `output_change_reward` (newest output of
+    w' against that of w), `output_history_reward` (the output block of w)
+    and `input_history_reward` (u put before the input block of w), formed
+    in one pass over views of w through the same penalty kernels, so it is
+    bit-identical to that composition.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     p = weights.output_weights.shape[0]
     outputs, inputs = split_extended_state(w, p, u.size, output_history_len)
-    r_change = output_change_reward(w_next[:p], outputs[0], u, weights)
-    r_outputs = output_history_reward(outputs, weights)
-    r_inputs = input_history_reward(np.vstack([u[None, :], inputs]), weights)
-    return total_reward(r_change, r_outputs, r_inputs)
+    y_next = np.asarray(w_next[:p], dtype=float)
+    if y_next.shape != (p,):
+        raise DimensionError("output dimensions do not match the weight matrix")
+    if outputs.shape[0] < 2 or inputs.shape[0] < 1:
+        raise DimensionError("extended state holds too few outputs or inputs")
+    # consecutive differences of (u, inputs...): row 0 is u - inputs[0]
+    input_steps = np.empty(inputs.shape)
+    np.subtract(u, inputs[0], out=input_steps[0])
+    np.subtract(inputs[:-1], inputs[1:], out=input_steps[1:])
+    return total_reward(
+        float(_change_penalty(y_next - outputs[0], u, weights)),
+        float(_output_steps_penalty(outputs[:-1] - outputs[1:], weights)),
+        float(_input_steps_penalty(input_steps, weights)))
 
 
 def episode_log_dtype(state_dim: int, output_dim: int, input_dim: int) -> np.dtype:
@@ -413,7 +427,8 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
             if replay is not None:
                 replay.push(w_prev, u_prev, r, w_k)
 
-        mu_k = forward(net, w_k).mu
+        # the greedy action is the mu head alone; V and L feed only the TD loss
+        mu_k = forward(net, w_k, head="action").mu
         if noise is not None:
             u_k = mu_k + noise_scale_value * noise.step(delta, rng)
         else:

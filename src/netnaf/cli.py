@@ -110,8 +110,10 @@ def cmd_train(args) -> int:
     cfg.save(out_dir / "config.txt")
 
     trainer = cfg.trainer()
+    rows = []  # the completed episodes, kept if a later one fails
 
     def on_episode(episode, row, result):
+        rows.append(row)
         if cfg.checkpoint_every and episode % cfg.checkpoint_every == 0:
             save_checkpoint(ckpt_dir / f"ep{episode:06d}.nnc",
                             trainer.net, trainer.adam)
@@ -123,11 +125,20 @@ def cmd_train(args) -> int:
 
     # an unwritable curve path fails here, before any episode runs; the
     # final weights are saved before the curve, so a failed curve write
-    # cannot take them with it
+    # cannot take them with it. A run stopped by non-finite numerics keeps
+    # the curve of its completed episodes and writes no final weights.
+    failure = None
     with _open_outputs(out_dir / "learning_curve.csv") as (curve_fh,):
-        rows = trainer.run(on_episode=on_episode)
-        save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
+        try:
+            trainer.run(on_episode=on_episode)
+        except NumericsError as exc:
+            # on_episode has seen every episode before the failing one
+            failure = NumericsError(f"episode {len(rows) + 1}: {exc}")
+        else:
+            save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
         write_learning_curve(curve_fh, rows)
+    if failure is not None:
+        raise failure
     print(f"trained {cfg.episodes} episodes, artifacts in {out_dir}")
     return 0
 
@@ -142,10 +153,40 @@ def _find_config_for(checkpoint_path: Path, explicit) -> ExperimentConfig:
     raise ConfigError("no config.txt found next to the checkpoint; pass --config")
 
 
+def _file_identity(path):
+    """What two names of one file share: its device and inode, or, for a
+    file not created yet, its directory's and its name. This follows
+    symlinks, `..` and hard links, at one or two stat calls per path."""
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except FileNotFoundError:
+        head, name = os.path.split(path)
+        st = os.stat(head or ".")
+        return st.st_dev, st.st_ino, name
+
+
+def _check_distinct_paths(*named):
+    """Reject two (flag, path) pairs that name one file, so no output is
+    written over an input or over another output."""
+    seen = {}
+    for flag, path in named:
+        if path is None:
+            continue
+        key = _file_identity(path)
+        if key in seen:
+            raise ConfigError(f"{flag} and {seen[key]} name the same file {path}")
+        seen[key] = flag
+
+
 def cmd_eval(args) -> int:
     if args.delay_seed < 0:
         raise ConfigError("--delay-seed must be >= 0")
     ckpt_path = Path(args.checkpoint)
+    out = Path(args.out) if args.out else (
+        ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
+    _check_distinct_paths(("--checkpoint", ckpt_path), ("--out", out),
+                          ("--delay-trace", args.delay_trace or None))
     net, _ = load_checkpoint(ckpt_path)
     cfg = _find_config_for(ckpt_path, args.config)
     if net.input_dim != cfg.extended_dim:
@@ -165,8 +206,6 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(args.delay_seed)
     result = run_episode(net, cfg.loop_setup(), cfg.train_settings(), x0=x0,
                          rng=rng)
-    out = Path(args.out) if args.out else (
-        ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
     # both files are written, or neither is left behind
     with _open_outputs(out, args.delay_trace or None) as (traj_fh, trace_fh):
         write_trajectory(traj_fh, result.samples)

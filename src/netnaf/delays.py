@@ -78,7 +78,9 @@ def sample_delay(model: DelayModel, channel: str, rng: np.random.Generator) -> f
     else:
         raise ValueError(f"unknown channel {channel!r}")
     if model.distribution == UNIFORM:
-        return float(rng.uniform(lo, hi))
+        # Generator.uniform(lo, hi) is lo + (hi - lo) * next_double: the same
+        # draw from the same stream, without its per-call overhead
+        return lo + (hi - lo) * rng.random()
     steps = model._grid_steps(lo, hi)
     return float(steps[rng.integers(steps.size)] * model.delta)
 

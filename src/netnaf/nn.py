@@ -14,6 +14,7 @@ one set for its update step); the results are bit-identical either way.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -168,9 +169,9 @@ class ForwardTrace:
 
     x: np.ndarray                 # (B, in), the last input, not copied
     trunk_post: list[np.ndarray]  # each (B, width), after the ReLU
-    value: np.ndarray             # (B,)
+    value: np.ndarray | None      # (B,); None from an action-only pass
     action: np.ndarray | None     # (B, m); None from a value-only pass
-    scale_entries: np.ndarray | None  # (B, m(m+1)/2); likewise
+    scale_entries: np.ndarray | None  # (B, m(m+1)/2); None unless all heads ran
     batched: bool
 
     @classmethod
@@ -202,16 +203,19 @@ def apply_layer(layer: DenseLayer, a: np.ndarray,
 
 
 def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
-            value_only: bool = False) -> ForwardTrace:
+            head: str | None = None) -> ForwardTrace:
     """Run the network on one vector or a batch of rows.
 
     Without `out`, every output array is allocated anew. With `out`, a
     trace the caller owns (from `ForwardTrace.empty` with as many rows as
     x), the pass writes into its arrays and returns it; the results are
-    bit-identical either way. `value_only` runs the trunk and the value
-    head only; the trace's action and scale entries are then left as they
-    were (None on a new trace).
+    bit-identical either way. `head` selects the heads to run: None runs
+    all three; "value" (what a TD target reads) or "action" (the greedy
+    policy, mu) runs the trunk and that head only, and leaves the trace's
+    other heads as they were (None on a new trace).
     """
+    if head not in (None, "value", "action"):
+        raise ValueError(f"unknown head {head!r}")
     arr = np.asarray(x, dtype=float)
     batched = arr.ndim == 2
     if not batched:
@@ -223,7 +227,7 @@ def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
             f"input width {arr.shape[1]}, network expects {net.input_dim}")
     if out is None:
         out = ForwardTrace(arr, [None] * len(net.trunk), None, None, None, batched)
-    elif out.value.shape[0] != arr.shape[0] or len(out.trunk_post) != len(net.trunk):
+    elif out.x.shape[0] != arr.shape[0] or len(out.trunk_post) != len(net.trunk):
         raise DimensionError("output trace does not match this input and network")
     out.x, out.batched = arr, batched
 
@@ -231,10 +235,12 @@ def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
     a = arr
     for i, layer in enumerate(net.trunk):
         a = out.trunk_post[i] = apply_layer(layer, a, out.trunk_post[i])
-    value_col = None if out.value is None else out.value[:, None]
-    out.value = apply_layer(net.value_head, a, value_col)[:, 0]
-    if not value_only:
+    if head != "action":
+        value_col = None if out.value is None else out.value[:, None]
+        out.value = apply_layer(net.value_head, a, value_col)[:, 0]
+    if head != "value":
         out.action = apply_layer(net.action_head, a, out.action)
+    if head is None:
         out.scale_entries = apply_layer(net.scale_head, a, out.scale_entries)
     return out
 
@@ -389,7 +395,13 @@ def _layer_spec(layer: DenseLayer):
 
 
 def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
-    """Write `net.params` and Adam's moments as little-endian float64 blocks."""
+    """Write `net.params` and Adam's moments as little-endian float64 blocks.
+
+    The write is atomic: the bytes go to a temporary file in the same
+    directory, which is flushed, synced to disk and then renamed over
+    `path`. A write that fails leaves any previous file at `path` as it was
+    and removes the temporary file.
+    """
     layout, total = parameter_layout(net)
     header = {
         "action_dim": net.action_dim,
@@ -415,8 +427,18 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
     buf.write(net.params.astype(_F8).tobytes())
     buf.write(adam.m.astype(_F8).tobytes())
     buf.write(adam.v.astype(_F8).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf.getvalue())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -31,6 +31,26 @@ class RewardWeights:
             raise ValueError("penalty weights must be nonnegative")
 
 
+# The three penalty formulas. Each is defined only here: the public term
+# functions below validate their inputs and call these, and the agent's
+# one-pass transition reward calls them on its history blocks.
+
+
+def _change_penalty(d, u, weights: RewardWeights):
+    """-(d' W d) - effort * u'u for an output step d and an input u."""
+    return -(d @ weights.output_weights @ d) - weights.input_effort * (u @ u)
+
+
+def _output_steps_penalty(diffs, weights: RewardWeights):
+    """-sum_i d_i' W d_i over the rows of consecutive output differences."""
+    return -np.einsum("ij,jk,ik->", diffs, weights.output_weights, diffs)
+
+
+def _input_steps_penalty(diffs, weights: RewardWeights):
+    """-smoothness * sum of squares of consecutive input differences."""
+    return -weights.input_smoothness * (diffs * diffs).sum()
+
+
 def output_change_reward(y_next, y, u, weights: RewardWeights) -> float:
     """Penalty on the newest output step and on input effort."""
     y_next = np.asarray(y_next, dtype=float)
@@ -38,9 +58,7 @@ def output_change_reward(y_next, y, u, weights: RewardWeights) -> float:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if y_next.shape != y.shape or y.shape[0] != weights.output_weights.shape[0]:
         raise DimensionError("output dimensions do not match the weight matrix")
-    d = y_next - y
-    return float(-(d @ weights.output_weights @ d)
-                 - weights.input_effort * (u @ u))
+    return float(_change_penalty(y_next - y, u, weights))
 
 
 def output_history_reward(outputs, weights: RewardWeights) -> float:
@@ -53,8 +71,7 @@ def output_history_reward(outputs, weights: RewardWeights) -> float:
         raise DimensionError("need at least two outputs, one row each")
     if outputs.shape[1] != weights.output_weights.shape[0]:
         raise DimensionError("output dimension does not match the weight matrix")
-    diffs = outputs[:-1] - outputs[1:]
-    return float(-np.einsum("ij,jk,ik->", diffs, weights.output_weights, diffs))
+    return float(_output_steps_penalty(outputs[:-1] - outputs[1:], weights))
 
 
 def input_history_reward(inputs, weights: RewardWeights) -> float:
@@ -62,8 +79,7 @@ def input_history_reward(inputs, weights: RewardWeights) -> float:
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] < 2:
         raise DimensionError("need at least two inputs, one row each")
-    diffs = inputs[:-1] - inputs[1:]
-    return float(-weights.input_smoothness * np.sum(diffs * diffs))
+    return float(_input_steps_penalty(inputs[:-1] - inputs[1:], weights))
 
 
 def total_reward(r_change: float, r_outputs: float, r_inputs: float) -> float:

@@ -75,7 +75,7 @@ def classical_sampled_loop(net, setup, settings, x0):
             hist.reset(y)
         else:
             hist.push_output(y)
-        u = nn.forward(net, hist.extended_state()).mu.copy()
+        u = nn.forward(net, hist.extended_state(), head="action").mu.copy()
         hist.push_input(u)
         states.append(x.copy())
         inputs.append(u.copy())

@@ -11,7 +11,9 @@ from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
 from netnaf.delays import DelayModel
 from netnaf.errors import DimensionError, NumericsError
 from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate
-from netnaf.reward import RewardWeights
+from netnaf.reward import (RewardWeights, input_history_reward,
+                           output_change_reward, output_history_reward,
+                           total_reward)
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
                            rel_err)
 from support import no_delay_model
@@ -505,6 +507,51 @@ def test_divergence_aborts_episode_with_penalty():
     assert mem.r[last] == -1234.0
     assert np.array_equal(mem.w[last], mem.w_next[last])
     assert len(mem) == len(result.rewards)
+
+
+def composed_transition_reward(w, u, w_next, weights, output_history_len):
+    """The three public term functions over the history blocks, with u
+    stacked onto a copy of the input history."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    p = weights.output_weights.shape[0]
+    outputs, inputs = split_extended_state(w, p, u.size, output_history_len)
+    return total_reward(
+        output_change_reward(w_next[:p], outputs[0], u, weights),
+        output_history_reward(outputs, weights),
+        input_history_reward(np.vstack([u[None, :], inputs]), weights))
+
+
+def test_transition_reward_equals_the_term_composition_bit_for_bit():
+    rng = np.random.default_rng(2024)
+
+    def draw(*shape):
+        # either sign, magnitudes spread from about 1e-3 to 1e3 entry by entry
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+    cases = [(m, p, tau_o) for m in (1, 2) for p in (2, 3) for tau_o in (1, 4)]
+    draws = 0
+    for m, p, tau_o in cases:
+        for _ in range(2500):
+            a = draw(p, p)
+            weights = RewardWeights(a @ a.T, abs(draw()[()]), abs(draw()[()]))
+            delay_steps = int(rng.integers(0, 5))
+            dim = extended_state_dim(p, m, delay_steps, tau_o)
+            w, w_next, u = draw(dim), draw(dim), draw(m)
+            r = transition_reward(w, u, w_next, weights, tau_o)
+            want = composed_transition_reward(w, u, w_next, weights, tau_o)
+            assert type(r) is float
+            assert np.float64(r).tobytes() == np.float64(want).tobytes(), (
+                m, p, tau_o, delay_steps)
+            draws += 1
+    assert draws >= 20_000
+
+
+def test_transition_reward_rejects_a_short_next_state():
+    weights = RewardWeights()
+    w = np.zeros(extended_state_dim(2, 1, 4, 4))
+    for w_next in (np.zeros(1), np.zeros(0)):
+        with pytest.raises(DimensionError):
+            transition_reward(w, [0.0], w_next, weights, 4)
 
 
 def test_loop_setup_rejects_reward_weights_of_another_output_dim():

@@ -293,6 +293,24 @@ def test_train_nonfinite_numerics_report_error(tmp_path, capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_numerics_failure_keeps_the_completed_curve(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.txt"
+    # updates start in episode 2 (a 1 s episode holds 16 transitions), and
+    # a step this large makes its gradients non-finite
+    cfg_path.write_text(SMALL_CONFIG.replace("warmup = 4", "warmup = 20")
+                        + "lr = 1e100\n")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: episode 2: ") and "non-finite" in err
+    rows = read_csv(out / "learning_curve.csv")
+    assert rows[0] == cli.LEARNING_CURVE_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["1"]
+    assert not (out / "final.nnc").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval command
 
@@ -426,6 +444,37 @@ def test_eval_failed_delay_trace_leaves_no_trajectory(small_run, tmp_path,
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("case", ["trace_is_out",
+                                  "trace_is_out_by_another_name",
+                                  "out_is_checkpoint", "trace_is_checkpoint",
+                                  "default_out_is_trace"])
+def test_eval_rejects_outputs_that_name_one_file(small_run, tmp_path, capsys,
+                                                 case):
+    ckpt = small_run / "final.nnc"
+    before = ckpt.read_bytes()
+    out_csv = tmp_path / "t.csv"
+    (tmp_path / "sub").mkdir()
+    paths = {
+        "trace_is_out": (out_csv, out_csv),
+        "trace_is_out_by_another_name": (out_csv,
+                                         tmp_path / "sub" / ".." / "t.csv"),
+        "out_is_checkpoint": (ckpt, None),
+        "trace_is_checkpoint": (out_csv, ckpt),
+        "default_out_is_trace": (None, small_run / "eval-seed0.csv"),
+    }[case]
+    argv = ["eval", "--checkpoint", str(ckpt), "--init", "0.5,-0.2,0.1"]
+    for flag, path in zip(("--out", "--delay-trace"), paths):
+        if path is not None:
+            argv += [flag, str(path)]
+    code = main(argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert ckpt.read_bytes() == before
+    assert not out_csv.exists()
+    assert not (small_run / "eval-seed0.csv").exists()
 
 
 def test_eval_rejects_nonfinite_checkpoint(small_run, capsys):

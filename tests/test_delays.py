@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netnaf.delays import (CP, GRID, SC, Actuator, DelayModel, DelayedChannel,
-                           sample_delay)
+from netnaf.delays import (CP, GRID, SC, UNIFORM, Actuator, DelayModel,
+                           DelayedChannel, sample_delay)
 from support import no_delay_model
 
 DELTA = 2.0 ** -4
@@ -52,6 +52,30 @@ def test_grid_mode_multiples_of_delta():
     steps = draws / DELTA
     assert np.allclose(steps, np.round(steps))
     assert set(np.round(steps)) == {1.0, 2.0, 3.0}
+
+
+@pytest.mark.parametrize("distribution", [UNIFORM, GRID])
+def test_draws_equal_the_generator_calls_bit_for_bit(distribution):
+    # the ranges are the smoke config's, and two with no simple binary form
+    model = typical_model(sc_range=(0.0625, 0.125), cp_range=(0.013, 0.2471),
+                          distribution=distribution)
+    ranges = {SC: model.sc_range, CP: model.cp_range}
+    grids = {SC: np.array([1, 2]), CP: np.array([1, 2, 3])}
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for k in range(50_000):
+        for channel in (SC, CP):
+            got = sample_delay(model, channel, rng)
+            lo, hi = ranges[channel]
+            if distribution == GRID:
+                steps = grids[channel]
+                want = float(steps[ref.integers(steps.size)] * DELTA)
+            else:
+                want = float(ref.uniform(lo, hi))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), k
+        # exploration noise draws from the same stream between instants
+        if k % 3:
+            assert rng.standard_normal((1,)) == ref.standard_normal((1,))
 
 
 def test_sampling_deterministic_under_seed():

@@ -243,9 +243,47 @@ def test_value_only_forward_leaves_the_other_heads_unwritten():
     trace = nn.ForwardTrace.empty(net, 5)
     trace.action[...] = 7.0
     trace.scale_entries[...] = 7.0
-    nn.forward(net, x, trace, value_only=True)
+    nn.forward(net, x, trace, head="value")
     assert np.array_equal(trace.value, nn.forward(net, x).value)
     assert np.all(trace.action == 7.0) and np.all(trace.scale_entries == 7.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("head", ["value", "action"])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_one_head_forward_equals_the_full_pass_bit_for_bit(m, head, batched,
+                                                          buffered):
+    net = small_net(m=m, widths=(6, 16, 8))
+    net.params[...] = np.random.default_rng(m).normal(size=net.params.size)
+    rng = np.random.default_rng(10 + m)
+    other = {"value": ("action", "scale_entries"),
+             "action": ("value", "scale_entries")}[head]
+    for _ in range(20):
+        x = rng.normal(size=(5, 6) if batched else 6) * 10.0 ** rng.uniform(-3, 3)
+        full = nn.forward(net, x)
+        if buffered:
+            trace = nn.ForwardTrace.empty(net, 5 if batched else 1)
+            for name in other:
+                getattr(trace, name)[...] = 7.0
+            assert nn.forward(net, x, trace, head=head) is trace
+            assert all(np.all(getattr(trace, name) == 7.0) for name in other)
+        else:
+            trace = nn.forward(net, x, head=head)
+            assert all(getattr(trace, name) is None for name in other)
+        picked = "value" if head == "value" else "action"
+        assert np.array_equal(getattr(trace, picked), getattr(full, picked))
+        if head == "action":
+            assert np.array_equal(trace.mu, full.mu)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(trace.trunk_post, full.trunk_post))
+
+
+def test_unknown_head_is_rejected():
+    net = small_net()
+    for head in ("scale", "mu", "", "Value"):
+        with pytest.raises(ValueError):
+            nn.forward(net, np.zeros(4), head=head)
 
 
 def test_buffers_must_match():
@@ -478,6 +516,46 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert adam2.step == adam.step and adam2.lr == adam.lr
     assert net2.action_head.activation == nn.SCALED_TANH
     assert net2.action_head.tanh_weight == 3.0
+
+
+def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(
+        tmp_path, monkeypatch):
+    path = tmp_path / "final.nnc"
+    net = small_net()
+    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size))
+    before = path.read_bytes()
+
+    class FailingWrite:
+        """A file whose write stores half the bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return FailingWrite(open(file, mode, *args, **kwargs))
+
+    # the module's own name `open` shadows the builtin for save_checkpoint
+    monkeypatch.setattr(nn, "open", failing_open, raising=False)
+    other = small_net(seed=8)
+    with pytest.raises(OSError):
+        nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["final.nnc"]
+    # a write that succeeds replaces the file and leaves no temporary file
+    nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size))
+    assert np.array_equal(nn.load_checkpoint(path)[0].params, other.params)
+    assert [p.name for p in tmp_path.iterdir()] == ["final.nnc"]
 
 
 def test_checkpoint_forward_equality_after_load(tmp_path):
