@@ -143,13 +143,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _find_config_for(checkpoint_path: Path, explicit) -> ExperimentConfig:
+def _config_path_for(checkpoint_path: Path, explicit) -> Path:
     if explicit:
-        return load_config(explicit)
+        return Path(explicit)
     for candidate in (checkpoint_path.parent / "config.txt",
                       checkpoint_path.parent.parent / "config.txt"):
         if candidate.is_file():
-            return load_config(candidate)
+            return candidate
     raise ConfigError("no config.txt found next to the checkpoint; pass --config")
 
 
@@ -185,10 +185,12 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
-    _check_distinct_paths(("--checkpoint", ckpt_path), ("--out", out),
-                          ("--delay-trace", args.delay_trace or None))
     net, _ = load_checkpoint(ckpt_path)
-    cfg = _find_config_for(ckpt_path, args.config)
+    config_path = _config_path_for(ckpt_path, args.config)
+    _check_distinct_paths(("--checkpoint", ckpt_path), ("--config", config_path),
+                          ("--out", out),
+                          ("--delay-trace", args.delay_trace or None))
+    cfg = load_config(config_path)
     if net.input_dim != cfg.extended_dim:
         raise DimensionError(
             f"checkpoint expects input width {net.input_dim}, configuration "

@@ -2,13 +2,11 @@
 
 The integrator is classical fixed-step RK4 with exact event splitting:
 integration segments never straddle an input switch time, so hold semantics
-are preserved to the bit. States and inputs are tuples of Python floats,
-far cheaper than numpy for a 3-vector. A three-state plant steps through
-`_rk4_step3`, which writes each stage out per component; any other state
-size steps through the generic `_rk4_step`, which is also the reference the
-tests hold the three-state step to, bit for bit. The Chua circuit (cubic
-nonlinearity) is the default plant; its parameters are known only to the
-simulator, never to the learner.
+are preserved to the bit. The plant has three states, like the Chua circuit
+(cubic nonlinearity) that is the paper's plant; states and inputs are tuples
+of Python floats, far cheaper than numpy for a 3-vector, and the one RK4
+step writes each stage out per component. The circuit's parameters are
+known only to the simulator, never to the learner.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ class ChuaCircuit:
 
     p1: float = 10.0
     p2: float = 100.0 / 7.0
-    state_dim: int = 3
-    input_dim: int = 1
+    state_dim = 3
+    input_dim = 1
 
     def __post_init__(self):
         if self.p1 <= 0 or self.p2 <= 0:
@@ -105,37 +103,13 @@ class InputSchedule:
             raise ValueError("switch times must be strictly increasing")
 
 
-def _check_state(x, t):
-    for v in x:
-        if not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
-            raise DivergenceError(t)
-
-
 def _rk4_step(model, x, u, h, t):
-    """RK4 step of length h ending at time t; per element, the operations of
-    the array formula in its order. A float power that overflows raises
-    OverflowError where numpy gave inf: either way the step diverged."""
-    half = 0.5 * h
-    try:
-        k1 = model.deriv(x, u)
-        k2 = model.deriv(tuple([a + half * k for a, k in zip(x, k1)]), u)
-        k3 = model.deriv(tuple([a + half * k for a, k in zip(x, k2)]), u)
-        k4 = model.deriv(tuple([a + h * k for a, k in zip(x, k3)]), u)
-    except OverflowError:
-        raise DivergenceError(t) from None
-    sixth = h / 6.0
-    x = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-               for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-    _check_state(x, t)
-    return x
-
-
-def _rk4_step3(model, x, u, h, t):
-    """_rk4_step for a three-state model: the same operations in the same
-    order, and four deriv calls, with the stages unpacked into floats in
-    place of per-stage tuples. abs(v) <= DIVERGENCE_LIMIT is False for nan
-    and +/-inf, so the one comparison per component rejects what
-    _check_state rejects."""
+    """RK4 step of length h ending at time t, for a three-state model; per
+    component, the operations of the array formula in its order, with four
+    deriv calls. A float power that overflows raises OverflowError where
+    numpy gave inf: either way the step diverged. abs(v) <= DIVERGENCE_LIMIT
+    is False for nan and +/-inf, so one comparison per component is the
+    whole divergence test."""
     x1, x2, x3 = x
     half = 0.5 * h
     deriv = model.deriv
@@ -177,7 +151,7 @@ def _segments(schedule: InputSchedule, t0: float, t1: float):
         yield start, t1, current
 
 
-def _span(step, model, x, u, a, b, h, record):
+def _span(model, x, u, a, b, h):
     span = b - a
     if span <= 0.0:
         return x
@@ -186,39 +160,33 @@ def _span(step, model, x, u, a, b, h, record):
     t = a
     for i in range(n_full):
         t = a + (i + 1) * h
-        x = step(model, x, u, h, t)
-        if record is not None:
-            record(t, x)
+        x = _rk4_step(model, x, u, h, t)
     rem = b - t
     if rem > h * 1e-9:
-        x = step(model, x, u, rem, b)
-        if record is not None:
-            record(b, x)
+        x = _rk4_step(model, x, u, rem, b)
     return x
 
 
 def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
-              t1: float, substep: float, record=None) -> np.ndarray:
+              t1: float, substep: float) -> np.ndarray:
     """State at t1, starting from x0 at t0, input held per schedule.
 
     Fixed RK4 substeps, restarted exactly at every switch time inside the
-    window; a shorter final step lands on each segment end. Raises
-    DivergenceError (carrying the blow-up time) if the state leaves the
-    trusted region. record(t, x), if given, is called at every substep node
-    after t0, with x a tuple of floats.
+    window; a shorter final step lands on each segment end. The model must
+    have three states. Raises DivergenceError (carrying the blow-up time) if
+    the state leaves the trusted region.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if substep <= 0:
         raise ValueError("substep must be positive")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.state_dim,):
-        raise DimensionError(f"x0 has shape {x0.shape}, plant state is "
-                             f"({model.state_dim},)")
+    if model.state_dim != 3 or x0.shape != (3,):
+        raise DimensionError(f"integrate steps three states; the plant has "
+                             f"{model.state_dim}, x0 has shape {x0.shape}")
     x = tuple(x0.tolist())
-    _check_state(x, t0)
-    step = _rk4_step3 if model.state_dim == 3 else _rk4_step
+    if not all(abs(v) <= DIVERGENCE_LIMIT for v in x):
+        raise DivergenceError(t0)
     for a, b, u in _segments(schedule, t0, t1):
-        x = _span(step, model, x, u, a, b, substep, record)
+        x = _span(model, x, u, a, b, substep)
     return np.array(x)
-

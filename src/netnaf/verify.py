@@ -172,8 +172,8 @@ def check_gradient(art):
 def generate_rk4_order():
     """RK4 error slope on dx/dt = -x and the Chua rest-point residuals.
 
-    The oracle has three states, like the Chua circuit, so it runs through
-    the RK4 step the plant uses; its first component is the one read."""
+    integrate steps three-state plants only, like the Chua circuit, so the
+    oracle is dx/dt = -x in each of three components; the first is read."""
 
     class Linear:
         state_dim = 3

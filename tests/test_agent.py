@@ -478,14 +478,14 @@ def test_episode_rewards_nonpositive():
 
 def test_divergence_aborts_episode_with_penalty():
     class Exploder:
-        state_dim = 1
+        state_dim = 3
         input_dim = 1
 
         def deriv(self, x, u):
-            return (x[0] * x[0],)
+            return (x[0] * x[0], 0.0, 0.0)
 
     from netnaf.plant import SensorMap
-    setup = LoopSetup(Exploder(), SensorMap(np.eye(1), DELTA),
+    setup = LoopSetup(Exploder(), SensorMap([[1.0, 0.0, 0.0]], DELTA),
                       no_delay_model(DELTA), DELTA / 16,
                       RewardWeights(output_weights=np.eye(1)))
     settings = make_settings(steps_per_episode=60, max_delay_steps=0,
@@ -493,7 +493,7 @@ def test_divergence_aborts_episode_with_penalty():
     dim = extended_state_dim(1, 1, 0, 4)
     net = zero_weight_net(dim)
     mem = ReplayMemory(100, dim, 1)
-    result = run_episode(net, setup, settings, x0=np.array([40.0]),
+    result = run_episode(net, setup, settings, x0=np.array([40.0, 0.0, 0.0]),
                          rng=np.random.default_rng(5), replay=mem)
     assert result.diverged
     assert result.diverged_at is not None

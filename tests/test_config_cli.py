@@ -477,6 +477,36 @@ def test_eval_rejects_outputs_that_name_one_file(small_run, tmp_path, capsys,
     assert not (small_run / "eval-seed0.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["out_is_sibling_config",
+                                  "trace_is_sibling_config",
+                                  "out_is_explicit_config",
+                                  "trace_is_explicit_config"])
+def test_eval_rejects_outputs_that_name_its_config(small_run, tmp_path, capsys,
+                                                   case):
+    explicit = tmp_path / "cfg.txt"
+    explicit.write_bytes((small_run / "config.txt").read_bytes())
+    config = explicit if case.endswith("explicit_config") else (
+        small_run / "config.txt")
+    before = config.read_bytes()
+    out_csv = tmp_path / "t.csv"
+    argv = ["eval", "--checkpoint", str(small_run / "final.nnc"),
+            "--init", "0.5,-0.2,0.1"]
+    if config == explicit:
+        argv += ["--config", str(explicit)]
+    if case.startswith("out"):
+        argv += ["--out", str(config)]
+    else:
+        argv += ["--out", str(out_csv), "--delay-trace", str(config)]
+    code = main(argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--config" in captured.err
+    assert captured.out == ""
+    assert config.read_bytes() == before
+    assert not out_csv.exists()
+    assert not (small_run / "eval-seed0.csv").exists()
+
+
 def test_eval_rejects_nonfinite_checkpoint(small_run, capsys):
     raw = bytearray((small_run / "final.nnc").read_bytes())
     _, adam = nn.load_checkpoint(small_run / "final.nnc")

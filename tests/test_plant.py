@@ -2,59 +2,58 @@ import numpy as np
 import pytest
 
 from netnaf.errors import DimensionError, DivergenceError
-from netnaf.plant import (ChuaCircuit, InputSchedule, SensorMap, _rk4_step,
-                          _rk4_step3, chua_sensor, integrate, sense)
-from support import integrate_trajectory
+from netnaf.plant import (DIVERGENCE_LIMIT, ChuaCircuit, InputSchedule,
+                          SensorMap, _rk4_step, chua_sensor, integrate, sense)
+from support import generic_rk4_step, integrate_trajectory
 
 DELTA = 2.0 ** -4
 SUBSTEP = 2.0 ** -8
 
 
 class LinearDecay:
-    """dx/dt = -x, the closed-form oracle model."""
+    """dx/dt = -x per component, the closed-form oracle model."""
 
-    state_dim = 1
+    state_dim = 3
     input_dim = 1
 
     def deriv(self, x, u):
-        return (-x[0],)
+        return (-x[0], -x[1], -x[2])
 
 
 class Integrator:
-    """dx/dt = u, for input-schedule checks."""
+    """dx1/dt = u, for input-schedule checks; x2 and x3 rest."""
 
-    state_dim = 1
+    state_dim = 3
     input_dim = 1
 
     def deriv(self, x, u):
-        return (u[0],)
+        return (u[0], 0.0, 0.0)
 
 
 class OneComponent:
-    """Component `i` of a `state_dim`-state plant follows dx_i/dt = f(x_i);
-    the others rest at zero. With state_dim 1 the generic RK4 step runs, with
-    state_dim 3 the three-state step, on the same arithmetic for x_i."""
+    """Component `i` of a three-state plant follows dx_i/dt = f(x_i); the
+    others rest at zero, so each component runs the same arithmetic."""
 
+    state_dim = 3
     input_dim = 1
 
-    def __init__(self, state_dim, i, f):
-        self.state_dim, self.i, self.f = state_dim, i, f
+    def __init__(self, i, f):
+        self.i, self.f = i, f
 
     def deriv(self, x, u):
-        dx = [0.0] * self.state_dim
+        dx = [0.0, 0.0, 0.0]
         dx[self.i] = self.f(x[self.i])
         return tuple(dx)
 
 
-# (state_dim, component): the one-state plant, and each component of a
-# three-state one, so every component's divergence test is exercised
-PLANT_SHAPES = pytest.mark.parametrize(
-    "state_dim, i", [(1, 0), (3, 0), (3, 1), (3, 2)],
-    ids=["one_state", "three_state_x1", "three_state_x2", "three_state_x3"])
+# each component of the state, so every component's divergence test is
+# exercised
+COMPONENTS = pytest.mark.parametrize(
+    "i", [0, 1, 2], ids=["three_state_x1", "three_state_x2", "three_state_x3"])
 
 
-def _start(state_dim, i, value):
-    x0 = np.zeros(state_dim)
+def _start(i, value):
+    x0 = np.zeros(3)
     x0[i] = value
     return x0
 
@@ -100,13 +99,13 @@ def test_chua_rejects_bad_params():
 
 
 def test_integrate_empty_interval():
-    x = integrate(LinearDecay(), np.array([1.0]), InputSchedule(np.zeros(1)),
+    x = integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
                   0.0, 0.0, 2.0 ** -8)
-    assert np.array_equal(x, np.array([1.0]))
+    assert np.array_equal(x, np.ones(3))
 
 
 def test_integrate_matches_exponential():
-    x = integrate(LinearDecay(), np.array([1.0]), InputSchedule(np.zeros(1)),
+    x = integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
                   0.0, 1.0, 2.0 ** -8)
     assert abs(x[0] - np.exp(-1.0)) < 1e-8
 
@@ -114,7 +113,7 @@ def test_integrate_matches_exponential():
 def test_rk4_fourth_order_convergence():
     errs = []
     for h in (2.0 ** -5, 2.0 ** -6):
-        x = integrate(LinearDecay(), np.array([1.0]), InputSchedule(np.zeros(1)),
+        x = integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
                       0.0, 1.0, h)
         errs.append(abs(x[0] - np.exp(-1.0)))
     ratio = errs[0] / errs[1]
@@ -137,20 +136,50 @@ def test_event_splitting_is_bitwise():
 def test_schedule_hold_semantics():
     # dx/dt = u: area under the piecewise-constant input
     sched = InputSchedule(np.array([1.0]), [(1.0, np.array([3.0]))])
-    x = integrate(Integrator(), np.zeros(1), sched, 0.0, 2.0, 2.0 ** -6)
+    x = integrate(Integrator(), np.zeros(3), sched, 0.0, 2.0, 2.0 ** -6)
     assert abs(x[0] - (1.0 + 3.0)) < 1e-12
 
 
 def test_switch_at_window_start_applies_immediately():
     sched = InputSchedule(np.array([1.0]), [(0.0, np.array([5.0]))])
-    x = integrate(Integrator(), np.zeros(1), sched, 0.0, 1.0, 2.0 ** -6)
+    x = integrate(Integrator(), np.zeros(3), sched, 0.0, 1.0, 2.0 ** -6)
     assert abs(x[0] - 5.0) < 1e-12
 
 
 def test_integrate_rejects_reversed_interval():
     with pytest.raises(ValueError):
-        integrate(LinearDecay(), np.ones(1), InputSchedule(np.zeros(1)),
+        integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
                   1.0, 0.0, 0.1)
+
+
+def test_integrate_rejects_a_one_state_plant():
+    class OneState:
+        state_dim = 1
+        input_dim = 1
+
+        def deriv(self, x, u):
+            return (-x[0],)
+
+    # a three-state start, so only the plant's own shape is wrong
+    with pytest.raises(DimensionError):
+        integrate(OneState(), np.ones(3), InputSchedule(np.zeros(1)), 0.0,
+                  1.0, 2.0 ** -8)
+
+
+def test_integrate_rejects_a_two_vector_start():
+    with pytest.raises(DimensionError):
+        integrate(ChuaCircuit(), np.ones(2), InputSchedule(np.zeros(1)), 0.0,
+                  1.0, 2.0 ** -8)
+
+
+@COMPONENTS
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   2.0 * DIVERGENCE_LIMIT])
+def test_start_outside_the_trusted_region_is_divergence_at_t0(i, value):
+    with pytest.raises(DivergenceError) as err:
+        integrate(LinearDecay(), _start(i, value), InputSchedule(np.zeros(1)),
+                  0.5, 1.0, 2.0 ** -8)
+    assert err.value.time == 0.5
 
 
 def _divergence_time(plant, x0, t1, substep):
@@ -159,16 +188,16 @@ def _divergence_time(plant, x0, t1, substep):
     return err.value.time
 
 
-@PLANT_SHAPES
-def test_divergence_reports_time(state_dim, i):
+@COMPONENTS
+def test_divergence_reports_time(i):
     def square(v):
         return v * v  # finite-time blow-up from x0 > 0
 
-    time = _divergence_time(OneComponent(state_dim, i, square),
-                            _start(state_dim, i, 10.0), 1.0, 2.0 ** -8)
+    time = _divergence_time(OneComponent(i, square), _start(i, 10.0), 1.0,
+                            2.0 ** -8)
     assert 0.0 < time <= 1.0
-    assert time == _divergence_time(OneComponent(1, 0, square), [10.0], 1.0,
-                                    2.0 ** -8)
+    assert time == _divergence_time(OneComponent(0, square), _start(0, 10.0),
+                                    1.0, 2.0 ** -8)
 
 
 @pytest.mark.parametrize("x1", [1e5, 1e6])
@@ -181,12 +210,12 @@ def test_overflowing_stage_is_divergence(x1):
     assert err.value.time == SUBSTEP
 
 
-@PLANT_SHAPES
-def test_nan_derivative_is_divergence(state_dim, i):
-    # abs(nan) > limit is False, so only the finiteness test can catch this
-    plant = OneComponent(state_dim, i, lambda v: float("nan"))
-    assert _divergence_time(plant, _start(state_dim, i, 1.0), DELTA,
-                            SUBSTEP) == SUBSTEP
+@COMPONENTS
+def test_nan_derivative_is_divergence(i):
+    # abs(nan) > limit is False: only a test that also rejects nan, as
+    # abs(nan) <= limit does by being False, can catch this
+    plant = OneComponent(i, lambda v: float("nan"))
+    assert _divergence_time(plant, _start(i, 1.0), DELTA, SUBSTEP) == SUBSTEP
 
 
 def _reference_deriv(chua, x, u):
@@ -247,8 +276,8 @@ def test_three_state_step_bit_identical_to_generic_step():
         u = (float(rng.normal(scale=3.0)),)
         h = SUBSTEP * (float(rng.uniform(1e-9, 1.0)) if n % 3 == 0 else 1.0)
         t = float(rng.uniform(0.0, 12.0))
-        generic = _step_outcome(_rk4_step, chua, x, u, h, t)
-        assert _step_outcome(_rk4_step3, chua, x, u, h, t) == generic
+        generic = _step_outcome(generic_rk4_step, chua, x, u, h, t)
+        assert _step_outcome(_rk4_step, chua, x, u, h, t) == generic
         diverged += isinstance(generic, tuple)
     assert 500 < diverged < 2000  # at least 2,000 finite steps compared
 
