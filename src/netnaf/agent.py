@@ -22,8 +22,8 @@ from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
                  forward, init_network, soft_update)
 from .plant import InputSchedule, PlantModel, SensorMap, integrate, sense
-from .reward import (RewardWeights, _change_penalty, _input_steps_penalty,
-                     _output_steps_penalty, total_reward)
+from .reward import (RewardWeights, change_penalty, input_steps_penalty,
+                     output_steps_penalty, total_reward)
 
 # Episode score: sum of stepwise rewards from this sampling index onward.
 METRIC_START = 50
@@ -152,25 +152,10 @@ class ReplayMemory:
         return self.w[idx], self.u[idx], self.r[idx], self.w_next[idx]
 
 
-@dataclass(frozen=True)
-class OuSettings:
-    """Mean-reverting exploration noise and its episode scale schedule."""
-
-    theta: float = 0.15
-    sigma: float = 0.2
-    scale: float = 3.5
-    decay_start: int = 1000
-    scale_final: float = 0.05
-
-    def __post_init__(self):
-        if self.theta < 0 or self.sigma < 0:
-            raise ValueError("noise theta and sigma must be nonnegative")
-
-
 class OrnsteinUhlenbeck:
     """Euler-Maruyama mean-reverting process around zero."""
 
-    def __init__(self, dim: int, theta: float = 0.15, sigma: float = 0.2):
+    def __init__(self, dim: int, theta: float, sigma: float):
         self.theta = theta
         self.sigma = sigma
         self.state = np.zeros(dim)
@@ -186,13 +171,14 @@ class OrnsteinUhlenbeck:
         return self.state.copy()
 
 
-def noise_scale(settings: OuSettings, episode: int, total_episodes: int) -> float:
-    """Full scale through decay_start, then linear decay to scale_final at
-    the final episode."""
-    if episode <= settings.decay_start or total_episodes <= settings.decay_start:
-        return float(settings.scale)
-    frac = (episode - settings.decay_start) / (total_episodes - settings.decay_start)
-    return settings.scale + (settings.scale_final - settings.scale) * frac
+def noise_scale(cfg, episode: int, total_episodes: int) -> float:
+    """Full cfg.noise_scale through cfg.noise_decay_start, then linear decay
+    to cfg.noise_scale_final at the final episode."""
+    start, scale = cfg.noise_decay_start, cfg.noise_scale
+    if episode <= start or total_episodes <= start:
+        return float(scale)
+    frac = (episode - start) / (total_episodes - start)
+    return scale + (cfg.noise_scale_final - scale) * frac
 
 
 # ---------------------------------------------------------------------------
@@ -247,43 +233,6 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    """Everything the training loop needs beyond the physical setup."""
-
-    episodes: int
-    steps_per_episode: int
-    max_delay_steps: int
-    output_history_len: int
-    gamma: float = 0.99
-    soft_update_rate: float = 0.001
-    batch_size: int = 128
-    update_iters: int = 10
-    update_period: int = 4
-    learning_rate: float = 1.25e-5
-    replay_capacity: int = 1_000_000
-    warmup: int = 128
-    init_box: float = 4.5
-    divergence_penalty: float = -1000.0
-    noise: OuSettings = field(default_factory=OuSettings)
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
-        if not 0.0 < self.soft_update_rate <= 1.0:
-            raise ValueError("soft update rate must be in (0, 1]")
-        if self.episodes < 1 or self.steps_per_episode < 1:
-            raise ValueError("episodes and steps per episode must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.warmup < self.batch_size:
-            raise ValueError("warmup must be at least one batch")
-        if self.replay_capacity < self.warmup:
-            raise ValueError("replay capacity must hold the warmup transitions")
-        if self.update_period < 1 or self.update_iters < 0:
-            raise ValueError("bad update cadence")
-
-
-@dataclass(frozen=True)
 class LoopSetup:
     """Physical side of the loop: plant, sensor, channels, integrator grain."""
 
@@ -303,11 +252,10 @@ def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
     """Composite reward, a pure function of (w, u, w').
 
     The output dimension is the weight matrix's, the input dimension u's.
-    The value is `total_reward` of `output_change_reward` (newest output of
-    w' against that of w), `output_history_reward` (the output block of w)
-    and `input_history_reward` (u put before the input block of w), formed
-    in one pass over views of w through the same penalty kernels, so it is
-    bit-identical to that composition.
+    The value is `total_reward` of `change_penalty` on the newest output
+    step (w' against w), `output_steps_penalty` on the steps inside the
+    output block of w and `input_steps_penalty` on the steps of u put
+    before the input block of w.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     p = weights.output_weights.shape[0]
@@ -322,9 +270,9 @@ def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
     np.subtract(u, inputs[0], out=input_steps[0])
     np.subtract(inputs[:-1], inputs[1:], out=input_steps[1:])
     return total_reward(
-        float(_change_penalty(y_next - outputs[0], u, weights)),
-        float(_output_steps_penalty(outputs[:-1] - outputs[1:], weights)),
-        float(_input_steps_penalty(input_steps, weights)))
+        float(change_penalty(y_next - outputs[0], u, weights)),
+        float(output_steps_penalty(outputs[:-1] - outputs[1:], weights)),
+        float(input_steps_penalty(input_steps, weights)))
 
 
 def episode_log_dtype(state_dim: int, output_dim: int, input_dim: int) -> np.dtype:
@@ -340,15 +288,18 @@ def episode_log_dtype(state_dim: int, output_dim: int, input_dim: int) -> np.dty
 class EpisodeResult:
     rewards: list
     samples: np.ndarray  # the filled rows of an episode_log_dtype array
-    diverged: bool = False
     diverged_at: float | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     def reward_sum_from(self, start: int = METRIC_START) -> float:
         # Python's sequential sum: np.sum is pairwise, with other last bits
         return float(sum(self.rewards[start:]))
 
 
-def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
+def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
                 x0, rng: np.random.Generator,
                 noise: OrnsteinUhlenbeck | None = None,
                 noise_scale_value: float = 0.0, replay: ReplayMemory | None = None,
@@ -367,26 +318,29 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
     completed instant.
+
+    `cfg` is an `ExperimentConfig`; the loop reads its steps_per_episode,
+    max_delay_steps, output_history_len and divergence_penalty.
     """
     plant, sensor = setup.plant, setup.sensor
     delta = sensor.period
     sc_channel, cp_channel = DelayedChannel(), DelayedChannel()
     actuator = Actuator(plant.input_dim)
     hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
-                         settings.max_delay_steps, settings.output_history_len)
+                         cfg.max_delay_steps, cfg.output_history_len)
     if noise is not None:
         noise.reset()
 
     x = np.asarray(x0, dtype=float).copy()
     t_plant = 0.0
-    log = np.empty(settings.steps_per_episode + 1,
+    log = np.empty(cfg.steps_per_episode + 1,
                    dtype=episode_log_dtype(plant.state_dim, sensor.output_dim,
                                            plant.input_dim))
     result = EpisodeResult([], log[:0])
     w_prev = None
     u_prev = None
 
-    for k in range(settings.steps_per_episode + 1):
+    for k in range(cfg.steps_per_episode + 1):
         t_k = k * delta
 
         arrivals = cp_channel.poll(t_k)
@@ -397,10 +351,9 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
                 x = integrate(plant, x, InputSchedule(held_before, fragment),
                               t_plant, t_k, setup.substep)
             except DivergenceError as err:
-                result.diverged = True
                 result.diverged_at = err.time
                 if w_prev is not None and u_prev is not None:
-                    r = settings.divergence_penalty
+                    r = cfg.divergence_penalty
                     result.rewards.append(r)
                     if replay is not None:
                         replay.push(w_prev, u_prev, r, w_prev)
@@ -422,7 +375,7 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, settings: TrainSettings, *,
 
         if k >= 1:
             r = transition_reward(w_prev, u_prev, w_k, setup.reward_weights,
-                                  settings.output_history_len)
+                                  cfg.output_history_len)
             result.rewards.append(r)
             if replay is not None:
                 replay.push(w_prev, u_prev, r, w_k)
@@ -465,36 +418,34 @@ class Trainer:
     """Owns the networks, optimizer, replay memory, all random streams and
     the update step's buffers.
 
-    A fixed seed makes the whole run deterministic: network init, initial
-    states, delays, exploration noise and minibatch choices all derive from
-    it through independent child streams.
+    `cfg` is the `ExperimentConfig` it is built from, kept as `settings`:
+    hidden widths, tanh weight, seed and every training and noise value are
+    read from it. The seed makes the whole run deterministic: network init,
+    initial states, delays, exploration noise and minibatch choices all
+    derive from it through independent child streams.
     """
 
-    def __init__(self, setup: LoopSetup, settings: TrainSettings,
-                 hidden_widths, tanh_weight: float, seed: int):
+    def __init__(self, setup: LoopSetup, cfg):
         self.setup = setup
-        self.settings = settings
-        self.seed = seed
+        self.settings = cfg
         p = setup.sensor.output_dim
         m = setup.plant.input_dim
-        dim = extended_state_dim(p, m, settings.max_delay_steps,
-                                 settings.output_history_len)
-        root = np.random.SeedSequence(seed)
+        dim = extended_state_dim(p, m, cfg.max_delay_steps, cfg.output_history_len)
+        root = np.random.SeedSequence(cfg.seed)
         net_ss, sample_ss, self._episode_root = root.spawn(3)
         net_seed = int(net_ss.generate_state(1)[0])
-        self.net = init_network([dim, *hidden_widths], m, tanh_weight, net_seed)
+        self.net = init_network([dim, *cfg.hidden], m, cfg.tanh_weight, net_seed)
         self.target = self.net.copy()
-        self.adam = AdamState.fresh(self.net.params.size, lr=settings.learning_rate)
+        self.adam = AdamState.fresh(self.net.params.size, lr=cfg.learning_rate)
         # written by every update, so one update allocates no batch trace or
         # gradient vector; a batch is always batch_size rows
         self.update_buffers = {
-            "trace": ForwardTrace.empty(self.net, settings.batch_size),
-            "target_trace": ForwardTrace.empty(self.target, settings.batch_size),
+            "trace": ForwardTrace.empty(self.net, cfg.batch_size),
+            "target_trace": ForwardTrace.empty(self.target, cfg.batch_size),
             "grad": np.empty_like(self.net.params),
         }
-        self.replay = ReplayMemory(settings.replay_capacity, dim, m)
-        self.noise = OrnsteinUhlenbeck(m, settings.noise.theta,
-                                       settings.noise.sigma)
+        self.replay = ReplayMemory(cfg.replay_capacity, dim, m)
+        self.noise = OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma)
         self._sample_rng = np.random.default_rng(sample_ss)
         self.update_count = 0
         self._episode_losses: list[float] = []
@@ -520,7 +471,7 @@ class Trainer:
         ep_rng = np.random.default_rng(self._episode_root.spawn(1)[0])
         x0 = ep_rng.uniform(-s.init_box, s.init_box,
                             size=self.setup.plant.state_dim)
-        scale = noise_scale(s.noise, episode, s.episodes)
+        scale = noise_scale(s, episode, s.episodes)
         self._episode_losses = []
         result = run_episode(self.net, self.setup, s, x0=x0, rng=ep_rng,
                              noise=self.noise, noise_scale_value=scale,

@@ -100,6 +100,8 @@ def write_delay_trace(fh, samples):
 
 
 def cmd_train(args) -> int:
+    if args.progress < 0:
+        raise ConfigError("--progress must be >= 0")
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = apply_overrides(cfg, seed=args.seed, episodes=args.episodes)
 
@@ -206,8 +208,7 @@ def cmd_eval(args) -> int:
         raise DimensionError(f"initial state needs {plant.state_dim} components")
 
     rng = np.random.default_rng(args.delay_seed)
-    result = run_episode(net, cfg.loop_setup(), cfg.train_settings(), x0=x0,
-                         rng=rng)
+    result = run_episode(net, cfg.loop_setup(), cfg, x0=x0, rng=rng)
     # both files are written, or neither is left behind
     with _open_outputs(out, args.delay_trace or None) as (traj_fh, trace_fh):
         write_trajectory(traj_fh, result.samples)

@@ -12,7 +12,7 @@ import configparser
 import io
 from dataclasses import dataclass, fields
 
-from .agent import LoopSetup, OuSettings, TrainSettings, Trainer, extended_state_dim
+from .agent import LoopSetup, Trainer, extended_state_dim
 from .delays import UNIFORM, DelayModel
 from .errors import ConfigError
 from .plant import ChuaCircuit, chua_sensor
@@ -57,8 +57,14 @@ _SCHEMA = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every hyperparameter of one experiment, each defined only here.
+
+    Frozen, so the config a `Trainer` holds cannot change under it; a
+    changed copy comes from `apply_overrides`.
+    """
+
     plant_name: str = "chua"
     p1: float = 10.0
     p2: float = 100.0 / 7.0
@@ -95,7 +101,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.hidden = tuple(int(w) for w in self.hidden)
+        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
         self.validate()
 
     # -- validation and derived quantities
@@ -120,9 +126,24 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         try:
             self.delay_model()
-            self.train_settings()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not 0.0 <= self.gamma < 1.0:
+            raise ConfigError("gamma must be in [0, 1)")
+        if not 0.0 < self.soft_update_rate <= 1.0:
+            raise ConfigError("soft update rate must be in (0, 1]")
+        if self.episodes < 1 or self.steps_per_episode < 1:
+            raise ConfigError("episodes and steps per episode must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be >= 1")
+        if self.warmup < self.batch_size:
+            raise ConfigError("warmup must be at least one batch")
+        if self.replay_capacity < self.warmup:
+            raise ConfigError("replay capacity must hold the warmup transitions")
+        if self.update_period < 1 or self.update_iters < 0:
+            raise ConfigError("bad update cadence")
+        if self.ou_theta < 0 or self.ou_sigma < 0:
+            raise ConfigError("noise theta and sigma must be nonnegative")
 
     @property
     def steps_per_episode(self) -> int:
@@ -154,29 +175,8 @@ class ExperimentConfig:
         return LoopSetup(self.plant(), self.sensor(), self.delay_model(),
                          self.substep, RewardWeights())
 
-    def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            episodes=self.episodes,
-            steps_per_episode=self.steps_per_episode,
-            max_delay_steps=self.max_delay_steps,
-            output_history_len=self.output_history_len,
-            gamma=self.gamma,
-            soft_update_rate=self.soft_update_rate,
-            batch_size=self.batch_size,
-            update_iters=self.update_iters,
-            update_period=self.update_period,
-            learning_rate=self.learning_rate,
-            replay_capacity=self.replay_capacity,
-            warmup=self.warmup,
-            init_box=self.init_box,
-            divergence_penalty=self.divergence_penalty,
-            noise=OuSettings(self.ou_theta, self.ou_sigma, self.noise_scale,
-                             self.noise_decay_start, self.noise_scale_final),
-        )
-
     def trainer(self) -> Trainer:
-        return Trainer(self.loop_setup(), self.train_settings(), self.hidden,
-                       self.tanh_weight, self.seed)
+        return Trainer(self.loop_setup(), self)
 
     # -- text round trip
 

@@ -24,8 +24,8 @@ from .agent import (HistoryBuffer, batch_loss_and_grad, extended_state_dim,
 from .config import ExperimentConfig
 from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
 from .plant import ChuaCircuit, InputSchedule, integrate, sense
-from .reward import (RewardWeights, input_history_reward, output_change_reward,
-                     output_history_reward, total_reward)
+from .reward import (RewardWeights, change_penalty, input_steps_penalty,
+                     output_steps_penalty, total_reward)
 
 DELTA = 2.0 ** -4
 
@@ -56,17 +56,17 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / scale)
 
 
-def classical_sampled_loop(net, setup, settings, x0):
+def classical_sampled_loop(net, setup, cfg, x0):
     """Undelayed sampled-data reference: sense at each period, act at once,
     hold the input, integrate to the next sample. No channels anywhere."""
     plant, sensor = setup.plant, setup.sensor
     delta = sensor.period
     hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
-                         settings.max_delay_steps, settings.output_history_len)
+                         cfg.max_delay_steps, cfg.output_history_len)
     x = np.asarray(x0, dtype=float).copy()
     states, inputs = [], []
     u = np.zeros(plant.input_dim)
-    for k in range(settings.steps_per_episode + 1):
+    for k in range(cfg.steps_per_episode + 1):
         if k > 0:
             x = integrate(plant, x, InputSchedule(u), (k - 1) * delta,
                           k * delta, setup.substep)
@@ -232,12 +232,10 @@ def generate_channel_suite(sequences=400, sends=250):
                            sc_bound_steps=0, cp_bound_steps=0, hidden=(8, 8),
                            horizon=2.0)
     setup = cfg.loop_setup()
-    settings = cfg.train_settings()
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, 4.0, 55)
     x0 = np.array([1.0, -0.5, 0.3])
-    result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0))
-    ref_states, _ = classical_sampled_loop(net, setup, settings, x0)
+    result = run_episode(net, setup, cfg, x0=x0, rng=np.random.default_rng(0))
+    ref_states, _ = classical_sampled_loop(net, setup, cfg, x0)
     mismatch = float(np.abs(result.samples["x"] - ref_states).max())
     return {"sends": total, "in_order": in_order, "worst_end_to_end": worst,
             "bound": bound, "zero_delay_mismatch": mismatch}
@@ -256,25 +254,32 @@ def check_channels(art):
 # 7. reward
 
 
+def _steps(history):
+    """Consecutive differences of a newest-first history, one row each."""
+    return history[:-1] - history[1:]
+
+
 def generate_reward_suite(change_draws=100_000, history_draws=10_000):
     """Hand-computed reward cases and the worst component over random draws."""
     w = RewardWeights()
+    outputs = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
+    inputs = np.array([[2.0], [0.0], [0.0]])
     hand = {
-        "r_change": output_change_reward([1.0, 1.0], [0.0, 0.0], [1.0], w),
-        "r_outputs": output_history_reward([[1.0, 0.0], [0.0, 0.0],
-                                            [0.0, -1.0]], w),
-        "r_inputs": input_history_reward([[2.0], [0.0], [0.0]], w),
+        "r_change": float(change_penalty(np.ones(2), np.ones(1), w)),
+        "r_outputs": float(output_steps_penalty(_steps(outputs), w)),
+        "r_inputs": float(input_steps_penalty(_steps(inputs), w)),
         "total": total_reward(-2.6, -1.6, -0.6),
     }
     rng = np.random.default_rng(1007)
     worst = -np.inf
     for _ in range(change_draws):
-        r1 = output_change_reward(rng.normal(size=2), rng.normal(size=2),
-                                  rng.normal(size=1), w)
-        worst = max(worst, r1)
+        d = rng.normal(size=2) - rng.normal(size=2)  # y' - y
+        worst = max(worst, float(change_penalty(d, rng.normal(size=1), w)))
     for _ in range(history_draws):
-        worst = max(worst, output_history_reward(rng.normal(size=(5, 2)), w))
-        worst = max(worst, input_history_reward(rng.normal(size=(13, 1)), w))
+        d_out = _steps(rng.normal(size=(5, 2)))
+        d_in = _steps(rng.normal(size=(13, 1)))
+        worst = max(worst, float(output_steps_penalty(d_out, w)),
+                    float(input_steps_penalty(d_in, w)))
     return {"hand": hand, "worst_component": float(worst)}
 
 

@@ -4,16 +4,16 @@ from scipy import stats
 
 from netnaf import agent, nn
 from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
-                          OrnsteinUhlenbeck, OuSettings, ReplayMemory, Trainer,
-                          TrainSettings, batch_loss_and_grad, batch_targets,
+                          OrnsteinUhlenbeck, ReplayMemory, Trainer,
+                          batch_loss_and_grad, batch_targets,
                           extended_state_dim, noise_scale, run_episode,
                           split_extended_state, transition_reward)
+from netnaf.config import ExperimentConfig
 from netnaf.delays import DelayModel
 from netnaf.errors import DimensionError, NumericsError
 from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate
-from netnaf.reward import (RewardWeights, input_history_reward,
-                           output_change_reward, output_history_reward,
-                           total_reward)
+from netnaf.reward import (RewardWeights, change_penalty, input_steps_penalty,
+                           output_steps_penalty, total_reward)
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
                            rel_err)
 from support import no_delay_model
@@ -21,12 +21,18 @@ from support import no_delay_model
 DELTA = 2.0 ** -4
 
 
-def make_settings(**kw):
-    args = dict(episodes=3, steps_per_episode=16, max_delay_steps=4,
+def make_settings(steps_per_episode=16, max_delay_steps=4, **kw):
+    """A config for the loop and trainer tests. The loop setup chooses the
+    delays drawn; the config's own delay ranges sit inside its bounds."""
+    sc_bound = max_delay_steps // 2
+    args = dict(episodes=3, horizon=steps_per_episode * DELTA,
+                sc_bound_steps=sc_bound,
+                cp_bound_steps=max_delay_steps - sc_bound,
+                sc_min=0.0, sc_max=0.0, cp_min=0.0, cp_max=0.0,
                 output_history_len=4, batch_size=4, warmup=4, update_iters=2,
                 update_period=4, learning_rate=1e-3, replay_capacity=1000)
     args.update(kw)
-    return TrainSettings(**args)
+    return ExperimentConfig(**args)
 
 
 def chua_setup(delays=None, substep=DELTA / 16):
@@ -134,7 +140,7 @@ def test_ou_stationary_variance():
 
 
 def test_noise_schedule_full_then_decaying():
-    s = OuSettings()
+    s = ExperimentConfig()
     assert noise_scale(s, 500, 8500) == 3.5
     assert noise_scale(s, 1000, 8500) == 3.5
     assert noise_scale(s, 1001, 8500) < 3.5
@@ -144,8 +150,8 @@ def test_noise_schedule_full_then_decaying():
 
 
 def test_ou_deterministic_under_seed():
-    a = OrnsteinUhlenbeck(2)
-    b = OrnsteinUhlenbeck(2)
+    a = OrnsteinUhlenbeck(2, theta=0.15, sigma=0.2)
+    b = OrnsteinUhlenbeck(2, theta=0.15, sigma=0.2)
     ra, rb = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(10):
         assert np.array_equal(a.step(DELTA, ra), b.step(DELTA, rb))
@@ -448,7 +454,7 @@ def test_transition_alignment():
     result = run_episode(net, setup, settings,
                          x0=np.array([0.2, -0.2, 0.1]),
                          rng=np.random.default_rng(3),
-                         noise=OrnsteinUhlenbeck(1), noise_scale_value=1.0,
+                         noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=1.0,
                          replay=mem)
     assert len(mem) == 20
     assert np.array_equal(mem.r[:20], result.rewards)
@@ -472,7 +478,7 @@ def test_episode_rewards_nonpositive():
     result = run_episode(net, setup, settings,
                          x0=np.array([1.0, 1.0, -1.0]),
                          rng=np.random.default_rng(4),
-                         noise=OrnsteinUhlenbeck(1), noise_scale_value=3.5)
+                         noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=3.5)
     assert all(r <= 0.0 for r in result.rewards)
 
 
@@ -510,15 +516,16 @@ def test_divergence_aborts_episode_with_penalty():
 
 
 def composed_transition_reward(w, u, w_next, weights, output_history_len):
-    """The three public term functions over the history blocks, with u
-    stacked onto a copy of the input history."""
+    """The three penalty kernels over differences of the history blocks,
+    with u stacked onto a copy of the input history."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     p = weights.output_weights.shape[0]
     outputs, inputs = split_extended_state(w, p, u.size, output_history_len)
+    inputs = np.vstack([u[None, :], inputs])
     return total_reward(
-        output_change_reward(w_next[:p], outputs[0], u, weights),
-        output_history_reward(outputs, weights),
-        input_history_reward(np.vstack([u[None, :], inputs]), weights))
+        float(change_penalty(w_next[:p] - outputs[0], u, weights)),
+        float(output_steps_penalty(outputs[:-1] - outputs[1:], weights)),
+        float(input_steps_penalty(inputs[:-1] - inputs[1:], weights)))
 
 
 def test_transition_reward_equals_the_term_composition_bit_for_bit():
@@ -568,8 +575,7 @@ def test_loop_setup_rejects_reward_weights_of_another_output_dim():
 def tiny_trainer(seed=0, **kw):
     setup = chua_setup(delays=DelayModel(DELTA, (DELTA, 2 * DELTA),
                                          (DELTA, 2 * DELTA), 2, 2))
-    settings = make_settings(max_delay_steps=4, **kw)
-    return Trainer(setup, settings, (8, 8), 4.0, seed)
+    return Trainer(setup, make_settings(hidden=(8, 8), seed=seed, **kw))
 
 
 def test_update_cadence_once_warm():
@@ -609,3 +615,55 @@ def test_metric_sums_from_fiftieth_sample():
     tr2 = tiny_trainer(episodes=1, steps_per_episode=60)
     row2, result = tr2.run_training_episode(1)
     assert row2.reward_sum == sum(result.rewards[METRIC_START:])
+
+
+def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
+    # a non-default value for every training and noise field of the config
+    cfg = make_settings(
+        episodes=5, steps_per_episode=12, max_delay_steps=2,
+        output_history_len=2, gamma=0.9, soft_update_rate=0.01, batch_size=3,
+        update_iters=5, update_period=3, learning_rate=7e-4,
+        replay_capacity=50, warmup=6, init_box=1.5, divergence_penalty=-77.0,
+        ou_theta=0.3, ou_sigma=0.05, noise_scale=2.0, noise_decay_start=2,
+        noise_scale_final=0.5, hidden=(5, 6), tanh_weight=2.5, seed=3)
+    tr = Trainer(chua_setup(), cfg)
+    assert tr.settings is cfg
+    assert tr.net.input_dim == extended_state_dim(2, 1, 2, 2)
+    assert [layer.out_dim for layer in tr.net.trunk] == [5, 6]
+    assert tr.net.action_head.tanh_weight == 2.5
+    assert tr.adam.lr == 7e-4
+    assert tr.replay.capacity == 50
+    for name in ("trace", "target_trace"):
+        assert tr.update_buffers[name].x.shape[0] == 3
+    assert (tr.noise.theta, tr.noise.sigma) == (0.3, 0.05)
+    assert noise_scale(cfg, 2, 5) == 2.0
+    assert noise_scale(cfg, 4, 5) == 2.0 + (0.5 - 2.0) * (2 / 3)
+    assert noise_scale(cfg, 5, 5) == 0.5
+
+    seen = {"gamma": set(), "rate": set()}
+
+    def recording_loss(net, target, batch, gamma, **buffers):
+        seen["gamma"].add(gamma)
+        assert len(batch[2]) == 3
+        return batch_loss_and_grad(net, target, batch, gamma, **buffers)
+
+    def recording_soft_update(target, source, rate):
+        seen["rate"].add(rate)
+        nn.soft_update(target, source, rate)
+
+    monkeypatch.setattr(agent, "batch_loss_and_grad", recording_loss)
+    monkeypatch.setattr(agent, "soft_update", recording_soft_update)
+    rows = []
+    tr.run(on_episode=lambda ep, row, result: rows.append((row, result)))
+    assert seen == {"gamma": {0.9}, "rate": {0.01}}
+    assert len(rows) == 5
+    for episode, (row, result) in enumerate(rows, start=1):
+        assert len(result.samples) == 13
+        assert np.abs(result.samples["x"][0]).max() <= 1.5
+        assert row.noise_scale == noise_scale(cfg, episode, 5)
+    # a block of 5 updates at every third instant once 6 transitions are
+    # held: instants 6, 9 and 12 of episode 1, then 3, 6, 9 and 12
+    assert tr.update_count == 5 * (3 + 4 * 4)
+    before = tr.update_count
+    tr._update_block()
+    assert tr.update_count - before == 5

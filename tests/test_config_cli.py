@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -123,6 +124,25 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(checkpoint_every=-2)  # would checkpoint every 2nd episode
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-1)  # SeedSequence rejects it
+    with pytest.raises(ConfigError, match="soft update rate"):
+        ExperimentConfig(soft_update_rate=0.0)
+    with pytest.raises(ConfigError, match="batch size"):
+        ExperimentConfig(batch_size=0)
+    with pytest.raises(ConfigError, match="warmup"):
+        ExperimentConfig(batch_size=256)  # more than warmup = 128
+    with pytest.raises(ConfigError, match="update cadence"):
+        ExperimentConfig(update_period=0)
+    with pytest.raises(ConfigError, match="update cadence"):
+        ExperimentConfig(update_iters=-1)
+
+
+def test_config_is_frozen():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.gamma = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.hidden = (8, 8)
+    assert cfg == ExperimentConfig()
 
 
 def test_apply_overrides():
@@ -247,6 +267,20 @@ def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("progress", ["-1", "-3"])
+def test_train_rejects_a_negative_progress(tmp_path, capsys, progress):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--progress", progress])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--progress" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -4,82 +4,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netnaf.errors import DimensionError
-from netnaf.reward import (RewardWeights, input_history_reward,
-                           output_change_reward, output_history_reward,
-                           total_reward)
+from netnaf.reward import (RewardWeights, change_penalty, input_steps_penalty,
+                           output_steps_penalty, total_reward)
 
 W = RewardWeights()
 
 
+def steps(history):
+    """Consecutive differences of a newest-first history, one row each."""
+    history = np.asarray(history, dtype=float)
+    return history[:-1] - history[1:]
+
+
 def test_output_change_stationary_zero_effort():
     y = np.array([0.3, -0.7])
-    assert output_change_reward(y, y, np.zeros(1), W) == 0.0
+    assert change_penalty(y - y, np.zeros(1), W) == 0.0
 
 
 def test_output_change_hand_value():
-    r = output_change_reward(np.array([1.0, 1.0]), np.zeros(2),
-                             np.array([1.0]), W)
+    r = change_penalty(np.array([1.0, 1.0]) - np.zeros(2), np.array([1.0]), W)
     assert r == -2.6
 
 
 def test_output_change_nonpositive_random():
     rng = np.random.default_rng(0)
     for _ in range(500):
-        r = output_change_reward(rng.normal(size=2), rng.normal(size=2),
-                                 rng.normal(size=1), W)
-        assert r <= 0.0
+        d = rng.normal(size=2) - rng.normal(size=2)
+        assert change_penalty(d, rng.normal(size=1), W) <= 0.0
 
 
 def test_output_change_sign_invariance():
     d = np.array([0.4, -1.1])
     u = np.array([0.8])
-    a = output_change_reward(d, np.zeros(2), u, W)
-    b = output_change_reward(-d, np.zeros(2), -u, W)
-    assert a == b
-
-
-def test_output_change_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        output_change_reward(np.zeros(3), np.zeros(3), np.zeros(1), W)
+    assert change_penalty(d, u, W) == change_penalty(-d, -u, W)
 
 
 def test_output_history_constant_is_zero():
     hist = np.tile(np.array([1.0, -2.0]), (5, 1))
-    assert output_history_reward(hist, W) == 0.0
+    assert output_steps_penalty(steps(hist), W) == 0.0
 
 
 def test_output_history_hand_value():
     # two differences: (1,0) and (0,1)
     hist = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
-    assert output_history_reward(hist, W) == -1.6
+    assert output_steps_penalty(steps(hist), W) == -1.6
 
 
 def test_output_history_permutation_of_step_position():
     # same multiset of differences placed at different steps
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
     b = np.array([[0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]])
-    assert output_history_reward(a, W) == output_history_reward(b, W)
-
-
-def test_output_history_wrong_length():
-    with pytest.raises(DimensionError):
-        output_history_reward(np.zeros((1, 2)), W)
+    assert output_steps_penalty(steps(a), W) == output_steps_penalty(steps(b), W)
 
 
 def test_input_history_constant_is_zero():
     hist = np.full((13, 1), 0.7)
-    assert input_history_reward(hist, W) == 0.0
+    assert input_steps_penalty(steps(hist), W) == 0.0
 
 
 def test_input_history_hand_value():
     hist = np.array([[2.0], [0.0], [0.0]])
-    assert input_history_reward(hist, W) == -0.6
+    assert input_steps_penalty(steps(hist), W) == -0.6
 
 
 def test_input_history_nonpositive_random():
     rng = np.random.default_rng(1)
     for _ in range(500):
-        assert input_history_reward(rng.normal(size=(13, 1)), W) <= 0.0
+        assert input_steps_penalty(steps(rng.normal(size=(13, 1))), W) <= 0.0
 
 
 def test_total_zero():
@@ -92,10 +83,9 @@ def test_total_hand_value():
 
 def test_total_zero_only_when_stationary():
     # any output motion or nonzero input makes it strictly negative
-    r1 = output_change_reward(np.array([0.1, 0.0]), np.zeros(2),
-                              np.zeros(1), W)
+    r1 = float(change_penalty(np.array([0.1, 0.0]), np.zeros(1), W))
     assert total_reward(r1, 0.0, 0.0) < 0.0
-    r1 = output_change_reward(np.zeros(2), np.zeros(2), np.array([0.2]), W)
+    r1 = float(change_penalty(np.zeros(2), np.array([0.2]), W))
     assert total_reward(r1, 0.0, 0.0) < 0.0
 
 
@@ -105,10 +95,10 @@ def test_history_rewards_translation_invariant(shift, n):
     rng = np.random.default_rng(7)
     outs = rng.normal(size=(n, 2))
     ins = rng.normal(size=(n, 1))
-    assert np.isclose(output_history_reward(outs + shift, W),
-                      output_history_reward(outs, W), rtol=1e-9, atol=1e-9)
-    assert np.isclose(input_history_reward(ins + shift, W),
-                      input_history_reward(ins, W), rtol=1e-9, atol=1e-9)
+    assert np.isclose(output_steps_penalty(steps(outs + shift), W),
+                      output_steps_penalty(steps(outs), W), rtol=1e-9, atol=1e-9)
+    assert np.isclose(input_steps_penalty(steps(ins + shift), W),
+                      input_steps_penalty(steps(ins), W), rtol=1e-9, atol=1e-9)
 
 
 def test_weights_validation():
@@ -120,6 +110,5 @@ def test_weights_validation():
 
 def test_generalized_output_dimension():
     w3 = RewardWeights(output_weights=np.diag([1.0, 2.0, 3.0]))
-    r = output_change_reward(np.array([1.0, 1.0, 1.0]), np.zeros(3),
-                             np.zeros(1), w3)
+    r = change_penalty(np.array([1.0, 1.0, 1.0]) - np.zeros(3), np.zeros(1), w3)
     assert r == -6.0
