@@ -211,7 +211,7 @@ def _coerce(kind, raw, where):
         if kind is float:
             return float(raw)
         if kind == "int_list":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
+            return tuple(int(part) for part in raw.split(","))
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"bad value for {where}: {raw!r}") from exc

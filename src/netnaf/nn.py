@@ -25,50 +25,27 @@ import numpy as np
 
 from .errors import CheckpointFormatError, DimensionError, NumericsError
 
-RELU = "relu"
-LINEAR = "linear"
-SCALED_TANH = "scaled_tanh"
-
-_ACTIVATIONS = (RELU, LINEAR, SCALED_TANH)
-
 _MAGIC = b"NNAFCKP1"
 _VERSION = 1
 _F8 = np.dtype("<f8")
 
 
-@dataclass
-class DenseLayer:
-    """One fully connected layer: out = act(weights @ x + biases)."""
-
-    weights: np.ndarray  # (out, in)
-    biases: np.ndarray   # (out,)
-    activation: str = LINEAR
-    tanh_weight: float = 0.0  # only read when activation == SCALED_TANH
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.activation == SCALED_TANH and not self.tanh_weight > 0:
-            raise ValueError("scaled tanh weight must be positive")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
+def _layer_shapes(widths, m):
+    """(out, in) of each layer in layout order: the ReLU trunk over
+    [input, hidden...], then the value, action and scale heads."""
+    shapes = list(zip(widths[1:], widths))
+    top = widths[-1]
+    return shapes + [(1, top), (m, top), (m * (m + 1) // 2, top)]
 
 
-def _layer_views(specs, flat: np.ndarray):
+def _layer_views(shapes, flat: np.ndarray):
     """Each layer's (weights, biases) views of a flat parameter vector.
 
-    This is the one definition of the layout: the layers in spec order
-    (trunk..., value, action, scale), each as its row-major weights and then
-    its biases. Each spec is (out, in, activation, tanh_weight).
+    This is the one definition of the layout: the layers in order, each as
+    its row-major weights and then its biases.
     """
     views, pos = [], 0
-    for n_out, n_in, _, _ in specs:
+    for n_out, n_in in shapes:
         end = pos + n_out * n_in
         views.append((flat[pos:end].reshape(n_out, n_in), flat[end:end + n_out]))
         pos = end + n_out
@@ -76,56 +53,46 @@ def _layer_views(specs, flat: np.ndarray):
 
 
 class MlpNetwork:
-    """ReLU trunk feeding three heads: value (1), action (m), scale entries (m(m+1)/2).
+    """ReLU trunk feeding three heads: a linear value (1), the action (m)
+    as tanh_weight * tanh, bounded by +/-tanh_weight, and linear scale
+    entries (m(m+1)/2).
 
-    `params` is the network's one flat float64 parameter vector, and every
-    layer's weights and biases are views into it: writing into `params` (an
+    `params` is the network's one flat float64 parameter vector, and
+    `layers` holds each layer's (weights, biases) views into it, trunk
+    first, then value, action and scale: writing into `params` (an
     optimizer step, a soft update) is what the next forward pass sees.
     """
 
-    def __init__(self, specs, action_dim: int, params: np.ndarray | None = None):
-        """specs: one (out, in, activation, tanh_weight) per layer, the trunk
-        layers and then the value, action and scale heads. params defaults
-        to zeros."""
-        m = action_dim
-        if m < 1:
+    def __init__(self, widths, action_dim: int, tanh_weight: float,
+                 params: np.ndarray | None = None):
+        """widths: [input, hidden...]. params defaults to zeros."""
+        self.widths = tuple(int(w) for w in widths)
+        if len(self.widths) < 2:
+            raise DimensionError("need an input width and at least one hidden width")
+        if min(self.widths) <= 0:
+            raise DimensionError(
+                f"layer widths must be positive, got {list(self.widths)}")
+        if action_dim < 1:
             raise DimensionError("action dimension must be >= 1")
-        if len(specs) < 4:
-            raise DimensionError("network needs at least one hidden layer")
-        width = specs[-4][0]
-        for (n_out, n_in, _, _), want in zip(specs[-3:], (1, m, m * (m + 1) // 2)):
-            if n_in != width:
-                raise DimensionError("head input width does not match trunk output")
-            if n_out != want:
-                raise DimensionError(f"head has {n_out} units, expected {want}")
-        for prev, nxt in zip(specs[:-4], specs[1:-3]):
-            if nxt[1] != prev[0]:
-                raise DimensionError("trunk layer widths are inconsistent")
-        count = sum(n_out * (n_in + 1) for n_out, n_in, _, _ in specs)
+        if not tanh_weight > 0:
+            raise ValueError("scaled tanh weight must be positive")
+        shapes = _layer_shapes(self.widths, action_dim)
+        count = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
         self.params = np.zeros(count) if params is None else params
         if self.params.shape != (count,):
             raise DimensionError(f"flat vector has {self.params.size} entries, "
                                  f"expected {count}")
-        layers = [DenseLayer(w, b, activation, tanh_weight)
-                  for (w, b), (_, _, activation, tanh_weight)
-                  in zip(_layer_views(specs, self.params), specs)]
-        self.specs = specs
-        self.trunk = layers[:-3]
-        self.value_head, self.action_head, self.scale_head = layers[-3:]
-        self.action_dim = m
+        self.layers = _layer_views(shapes, self.params)
+        self.action_dim = action_dim
+        self.tanh_weight = tanh_weight
 
     @property
     def input_dim(self) -> int:
-        return self.trunk[0].in_dim
-
-    def all_layers(self) -> list[tuple[str, DenseLayer]]:
-        named = [(f"trunk{i}", l) for i, l in enumerate(self.trunk)]
-        named += [("value", self.value_head), ("action", self.action_head),
-                  ("scale", self.scale_head)]
-        return named
+        return self.widths[0]
 
     def copy(self) -> "MlpNetwork":
-        return MlpNetwork(self.specs, self.action_dim, self.params.copy())
+        return MlpNetwork(self.widths, self.action_dim, self.tanh_weight,
+                          self.params.copy())
 
 
 def init_network(layer_widths, action_dim: int, tanh_weight: float,
@@ -136,22 +103,13 @@ def init_network(layer_widths, action_dim: int, tanh_weight: float,
     uniform in +/-1e-3 so initial value and action outputs sit near zero.
     Biases start at zero. Fixed seed gives a bit-identical network.
     """
-    widths = [int(w) for w in layer_widths]
-    if len(widths) < 2:
-        raise DimensionError("need an input width and at least one hidden width")
-    if any(w <= 0 for w in widths):
-        raise DimensionError(f"layer widths must be positive, got {widths}")
-    m, hidden = action_dim, widths[-1]
-    specs = [(n_out, n_in, RELU, 0.0) for n_in, n_out in zip(widths, widths[1:])]
-    specs += [(1, hidden, LINEAR, 0.0), (m, hidden, SCALED_TANH, tanh_weight),
-              (m * (m + 1) // 2, hidden, LINEAR, 0.0)]
-    net = MlpNetwork(specs, m)
+    net = MlpNetwork(layer_widths, action_dim, tanh_weight)
     rng = np.random.default_rng(seed)
-    for layer in net.trunk:
-        layer.weights[...] = rng.normal(0.0, np.sqrt(2.0 / layer.in_dim),
-                                        size=layer.weights.shape)
-    for layer in (net.value_head, net.action_head, net.scale_head):
-        layer.weights[...] = rng.uniform(-1e-3, 1e-3, size=layer.weights.shape)
+    for weights, _ in net.layers[:-3]:
+        weights[...] = rng.normal(0.0, np.sqrt(2.0 / weights.shape[1]),
+                                  size=weights.shape)
+    for weights, _ in net.layers[-3:]:
+        weights[...] = rng.uniform(-1e-3, 1e-3, size=weights.shape)
     return net
 
 
@@ -177,28 +135,23 @@ class ForwardTrace:
     @classmethod
     def empty(cls, net: MlpNetwork, rows: int) -> ForwardTrace:
         """Unfilled buffers for a batch of `rows` samples of `net`."""
+        m = net.action_dim
         return cls(np.empty((rows, net.input_dim)),
-                   [np.empty((rows, l.out_dim)) for l in net.trunk],
-                   np.empty(rows), np.empty((rows, net.action_head.out_dim)),
-                   np.empty((rows, net.scale_head.out_dim)), True)
+                   [np.empty((rows, w)) for w in net.widths[1:]],
+                   np.empty(rows), np.empty((rows, m)),
+                   np.empty((rows, m * (m + 1) // 2)), True)
 
     @property
     def mu(self):
         return self.action if self.batched else self.action[0]
 
 
-def apply_layer(layer: DenseLayer, a: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """One layer on a batch of rows; returns the post-activation, written
-    into `out` when given. The same operations as act(a @ W.T + b), in
-    place."""
-    pre = np.matmul(a, layer.weights.T, out=out)
-    pre += layer.biases
-    if layer.activation == RELU:
-        np.maximum(pre, 0.0, out=pre)
-    elif layer.activation == SCALED_TANH:
-        np.tanh(pre, out=pre)
-        pre *= layer.tanh_weight
+def apply_layer(layer, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ W.T + b for a (weights, biases) layer on a batch of rows, written
+    into `out` when given."""
+    weights, biases = layer
+    pre = np.matmul(a, weights.T, out=out)
+    pre += biases
     return pre
 
 
@@ -225,23 +178,27 @@ def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
     if arr.shape[1] != net.input_dim:
         raise DimensionError(
             f"input width {arr.shape[1]}, network expects {net.input_dim}")
+    *trunk, value, action, scale = net.layers
     if out is None:
-        out = ForwardTrace(arr, [None] * len(net.trunk), None, None, None, batched)
-    elif out.x.shape[0] != arr.shape[0] or len(out.trunk_post) != len(net.trunk):
+        out = ForwardTrace(arr, [None] * len(trunk), None, None, None, batched)
+    elif out.x.shape[0] != arr.shape[0] or len(out.trunk_post) != len(trunk):
         raise DimensionError("output trace does not match this input and network")
     out.x, out.batched = arr, batched
 
     # each layer writes into its buffer when there is one, and returns it
     a = arr
-    for i, layer in enumerate(net.trunk):
-        a = out.trunk_post[i] = apply_layer(layer, a, out.trunk_post[i])
+    for i, layer in enumerate(trunk):
+        a = apply_layer(layer, a, out.trunk_post[i])
+        out.trunk_post[i] = np.maximum(a, 0.0, out=a)
     if head != "action":
         value_col = None if out.value is None else out.value[:, None]
-        out.value = apply_layer(net.value_head, a, value_col)[:, 0]
+        out.value = apply_layer(value, a, value_col)[:, 0]
     if head != "value":
-        out.action = apply_layer(net.action_head, a, out.action)
+        mu = out.action = apply_layer(action, a, out.action)
+        np.tanh(mu, out=mu)
+        mu *= net.tanh_weight
     if head is None:
-        out.scale_entries = apply_layer(net.scale_head, a, out.scale_entries)
+        out.scale_entries = apply_layer(scale, a, out.scale_entries)
     return out
 
 
@@ -269,7 +226,8 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads,
     passes one of that shape (every entry is overwritten).
     """
     d_value, d_action, d_scale = (np.asarray(g, dtype=float) for g in head_grads)
-    if len(trace.trunk_post) != len(net.trunk):
+    *trunk, value, action, scale = net.layers
+    if len(trace.trunk_post) != len(trunk):
         raise DimensionError("trace does not match this network")
     if (d_value.shape, d_action.shape, d_scale.shape) != (
             trace.value.shape, trace.action.shape, trace.scale_entries.shape):
@@ -279,41 +237,38 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads,
     elif out.shape != net.params.shape:
         raise DimensionError("gradient buffer does not match the parameters")
 
-    views = _layer_views(net.specs, out)
+    views = _layer_views(_layer_shapes(net.widths, net.action_dim), out)
     top = trace.trunk_post[-1]
 
-    def head_back(layer, layer_views, dout, out_post):
-        if layer.activation == SCALED_TANH:
-            c = layer.tanh_weight
-            dout = dout * (c - out_post * out_post / c)
+    def head_back(layer, layer_views, dout):
         _fill_layer_grad(layer_views, dout, top)
-        return _pull_back(dout, layer.weights)
+        return _pull_back(dout, layer[0])
 
-    da = head_back(net.value_head, views[-3], d_value[:, None],
-                   trace.value[:, None])
-    da += head_back(net.action_head, views[-2], d_action, trace.action)
-    da += head_back(net.scale_head, views[-1], d_scale, trace.scale_entries)
+    # d(c tanh z)/dz = c - (c tanh z)^2 / c, from the action head's output
+    c, mu = net.tanh_weight, trace.action
+    da = head_back(value, views[-3], d_value[:, None])
+    da += head_back(action, views[-2], d_action * (c - mu * mu / c))
+    da += head_back(scale, views[-1], d_scale)
 
-    for i in range(len(net.trunk) - 1, -1, -1):
+    for i in range(len(trunk) - 1, -1, -1):
         # a ReLU unit passes gradient where its output is positive
         dz = da * (trace.trunk_post[i] > 0.0)
         below = trace.trunk_post[i - 1] if i > 0 else trace.x
         _fill_layer_grad(views[i], dz, below)
         if i > 0:
-            da = dz @ net.trunk[i].weights
+            da = dz @ trunk[i][0]
     return out
 
 
 def parameter_layout(net: MlpNetwork):
     """Fixed (name, offset, shape) table of `net.params`, and its length."""
-    # the layer views of an index vector hold their own offsets
-    index = np.arange(net.params.size)
-    table = []
-    for (name, _), (w, b) in zip(net.all_layers(),
-                                 _layer_views(net.specs, index)):
-        table.append((f"{name}.w", int(w[0, 0]), w.shape))
-        table.append((f"{name}.b", int(b[0]), b.shape))
-    return table, net.params.size
+    names = [f"trunk{i}" for i in range(len(net.layers) - 3)]
+    table, pos = [], 0
+    for name, (w, b) in zip(names + ["value", "action", "scale"], net.layers):
+        table.append((f"{name}.w", pos, w.shape))
+        table.append((f"{name}.b", pos + w.size, b.shape))
+        pos += w.size + b.size
+    return table, pos
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +282,8 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    lr: float = 1.25e-5
+    step: int
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -338,9 +293,8 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float = 1.25e-5, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(np.zeros(n_params), np.zeros(n_params), 0, lr, beta1, beta2, eps)
+    def fresh(cls, n_params: int, lr: float) -> "AdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params), 0, lr)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
@@ -387,11 +341,27 @@ def soft_update(target: np.ndarray, main: np.ndarray, rate: float):
 # Checkpoints
 
 
-def _layer_spec(layer: DenseLayer):
-    spec = {"out": layer.out_dim, "in": layer.in_dim, "activation": layer.activation}
-    if layer.activation == SCALED_TANH:
-        spec["tanh_weight"] = layer.tanh_weight
-    return spec
+def _header(net: MlpNetwork) -> dict:
+    """The checkpoint header of `net`, without the Adam entry. The
+    activation tags are fixed by position: ReLU trunk, scaled-tanh action
+    head, linear value and scale heads."""
+    def spec(layer, activation):
+        n_out, n_in = layer[0].shape
+        return {"out": n_out, "in": n_in, "activation": activation}
+
+    *trunk, value, action, scale = net.layers
+    layout, total = parameter_layout(net)
+    return {
+        "action_dim": net.action_dim,
+        "trunk": [spec(layer, "relu") for layer in trunk],
+        "heads": {
+            "value": spec(value, "linear"),
+            "action": {**spec(action, "scaled_tanh"), "tanh_weight": net.tanh_weight},
+            "scale": spec(scale, "linear"),
+        },
+        "layout": [[name, off, list(shape)] for name, off, shape in layout],
+        "param_count": total,
+    }
 
 
 def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
@@ -402,22 +372,11 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
     `path`. A write that fails leaves any previous file at `path` as it was
     and removes the temporary file.
     """
-    layout, total = parameter_layout(net)
-    header = {
-        "action_dim": net.action_dim,
-        "trunk": [_layer_spec(l) for l in net.trunk],
-        "heads": {
-            "value": _layer_spec(net.value_head),
-            "action": _layer_spec(net.action_head),
-            "scale": _layer_spec(net.scale_head),
-        },
-        "layout": [[name, off, list(shape)] for name, off, shape in layout],
-        "param_count": total,
-        "adam": {"step": adam.step, "lr": adam.lr, "beta1": adam.beta1,
-                 "beta2": adam.beta2, "eps": adam.eps},
-    }
+    header = _header(net)
+    header["adam"] = {"step": adam.step, "lr": adam.lr, "beta1": adam.beta1,
+                      "beta2": adam.beta2, "eps": adam.eps}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    if adam.m.shape != (total,):
+    if adam.m.shape != net.params.shape:
         raise DimensionError("optimizer state does not match network size")
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -444,8 +403,11 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
 def load_checkpoint(path):
     """Read a checkpoint back; returns (network, adam state), bit-exact.
 
-    The float64 blocks are read straight into one array; `net.params` and
-    the Adam moments are views into it, so nothing is copied.
+    The network is built from the widths, action dimension and tanh
+    weight the header gives, and any header other than the one
+    `save_checkpoint` writes for that network is rejected. The float64
+    blocks are read straight into one array; `net.params` and the Adam
+    moments are views into it, so nothing is copied.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -464,36 +426,26 @@ def load_checkpoint(path):
             raise CheckpointFormatError(f"unreadable header: {exc}") from exc
         if not isinstance(header, dict):
             raise CheckpointFormatError("header is not a JSON object")
-
         total = header.get("param_count")
-        heads = header.get("heads", {})
-        try:
-            specs = []
-            for spec in [*header.get("trunk", []),
-                         *(heads[key] for key in ("value", "action", "scale"))]:
-                specs.append((spec["out"], spec["in"], spec["activation"],
-                              spec.get("tanh_weight", 0.0)))
-            declared = sum(n_out * n_in + n_out for n_out, n_in, _, _ in specs)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise CheckpointFormatError(f"malformed layer spec in header: {exc!r}") from exc
-        if not isinstance(total, int) or declared != total:
+        if not isinstance(total, int) or size != pos + 3 * total * 8:
             raise CheckpointFormatError(
-                f"layout declares {declared} parameters, header says {total}")
-        want_bytes = pos + 3 * total * 8
-        if size != want_bytes:
-            raise CheckpointFormatError(
-                f"file has {size} bytes, expected {want_bytes}")
+                f"file has {size} bytes, not a header and 3 blocks of {total} floats")
         block = np.empty(3 * total, dtype=_F8)
         if fh.readinto(block) != block.nbytes:
             raise CheckpointFormatError("file ended inside the parameter block")
-    if not np.isfinite(block).all():
-        raise CheckpointFormatError("non-finite value in the parameter or Adam blocks")
 
     try:
-        net = MlpNetwork(specs, header["action_dim"], block[:total])
-        a = header["adam"]
+        trunk = header["trunk"]
+        widths = [trunk[0]["in"], *(layer["out"] for layer in trunk)]
+        net = MlpNetwork(widths, header["action_dim"],
+                         header["heads"]["action"]["tanh_weight"], block[:total])
+        a = header.pop("adam")
         adam = AdamState(block[total:2 * total], block[2 * total:], a["step"],
                          a["lr"], a["beta1"], a["beta2"], a["eps"])
-    except (KeyError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
-        raise CheckpointFormatError(f"inconsistent header: {exc!r}") from exc
+    except (LookupError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
+        raise CheckpointFormatError(f"malformed header: {exc!r}") from exc
+    if header != _header(net):
+        raise CheckpointFormatError("not a header this program writes")
+    if not np.isfinite(block).all():
+        raise CheckpointFormatError("non-finite value in the parameter or Adam blocks")
     return net, adam

@@ -27,7 +27,11 @@ class RewardWeights:
         object.__setattr__(self, "output_weights", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError("output weight matrix must be square")
-        if (np.diag(w) < 0).any() or self.input_effort < 0 or self.input_smoothness < 0:
+        # d'Wd >= 0 for every d exactly when W + W' is positive semidefinite;
+        # the tolerance absorbs eigvalsh's rounding on a singular W + W'
+        eigs = np.linalg.eigvalsh(w + w.T)
+        if (eigs[0] < -1e-12 * np.abs(eigs).max() or self.input_effort < 0
+                or self.input_smoothness < 0):
             raise ValueError("penalty weights must be nonnegative")
 
 

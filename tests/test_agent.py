@@ -165,9 +165,9 @@ def test_td_target_cases():
     dim = extended_state_dim(2, 1, 2, 1)
     target = zero_weight_net(dim)
     r, w_next = np.array([1.0]), np.ones((1, dim))
-    target.value_head.biases[0] = 5.0  # V(w'; target) = 5
+    target.layers[-3][1][0] = 5.0  # V(w'; target) = 5
     assert batch_targets(target, r, w_next, 0.0) == 1.0
-    target.value_head.biases[0] = 1.0
+    target.layers[-3][1][0] = 1.0
     assert batch_targets(target, r, w_next, 0.99) == 1.99
 
 
@@ -629,8 +629,8 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     tr = Trainer(chua_setup(), cfg)
     assert tr.settings is cfg
     assert tr.net.input_dim == extended_state_dim(2, 1, 2, 2)
-    assert [layer.out_dim for layer in tr.net.trunk] == [5, 6]
-    assert tr.net.action_head.tanh_weight == 2.5
+    assert [w.shape[0] for w, _ in tr.net.layers[:-3]] == [5, 6]
+    assert tr.net.tanh_weight == 2.5
     assert tr.adam.lr == 7e-4
     assert tr.replay.capacity == 50
     for name in ("trace", "target_trace"):

@@ -99,6 +99,9 @@ def test_unknown_section_is_hard_error():
 def test_bad_value_is_hard_error():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("[training]\nepisodes = many\n")
+    for hidden in ("64,,64", "64, ,64,"):
+        with pytest.raises(ConfigError, match=r"bad value for \[network\] hidden"):
+            parse_config(f"[network]\nhidden = {hidden}\n")
 
 
 def test_invalid_combinations_rejected():
@@ -407,7 +410,7 @@ def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
     run.mkdir()
     cfg.save(run / "config.txt")
     nn.save_checkpoint(run / "zero.nnc", net,
-                       nn.AdamState.fresh(net.params.size))
+                       nn.AdamState.fresh(net.params.size, cfg.learning_rate))
     out_csv = tmp_path / "traj.csv"
     code = main(["eval", "--checkpoint", str(run / "zero.nnc"),
                  "--init", "2.0,-1.0,1.0", "--out", str(out_csv)])

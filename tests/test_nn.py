@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -28,14 +29,15 @@ def test_init_deterministic_under_seed():
 
 def test_init_head_widths_m1():
     net = small_net(m=1)
-    assert net.value_head.out_dim == 1
-    assert net.action_head.out_dim == 1
-    assert net.scale_head.out_dim == 1
+    value, action, scale = (w.shape[0] for w, _ in net.layers[-3:])
+    assert value == 1
+    assert action == 1
+    assert scale == 1
 
 
 def test_init_head_widths_m3():
     net = small_net(m=3)
-    assert net.scale_head.out_dim == 6
+    assert net.layers[-1][0].shape[0] == 6
 
 
 def test_init_rejects_bad_widths():
@@ -48,8 +50,9 @@ def test_init_rejects_bad_widths():
 
 
 def test_scaled_tanh_weight_must_be_positive():
-    with pytest.raises(ValueError):
-        nn.DenseLayer(np.eye(2), np.zeros(2), nn.SCALED_TANH, 0.0)
+    for weight in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            nn.init_network([2, 2], 1, weight, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def test_forward_zero_network_gives_zero_heads():
 
 
 def test_single_linear_layer_is_identity():
-    layer = nn.DenseLayer(np.eye(4), np.zeros(4), nn.LINEAR)
+    layer = (np.eye(4), np.zeros(4))
     v = np.array([0.3, -1.2, 5.0, 0.0])
     out = nn.apply_layer(layer, v[None, :])
     assert np.array_equal(out[0], v)
@@ -142,7 +145,7 @@ def test_backward_gradient_has_the_params_layout():
                          if name == "trunk0.w")
     w_grad = grad[offset:offset + shape[0] * shape[1]].reshape(shape)
     # finite differences in the layer's own array, not in the flat vector
-    weights = net.trunk[0].weights
+    weights = net.layers[0][0]
     w0 = weights.copy()
 
     def scalar(w):
@@ -181,20 +184,21 @@ def reference_backward(net, trace, head_grads):
     grads = []
     top = trace.trunk_post[-1]
     da = None
-    for layer, dout, post in ((net.value_head, d_value[:, None], trace.value[:, None]),
-                              (net.action_head, d_action, trace.action),
-                              (net.scale_head, d_scale, trace.scale_entries)):
-        if layer.activation == nn.SCALED_TANH:
-            c = layer.tanh_weight
+    value, action, scale = (w for w, _ in net.layers[-3:])
+    for weights, dout, post in ((value, d_value[:, None], None),
+                                (action, d_action, trace.action),
+                                (scale, d_scale, None)):
+        if post is not None:  # the scaled-tanh action head
+            c = net.tanh_weight
             dout = dout * (c - post * post / c)
         grads.append((dout.T @ top, dout.sum(axis=0)))
-        da = dout @ layer.weights if da is None else da + dout @ layer.weights
+        da = dout @ weights if da is None else da + dout @ weights
     trunk = []
-    for i in range(len(net.trunk) - 1, -1, -1):
+    for i in range(len(net.layers) - 4, -1, -1):
         dz = da * (trace.trunk_post[i] > 0.0)
         below = trace.trunk_post[i - 1] if i > 0 else trace.x
         trunk.insert(0, (dz.T @ below, dz.sum(axis=0)))
-        da = dz @ net.trunk[i].weights
+        da = dz @ net.layers[i][0]
     return np.concatenate([part.ravel() for pair in trunk + grads for part in pair])
 
 
@@ -202,13 +206,13 @@ def reference_backward(net, trace, head_grads):
 def test_rank_one_head_pullback_equals_matmul_bit_for_bit(m):
     net = nn.init_network([6, 16, 16], m, 4.0, 13)
     rng = np.random.default_rng(21 + m)
-    heads = [(net.value_head, 1), (net.action_head, m),
-             (net.scale_head, m * (m + 1) // 2)]
+    heads = [(w, width) for (w, _), width
+             in zip(net.layers[-3:], (1, m, m * (m + 1) // 2))]
     for _ in range(10):
-        for layer, width in heads:
+        for weights, width in heads:
             dout = rng.normal(size=(32, width))
-            assert np.array_equal(nn._pull_back(dout, layer.weights),
-                                  dout @ layer.weights)
+            assert np.array_equal(nn._pull_back(dout, weights),
+                                  dout @ weights)
         x = rng.normal(size=(32, 6))
         hg = (rng.normal(size=32), rng.normal(size=(32, m)),
               rng.normal(size=(32, m * (m + 1) // 2)))
@@ -366,7 +370,7 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    state = nn.AdamState.fresh(2)
+    state = nn.AdamState.fresh(2, lr=1e-3)
     params = np.ones(2)
     with pytest.raises(NumericsError):
         nn.adam_step(params, np.array([1.0, np.nan]), state)
@@ -376,7 +380,7 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_adam_shape_mismatch():
-    state = nn.AdamState.fresh(2)
+    state = nn.AdamState.fresh(2, lr=1e-3)
     with pytest.raises(DimensionError):
         nn.adam_step(np.zeros(3), np.zeros(3), state)
 
@@ -448,8 +452,7 @@ def test_soft_update_layout_mismatch():
 
 def layer_arrays(net):
     """Every layer's weights then biases, flattened in layer order."""
-    return np.concatenate([a for _, l in net.all_layers()
-                           for a in (l.weights.ravel(), l.biases)])
+    return np.concatenate([a for w, b in net.layers for a in (w.ravel(), b)])
 
 
 @pytest.mark.parametrize("widths,m", [((4, 8), 1), ((4, 8, 8), 2),
@@ -479,7 +482,7 @@ def test_params_writes_seen_by_forward():
     layout, _ = nn.parameter_layout(net)
     offset = next(off for name, off, _ in layout if name == "value.b")
     net.params[offset] = 2.5
-    assert net.value_head.biases[0] == 2.5
+    assert net.layers[-3][1][0] == 2.5
     assert nn.forward(net, np.ones(4)).value[0] == 2.5
 
 
@@ -488,9 +491,9 @@ def test_copy_shares_no_memory():
     dup = net.copy()
     assert np.array_equal(dup.params, net.params)
     assert not np.shares_memory(dup.params, net.params)
-    for (_, a), (_, b) in zip(net.all_layers(), dup.all_layers()):
-        assert np.shares_memory(b.weights, dup.params)
-        assert not np.shares_memory(a.weights, b.weights)
+    for (a, _), (b, _) in zip(net.layers, dup.layers):
+        assert np.shares_memory(b, dup.params)
+        assert not np.shares_memory(a, b)
     dup.params[:] = 0.0
     assert np.array_equal(net.params, small_net().params)
 
@@ -509,20 +512,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     net2, adam2 = nn.load_checkpoint(path)
     assert np.array_equal(net.params, net2.params)
     # the layers and the moments are views into the one block read
-    assert np.shares_memory(net2.trunk[0].weights, net2.params)
+    assert np.shares_memory(net2.layers[0][0], net2.params)
     assert adam2.m.base is not None and net2.params.base is adam2.m.base
     assert np.array_equal(adam.m, adam2.m)
     assert np.array_equal(adam.v, adam2.v)
     assert adam2.step == adam.step and adam2.lr == adam.lr
-    assert net2.action_head.activation == nn.SCALED_TANH
-    assert net2.action_head.tanh_weight == 3.0
+    assert nn._header(net2)["heads"]["action"]["activation"] == "scaled_tanh"
+    assert net2.tanh_weight == 3.0
 
 
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(
         tmp_path, monkeypatch):
     path = tmp_path / "final.nnc"
     net = small_net()
-    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size))
+    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size, lr=1e-3))
     before = path.read_bytes()
 
     class FailingWrite:
@@ -548,19 +551,19 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(
     monkeypatch.setattr(nn, "open", failing_open, raising=False)
     other = small_net(seed=8)
     with pytest.raises(OSError):
-        nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size))
+        nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size, lr=1e-3))
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["final.nnc"]
     # a write that succeeds replaces the file and leaves no temporary file
-    nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size))
+    nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size, lr=1e-3))
     assert np.array_equal(nn.load_checkpoint(path)[0].params, other.params)
     assert [p.name for p in tmp_path.iterdir()] == ["final.nnc"]
 
 
 def test_checkpoint_forward_equality_after_load(tmp_path):
     net = nn.init_network([6, 8, 8], 1, 4.0, 3)
-    adam = nn.AdamState.fresh(net.params.size)
+    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     net2, _ = nn.load_checkpoint(path)
@@ -573,7 +576,7 @@ def test_checkpoint_forward_equality_after_load(tmp_path):
 
 def test_checkpoint_corrupt_magic(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size)
+    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
@@ -585,7 +588,7 @@ def test_checkpoint_corrupt_magic(tmp_path):
 
 def test_checkpoint_truncated(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size)
+    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     path.write_bytes(path.read_bytes()[:-16])
@@ -595,7 +598,7 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_bad_version(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size)
+    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
@@ -608,7 +611,7 @@ def test_checkpoint_bad_version(tmp_path):
 def checkpoint_with_header(tmp_path, edit):
     """Save a small checkpoint, then replace its JSON header by edit(header)."""
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size)
+    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = path.read_bytes()
@@ -629,28 +632,64 @@ def test_checkpoint_inconsistent_header(tmp_path):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
 
 
-def _drop_trunk_in(header):
-    del header["trunk"][0]["in"]
-    return header
+def _set(*keys, value):
+    """A header edit that sets the entry at keys to value, or removes it
+    when value is None."""
+    def edit(header):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        if value is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return header
+    return edit
 
 
-def _drop_activation(header):
-    del header["heads"]["value"]["activation"]
-    return header
-
-
-@pytest.mark.parametrize("edit", [_drop_trunk_in, _drop_activation,
-                                  lambda header: [header]],
-                         ids=["missing_in", "missing_activation", "list"])
+# the last five are headers this program would not write for any network
+@pytest.mark.parametrize("edit", [
+    _set("trunk", 0, "in", value=None),
+    _set("heads", "value", "activation", value=None),
+    lambda header: [header],
+    _set("trunk", 0, "activation", value="linear"),
+    _set("heads", "action", "activation", value="relu"),
+    _set("layout", 2, 1, value=47),
+    _set("heads", "action", "tanh_weight", value=None),
+    _set("heads", "action", "tanh_weight", value=0),
+], ids=["missing_in", "missing_activation", "list", "linear_trunk",
+        "relu_action_head", "layout_offset", "no_tanh_weight", "zero_tanh_weight"])
 def test_checkpoint_malformed_header(tmp_path, edit):
     with pytest.raises(CheckpointFormatError):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    net = nn.init_network([5, 8, 8], 2, 3.0, 33)
+    adam = nn.AdamState.fresh(net.params.size, lr=2e-4)
+    nn.adam_step(net.params, np.random.default_rng(1).normal(size=adam.m.size), adam)
+    path = tmp_path / "net.nnc"
+    nn.save_checkpoint(path, net, adam)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6e772ddbbbebbf966058e50b3972efdaa9b7a24f612f6105706383d1442db3b2")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(8,), (8, 6), (8, 6, 4), (8, 6, 4, 4)])
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, m, hidden):
+    net = nn.init_network([5, *hidden], m, 2.5, 40 + m)
+    adam = nn.AdamState.fresh(net.params.size, lr=3e-4)
+    nn.adam_step(net.params, np.random.default_rng(m).normal(size=adam.m.size), adam)
+    first, second = tmp_path / "a.nnc", tmp_path / "b.nnc"
+    nn.save_checkpoint(first, net, adam)
+    nn.save_checkpoint(second, *nn.load_checkpoint(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("block", [0, 1, 2], ids=["params", "adam_m", "adam_v"])
 def test_checkpoint_nonfinite_block(tmp_path, block):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size)
+    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())

@@ -106,6 +106,22 @@ def test_weights_validation():
         RewardWeights(input_effort=-1.0)
     with pytest.raises(DimensionError):
         RewardWeights(output_weights=np.zeros((2, 3)))
+    # positive diagonal, but d'Wd = -1.8 at d = (1, -1): the penalty would be +1.8
+    with pytest.raises(ValueError):
+        RewardWeights(output_weights=[[0.1, 1.0], [1.0, 0.1]])
+
+
+def test_output_weights_need_a_nonnegative_symmetric_part_only():
+    # W + W' is 1.6 I here, so d'Wd = 1.6 at d = (1, -1)
+    skew = RewardWeights(output_weights=[[0.8, 5.0], [-5.0, 0.8]])
+    d = np.array([1.0, -1.0])
+    assert change_penalty(d, np.zeros(1), skew) == pytest.approx(-1.6, rel=1e-12)
+    assert change_penalty(d, np.zeros(1), W) == pytest.approx(-1.6, rel=1e-12)
+    # singular positive semidefinite weights pass despite eigvalsh's rounding
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        v = rng.normal(size=(3, 1))
+        RewardWeights(output_weights=v @ v.T * rng.uniform(0.01, 100.0))
 
 
 def test_generalized_output_dimension():
