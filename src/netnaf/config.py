@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .agent import LoopSetup, Trainer, extended_state_dim
 from .delays import UNIFORM, DelayModel
@@ -18,87 +19,57 @@ from .errors import ConfigError
 from .plant import ChuaCircuit, chua_sensor
 from .reward import RewardWeights
 
-# (section, key, field name, type); order fixes the snapshot layout.
-_SCHEMA = [
-    ("plant", "name", "plant_name", str),
-    ("plant", "p1", "p1", float),
-    ("plant", "p2", "p2", float),
-    ("plant", "delta", "delta", float),
-    ("plant", "horizon", "horizon", float),
-    ("plant", "substep", "substep", float),
-    ("plant", "init_box", "init_box", float),
-    ("delays", "distribution", "delay_distribution", str),
-    ("delays", "sc_min", "sc_min", float),
-    ("delays", "sc_max", "sc_max", float),
-    ("delays", "cp_min", "cp_min", float),
-    ("delays", "cp_max", "cp_max", float),
-    ("delays", "sc_bound_steps", "sc_bound_steps", int),
-    ("delays", "cp_bound_steps", "cp_bound_steps", int),
-    ("network", "hidden", "hidden", "int_list"),
-    ("network", "tanh_weight", "tanh_weight", float),
-    ("network", "output_history_len", "output_history_len", int),
-    ("training", "episodes", "episodes", int),
-    ("training", "gamma", "gamma", float),
-    ("training", "soft_update", "soft_update_rate", float),
-    ("training", "batch", "batch_size", int),
-    ("training", "iters", "update_iters", int),
-    ("training", "period", "update_period", int),
-    ("training", "lr", "learning_rate", float),
-    ("training", "replay", "replay_capacity", int),
-    ("training", "warmup", "warmup", int),
-    ("training", "divergence_penalty", "divergence_penalty", float),
-    ("training", "checkpoint_every", "checkpoint_every", int),
-    ("noise", "theta", "ou_theta", float),
-    ("noise", "sigma", "ou_sigma", float),
-    ("noise", "scale", "noise_scale", float),
-    ("noise", "decay_start", "noise_decay_start", int),
-    ("noise", "scale_final", "noise_scale_final", float),
-    ("run", "seed", "seed", int),
-]
+
+def _setting(section: str, default, key: str | None = None):
+    """A field written as `key = value` under `[section]`; the key defaults
+    to the field name."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every hyperparameter of one experiment, each defined only here.
 
-    Frozen, so the config a `Trainer` holds cannot change under it; a
-    changed copy comes from `apply_overrides`.
+    Each field carries its `[section] key` in the text form, and the field
+    order fixes the snapshot layout. Frozen, so the config a `Trainer`
+    holds cannot change under it; a changed copy comes from
+    `apply_overrides`.
     """
 
-    plant_name: str = "chua"
-    p1: float = 10.0
-    p2: float = 100.0 / 7.0
-    delta: float = 2.0 ** -4
-    horizon: float = 12.0
-    substep: float = 2.0 ** -8
-    init_box: float = 4.5
-    delay_distribution: str = UNIFORM
-    sc_min: float = 2.0 ** -4
-    sc_max: float = 3.0 * 2.0 ** -4
-    cp_min: float = 2.0 ** -4
-    cp_max: float = 3.0 * 2.0 ** -4
-    sc_bound_steps: int = 4
-    cp_bound_steps: int = 4
-    hidden: tuple = (128, 128, 128, 128)
-    tanh_weight: float = 4.0
-    output_history_len: int = 4
-    episodes: int = 8500
-    gamma: float = 0.99
-    soft_update_rate: float = 0.001
-    batch_size: int = 128
-    update_iters: int = 10
-    update_period: int = 4
-    learning_rate: float = 1.25e-5
-    replay_capacity: int = 1_000_000
-    warmup: int = 128
-    divergence_penalty: float = -1000.0
-    checkpoint_every: int = 500
-    ou_theta: float = 0.15
-    ou_sigma: float = 0.2
-    noise_scale: float = 3.5
-    noise_decay_start: int = 1000
-    noise_scale_final: float = 0.05
-    seed: int = 0
+    plant_name: str = _setting("plant", "chua", "name")
+    p1: float = _setting("plant", 10.0)
+    p2: float = _setting("plant", 100.0 / 7.0)
+    delta: float = _setting("plant", 2.0 ** -4)
+    horizon: float = _setting("plant", 12.0)
+    substep: float = _setting("plant", 2.0 ** -8)
+    init_box: float = _setting("plant", 4.5)
+    delay_distribution: str = _setting("delays", UNIFORM, "distribution")
+    sc_min: float = _setting("delays", 2.0 ** -4)
+    sc_max: float = _setting("delays", 3.0 * 2.0 ** -4)
+    cp_min: float = _setting("delays", 2.0 ** -4)
+    cp_max: float = _setting("delays", 3.0 * 2.0 ** -4)
+    sc_bound_steps: int = _setting("delays", 4)
+    cp_bound_steps: int = _setting("delays", 4)
+    hidden: tuple = _setting("network", (128, 128, 128, 128))
+    tanh_weight: float = _setting("network", 4.0)
+    output_history_len: int = _setting("network", 4)
+    episodes: int = _setting("training", 8500)
+    gamma: float = _setting("training", 0.99)
+    soft_update_rate: float = _setting("training", 0.001, "soft_update")
+    batch_size: int = _setting("training", 128, "batch")
+    update_iters: int = _setting("training", 10, "iters")
+    update_period: int = _setting("training", 4, "period")
+    learning_rate: float = _setting("training", 1.25e-5, "lr")
+    replay_capacity: int = _setting("training", 1_000_000, "replay")
+    warmup: int = _setting("training", 128)
+    divergence_penalty: float = _setting("training", -1000.0)
+    checkpoint_every: int = _setting("training", 500)
+    ou_theta: float = _setting("noise", 0.15, "theta")
+    ou_sigma: float = _setting("noise", 0.2, "sigma")
+    noise_scale: float = _setting("noise", 3.5, "scale")
+    noise_decay_start: int = _setting("noise", 1000, "decay_start")
+    noise_scale_final: float = _setting("noise", 0.05, "scale_final")
+    seed: int = _setting("run", 0)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
@@ -107,12 +78,15 @@ class ExperimentConfig:
     # -- validation and derived quantities
 
     def validate(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.plant_name != "chua":
             raise ConfigError(f"unknown plant {self.plant_name!r}")
         if self.delta <= 0 or self.horizon <= 0 or self.substep <= 0:
             raise ConfigError("delta, horizon and substep must be positive")
         steps = self.horizon / self.delta
-        if abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ConfigError("horizon must be a whole number of sampling periods")
         if self.output_history_len < 1:
             raise ConfigError("output history length must be >= 1")
@@ -125,6 +99,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         try:
+            self.plant()
             self.delay_model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -132,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("gamma must be in [0, 1)")
         if not 0.0 < self.soft_update_rate <= 1.0:
             raise ConfigError("soft update rate must be in (0, 1]")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning rate must be positive")
         if self.episodes < 1 or self.steps_per_episode < 1:
             raise ConfigError("episodes and steps per episode must be >= 1")
         if self.batch_size < 1:
@@ -155,7 +132,8 @@ class ExperimentConfig:
 
     @property
     def extended_dim(self) -> int:
-        return extended_state_dim(2, 1, self.max_delay_steps,
+        return extended_state_dim(self.sensor().output_dim,
+                                  ChuaCircuit.input_dim, self.max_delay_steps,
                                   self.output_history_len)
 
     # -- object builders
@@ -183,38 +161,28 @@ class ExperimentConfig:
     def to_text(self) -> str:
         out = io.StringIO()
         current = None
-        for section, key, name, kind in _SCHEMA:
+        for (section, key), f in _BY_KEY.items():
             if section != current:
-                if current is not None:
-                    out.write("\n")
-                out.write(f"[{section}]\n")
+                out.write(f"\n[{section}]\n")
                 current = section
-            value = getattr(self, name)
-            if kind == "int_list":
-                text = ",".join(str(v) for v in value)
-            elif kind is float:
-                text = repr(float(value))
-            else:
-                text = str(value)
+            text = _FORMATS.get(f.type, str)(getattr(self, f.name))
             out.write(f"{key} = {text}\n")
-        return out.getvalue()
+        return out.getvalue()[1:]  # no blank line before the first section
 
     def save(self, path):
         with open(path, "w") as fh:
             fh.write(self.to_text())
 
 
-def _coerce(kind, raw, where):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "int_list":
-            return tuple(int(part) for part in raw.split(","))
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {where}: {raw!r}") from exc
+# (section, key) -> field, in declaration order
+_BY_KEY = {(f.metadata["section"], f.metadata["key"] or f.name): f
+           for f in fields(ExperimentConfig)}
+_SECTIONS = {section for section, _ in _BY_KEY}
+# text <-> value, by the field's annotation
+_PARSERS = {"str": str, "int": int, "float": float,
+            "tuple": lambda raw: tuple(int(part) for part in raw.split(","))}
+_FORMATS = {"float": lambda value: repr(float(value)),
+            "tuple": lambda value: ",".join(str(v) for v in value)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -227,17 +195,19 @@ def parse_config(text: str) -> ExperimentConfig:
     if parser.defaults():
         raise ConfigError("top-level keys are not allowed; use sections")
 
-    known = {(s, k): (name, kind) for s, k, name, kind in _SCHEMA}
-    sections = {s for s, _, _, _ in _SCHEMA}
     values = {}
     for section in parser.sections():
-        if section not in sections:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) not in known:
+            f = _BY_KEY.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            name, kind = known[(section, key)]
-            values[name] = _coerce(kind, raw, f"[{section}] {key}")
+            try:
+                values[f.name] = _PARSERS[f.type](raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for [{section}] {key}: {raw!r}") from exc
     return ExperimentConfig(**values)
 
 
@@ -247,12 +217,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """New config with the given dataclass fields replaced, re-validated."""
-    current = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in current:
+    """New config with the given dataclass fields replaced, re-validated;
+    a None value leaves its field as it is."""
+    changes = {key: value for key, value in overrides.items()
+               if value is not None}
+    for key in changes:
+        if key not in cfg.__dataclass_fields__:
             raise ConfigError(f"unknown configuration field {key!r}")
-        current[key] = value
-    return ExperimentConfig(**current)
+    return replace(cfg, **changes)

@@ -4,9 +4,9 @@ The integrator is classical fixed-step RK4 with exact event splitting:
 integration segments never straddle an input switch time, so hold semantics
 are preserved to the bit. The plant has three states, like the Chua circuit
 (cubic nonlinearity) that is the paper's plant; states and inputs are tuples
-of Python floats, far cheaper than numpy for a 3-vector, and the one RK4
-step writes each stage out per component. The circuit's parameters are
-known only to the simulator, never to the learner.
+of Python floats, and the one RK4 step writes each stage out per
+component. The circuit's parameters are known only to the simulator, never
+to the learner.
 """
 
 from __future__ import annotations

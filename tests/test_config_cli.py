@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,53 @@ def test_config_text_roundtrip():
     assert again.to_text() == cfg.to_text()
 
 
+def test_default_snapshot_bytes_are_pinned():
+    text = ExperimentConfig().to_text().encode()
+    assert len(text) == 623
+    assert hashlib.sha256(text).hexdigest() == (
+        "eafc731ab5e1177c21c2c8d62782fcd8e3e964a2306e6692c2ee5af8408cbb5d")
+
+
+def test_every_setting_roundtrips_under_its_own_key():
+    """Each field at a valid value other than its default, so a key read
+    into the wrong field cannot pass. `plant_name` has one valid value."""
+    cfg = ExperimentConfig(
+        p1=9.5, p2=14.0, delta=0.125, horizon=2.0, substep=2.0 ** -6,
+        init_box=3.0, delay_distribution="grid", sc_min=0.125, sc_max=0.25,
+        cp_min=0.0, cp_max=0.375, sc_bound_steps=3, cp_bound_steps=5,
+        hidden=(16, 8, 4), tanh_weight=2.5, output_history_len=2, episodes=7,
+        gamma=0.95, soft_update_rate=0.01, batch_size=16, update_iters=3,
+        update_period=2, learning_rate=1e-4, replay_capacity=5000, warmup=32,
+        divergence_penalty=-500.0, checkpoint_every=3, ou_theta=0.3,
+        ou_sigma=0.1, noise_scale=2.0, noise_decay_start=4,
+        noise_scale_final=0.1, seed=11)
+    default = ExperimentConfig()
+    changed = [f.name for f in dataclasses.fields(cfg)
+               if getattr(cfg, f.name) != getattr(default, f.name)]
+    assert len(changed) == len(dataclasses.fields(cfg)) - 1 == 33
+    text = cfg.to_text()
+    assert parse_config(text) == cfg
+    pairs, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line
+        elif line:
+            pairs.append((section, line.split(" = ")[0]))
+    assert len(set(pairs)) == len(pairs) == 34
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "be52cfaa39404715a837fc9e069f208397b06d2a1f3e01dfdb87a3cd57bf4e68")
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.hidden == (64, 64)
+    assert cfg.episodes == 300
+    assert cfg.learning_rate == 0.00025
+
+
 def test_partial_config_overrides_defaults():
     cfg = parse_config(SMALL_CONFIG)
     assert cfg.horizon == 1.0
@@ -107,6 +155,9 @@ def test_bad_value_is_hard_error():
 def test_invalid_combinations_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig(horizon=1.01)  # not a whole number of periods
+    for horizon, delta in ((1e308, 2.0 ** -4), (12.0, 1e-320)):
+        with pytest.raises(ConfigError, match="whole number"):  # overflows
+            ExperimentConfig(horizon=horizon, delta=delta)
     with pytest.raises(ConfigError):
         ExperimentConfig(sc_max=10.0)  # beyond declared bound
     with pytest.raises(ConfigError):
@@ -137,6 +188,15 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(update_period=0)
     with pytest.raises(ConfigError, match="update cadence"):
         ExperimentConfig(update_iters=-1)
+    for lr in (-1.0, 0.0, float("nan")):  # Adam would climb the loss
+        with pytest.raises(ConfigError, match="learning"):
+            ExperimentConfig(learning_rate=lr)
+    for name, value in (("tanh_weight", float("nan")), ("p1", float("nan")),
+                        ("init_box", float("nan")),
+                        ("noise_scale", float("nan")),
+                        ("divergence_penalty", float("-inf"))):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ExperimentConfig(**{name: value})
 
 
 def test_config_is_frozen():
@@ -256,9 +316,12 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     ("[noise]\nsigma = -0.2", [], "theta and sigma"),
     ("", ["--seed", "-1"], "seed"),
     ("[run]\nseed = -1", [], "seed"),
+    ("lr = -1.0", [], "learning rate"),
+    ("[noise]\nscale = nan", [], "noise_scale must be finite"),
 ], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes",
         "negative_checkpoint_every", "negative_noise_theta",
-        "negative_noise_sigma", "negative_seed_flag", "negative_seed_key"])
+        "negative_noise_sigma", "negative_seed_flag", "negative_seed_key",
+        "negative_learning_rate", "nan_noise_scale"])
 def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
                                              reason):
     cfg_path = tmp_path / "exp.txt"
@@ -267,6 +330,26 @@ def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
                                              line + "\n"))
     out = tmp_path / "run"
     code = main(["train", "--config", str(cfg_path), "--out", str(out), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("after, line, reason", [
+    ("horizon = 1.0", "p1 = -1", "circuit parameters must be positive"),
+    ("horizon = 1.0", "p1 = nan", "p1 must be finite"),
+    ("horizon = 1.0", "init_box = nan", "init_box must be finite"),
+    ("hidden = 8,8", "tanh_weight = nan", "tanh_weight must be finite"),
+], ids=["negative_p1", "nan_p1", "nan_init_box", "nan_tanh_weight"])
+def test_train_rejects_bad_plant_and_network_settings(tmp_path, capsys, after,
+                                                      line, reason):
+    cfg_path = tmp_path / "exp.txt"
+    # the line joins the section that already holds `after`
+    cfg_path.write_text(SMALL_CONFIG.replace(after + "\n",
+                                             f"{after}\n{line}\n"))
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
