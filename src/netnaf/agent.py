@@ -171,13 +171,13 @@ class OrnsteinUhlenbeck:
         return self.state.copy()
 
 
-def noise_scale(cfg, episode: int, total_episodes: int) -> float:
+def noise_scale(cfg, episode: int) -> float:
     """Full cfg.noise_scale through cfg.noise_decay_start, then linear decay
-    to cfg.noise_scale_final at the final episode."""
+    to cfg.noise_scale_final at the final episode, cfg.episodes."""
     start, scale = cfg.noise_decay_start, cfg.noise_scale
-    if episode <= start or total_episodes <= start:
+    if episode <= start or cfg.episodes <= start:
         return float(scale)
-    frac = (episode - start) / (total_episodes - start)
+    frac = (episode - start) / (cfg.episodes - start)
     return scale + (cfg.noise_scale_final - scale) * frac
 
 
@@ -295,7 +295,10 @@ class EpisodeResult:
         return self.diverged_at is not None
 
     def reward_sum_from(self, start: int = METRIC_START) -> float:
+        # a divergence penalty (the last reward) counts even before `start`;
         # Python's sequential sum: np.sum is pairwise, with other last bits
+        if self.diverged:
+            start = min(start, len(self.rewards) - 1)
         return float(sum(self.rewards[start:]))
 
 
@@ -431,8 +434,7 @@ class Trainer:
         p = setup.sensor.output_dim
         m = setup.plant.input_dim
         dim = extended_state_dim(p, m, cfg.max_delay_steps, cfg.output_history_len)
-        root = np.random.SeedSequence(cfg.seed)
-        net_ss, sample_ss, self._episode_root = root.spawn(3)
+        net_ss, sample_ss = np.random.SeedSequence(cfg.seed).spawn(2)
         net_seed = int(net_ss.generate_state(1)[0])
         self.net = init_network([dim, *cfg.hidden], m, cfg.tanh_weight, net_seed)
         self.target = self.net.copy()
@@ -468,10 +470,12 @@ class Trainer:
 
     def run_training_episode(self, episode: int) -> tuple[TrainRow, EpisodeResult]:
         s = self.settings
-        ep_rng = np.random.default_rng(self._episode_root.spawn(1)[0])
+        # the seed's third child stream, split once per episode by its index
+        ep_rng = np.random.default_rng(
+            np.random.SeedSequence(s.seed, spawn_key=(2, episode - 1)))
         x0 = ep_rng.uniform(-s.init_box, s.init_box,
                             size=self.setup.plant.state_dim)
-        scale = noise_scale(s, episode, s.episodes)
+        scale = noise_scale(s, episode)
         self._episode_losses = []
         result = run_episode(self.net, self.setup, s, x0=x0, rng=ep_rng,
                              noise=self.noise, noise_scale_value=scale,
@@ -481,14 +485,15 @@ class Trainer:
         row = TrainRow(episode, result.reward_sum_from(), mean_loss, scale, 0.0)
         return row, result
 
-    def run(self, on_episode=None) -> list[TrainRow]:
-        """Train for the configured number of episodes; returns the curve."""
+    def episodes(self):
+        """Train for the configured number of episodes, yielding each one's
+        (row, result) as it finishes; `seconds_elapsed` counts from the
+        first episode's start. A `NumericsError` names its episode."""
         started = time.perf_counter()
-        rows = []
         for episode in range(1, self.settings.episodes + 1):
-            row, result = self.run_training_episode(episode)
+            try:
+                row, result = self.run_training_episode(episode)
+            except NumericsError as exc:
+                raise NumericsError(f"episode {episode}: {exc}") from exc
             row.seconds_elapsed = time.perf_counter() - started
-            rows.append(row)
-            if on_episode is not None:
-                on_episode(episode, row, result)
-        return rows
+            yield row, result

@@ -2,7 +2,9 @@
 
 Every training run directory holds the resolved configuration snapshot that
 produced it; feeding that snapshot back with the same seed reproduces the
-learning curve (wall-clock column aside).
+learning curve (wall-clock column aside). However a `train` run stops, the
+curve rows and checkpoints of its finished episodes stay; only a run that
+finishes writes final.nnc.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ def default_out_root() -> Path:
 
 
 def _write_csv(fh, header, rows):
-    """Rows of Python ints and floats to an open text file; csv writes a
-    float as its str, the shortest exact decimal, so the bytes are stable
-    across runs."""
+    """Rows of Python ints and floats, after a header if one is given, to an
+    open text file; csv writes a float as its str, the shortest exact
+    decimal, so the bytes are stable across runs."""
     writer = csv.writer(fh)
-    writer.writerow(header)
+    if header:
+        writer.writerow(header)
     writer.writerows(rows)
 
 
@@ -68,9 +71,10 @@ def _open_outputs(*paths):
             fh.close()
 
 
-def write_learning_curve(fh, rows):
-    """One row per episode, to an open text file."""
-    _write_csv(fh, LEARNING_CURVE_COLUMNS, map(astuple, rows))
+def write_learning_curve(fh, rows, header=True):
+    """One row per episode, to an open text file, after the column header
+    unless `header` is False."""
+    _write_csv(fh, header and LEARNING_CURVE_COLUMNS, map(astuple, rows))
 
 
 def _write_log(fh, samples, fields, header=None):
@@ -112,35 +116,25 @@ def cmd_train(args) -> int:
     cfg.save(out_dir / "config.txt")
 
     trainer = cfg.trainer()
-    rows = []  # the completed episodes, kept if a later one fails
-
-    def on_episode(episode, row, result):
-        rows.append(row)
-        if cfg.checkpoint_every and episode % cfg.checkpoint_every == 0:
-            save_checkpoint(ckpt_dir / f"ep{episode:06d}.nnc",
-                            trainer.net, trainer.adam)
-        if args.progress and episode % args.progress == 0:
-            print(f"episode {episode}/{cfg.episodes} "
-                  f"reward_sum={row.reward_sum:.2f} "
-                  f"loss={row.mean_loss:.4g} noise={row.noise_scale:.3f}",
-                  flush=True)
-
-    # an unwritable curve path fails here, before any episode runs; the
-    # final weights are saved before the curve, so a failed curve write
-    # cannot take them with it. A run stopped by non-finite numerics keeps
-    # the curve of its completed episodes and writes no final weights.
-    failure = None
-    with _open_outputs(out_dir / "learning_curve.csv") as (curve_fh,):
-        try:
-            trainer.run(on_episode=on_episode)
-        except NumericsError as exc:
-            # on_episode has seen every episode before the failing one
-            failure = NumericsError(f"episode {len(rows) + 1}: {exc}")
-        else:
-            save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
-        write_learning_curve(curve_fh, rows)
-    if failure is not None:
-        raise failure
+    # an unwritable curve path fails before any episode runs. The file is
+    # line-buffered, so the header and each row reach it as written: however
+    # the run stops (an error, Ctrl-C, a kill), the finished episodes' rows
+    # and due checkpoints stay. Only a finished run writes final.nnc.
+    with open(out_dir / "learning_curve.csv", "w", newline="",
+              buffering=1) as curve_fh:
+        write_learning_curve(curve_fh, [])
+        for row, _ in trainer.episodes():
+            write_learning_curve(curve_fh, [row], header=False)
+            episode = row.episode
+            if cfg.checkpoint_every and episode % cfg.checkpoint_every == 0:
+                save_checkpoint(ckpt_dir / f"ep{episode:06d}.nnc",
+                                trainer.net, trainer.adam)
+            if args.progress and episode % args.progress == 0:
+                print(f"episode {episode}/{cfg.episodes} "
+                      f"reward_sum={row.reward_sum:.2f} "
+                      f"loss={row.mean_loss:.4g} noise={row.noise_scale:.3f}",
+                      flush=True)
+    save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
     print(f"trained {cfg.episodes} episodes, artifacts in {out_dir}")
     return 0
 

@@ -216,8 +216,7 @@ def smoke_config(seed: int) -> ExperimentConfig:
 
 def run_smoke_seed(seed: int):
     trainer = smoke_config(seed).trainer()
-    rows = trainer.run()
-    return [row.reward_sum for row in rows]
+    return [row.reward_sum for row, _ in trainer.episodes()]
 
 
 @pytest.fixture(scope="module")
@@ -253,8 +252,7 @@ def test_criterion_9_full_configuration_optional():
         pytest.skip("long run disabled; set NETNAF_LONG=1 to enable")
     cfg = ExperimentConfig()
     trainer = cfg.trainer()
-    rows = trainer.run()
-    rewards = np.array([r.reward_sum for r in rows])
+    rewards = np.array([row.reward_sum for row, _ in trainer.episodes()])
     assert np.isfinite(rewards).all()
     assert np.median(rewards[-500:]) > np.median(rewards[:500])
     report(9, f"8500 episodes without numerics errors; median reward "

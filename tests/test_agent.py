@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -140,13 +142,13 @@ def test_ou_stationary_variance():
 
 
 def test_noise_schedule_full_then_decaying():
-    s = ExperimentConfig()
-    assert noise_scale(s, 500, 8500) == 3.5
-    assert noise_scale(s, 1000, 8500) == 3.5
-    assert noise_scale(s, 1001, 8500) < 3.5
-    assert np.isclose(noise_scale(s, 8500, 8500), 0.05)
+    s = dataclasses.replace(ExperimentConfig(), episodes=8500)
+    assert noise_scale(s, 500) == 3.5
+    assert noise_scale(s, 1000) == 3.5
+    assert noise_scale(s, 1001) < 3.5
+    assert np.isclose(noise_scale(s, 8500), 0.05)
     # runs shorter than the decay start never decay
-    assert noise_scale(s, 300, 300) == 3.5
+    assert noise_scale(dataclasses.replace(s, episodes=300), 300) == 3.5
 
 
 def test_ou_deterministic_under_seed():
@@ -515,6 +517,20 @@ def test_divergence_aborts_episode_with_penalty():
     assert len(mem) == len(result.rewards)
 
 
+def test_early_divergence_scores_its_penalty():
+    # the state leaves float range in the first sampling period, so the
+    # penalty is the only reward and falls before METRIC_START
+    settings = make_settings(steps_per_episode=60)
+    net = zero_weight_net(extended_state_dim(2, 1, 4, 4))
+    result = run_episode(net, chua_setup(), settings,
+                         x0=np.array([1e5, 0.0, 0.0]),
+                         rng=np.random.default_rng(0))
+    assert result.diverged
+    assert result.rewards == [-1000.0]
+    assert result.reward_sum_from() == -1000.0
+    assert result.reward_sum_from(0) == -1000.0
+
+
 def composed_transition_reward(w, u, w_next, weights, output_history_len):
     """The three penalty kernels over differences of the history blocks,
     with u stacked onto a copy of the input history."""
@@ -578,43 +594,63 @@ def tiny_trainer(seed=0, **kw):
     return Trainer(setup, make_settings(hidden=(8, 8), seed=seed, **kw))
 
 
+def curve(trainer):
+    """The rows of a trainer's whole run."""
+    return [row for row, _ in trainer.episodes()]
+
+
 def test_update_cadence_once_warm():
     # capacity for each episode: I * floor(K / period) blocks once replay warm
     tr = tiny_trainer(episodes=3, steps_per_episode=16, warmup=4,
                       update_iters=2, update_period=4, batch_size=4)
-    tr.run()
+    list(tr.episodes())
     assert tr.update_count == 3 * 2 * (16 // 4)
 
 
 def test_no_updates_before_warmup():
     tr = tiny_trainer(episodes=1, steps_per_episode=16, warmup=20,
                       update_iters=2, update_period=4, batch_size=4)
-    tr.run()
+    list(tr.episodes())
     assert tr.update_count == 0
     assert len(tr.replay) == 16
 
 
 def test_training_curves_identical_under_seed():
-    rows_a = tiny_trainer(seed=11, episodes=3).run()
-    rows_b = tiny_trainer(seed=11, episodes=3).run()
+    rows_a = curve(tiny_trainer(seed=11, episodes=3))
+    rows_b = curve(tiny_trainer(seed=11, episodes=3))
     assert [r.reward_sum for r in rows_a] == [r.reward_sum for r in rows_b]
     assert [r.mean_loss for r in rows_a] == [r.mean_loss for r in rows_b]
+    # the wall-clock column counts up from the first episode's start
+    elapsed = [r.seconds_elapsed for r in rows_a]
+    assert 0 < elapsed[0] <= elapsed[1] <= elapsed[2]
 
 
 def test_training_curves_differ_across_seeds():
-    rows_a = tiny_trainer(seed=1, episodes=2, steps_per_episode=60).run()
-    rows_b = tiny_trainer(seed=2, episodes=2, steps_per_episode=60).run()
+    rows_a = curve(tiny_trainer(seed=1, episodes=2, steps_per_episode=60))
+    rows_b = curve(tiny_trainer(seed=2, episodes=2, steps_per_episode=60))
     assert [r.reward_sum for r in rows_a] != [r.reward_sum for r in rows_b]
 
 
 def test_metric_sums_from_fiftieth_sample():
     tr = tiny_trainer(episodes=1, steps_per_episode=60)
-    rows = tr.run()
+    rows = curve(tr)
     assert rows[0].episode == 1
     # reconstruct the metric from a fresh identical run
     tr2 = tiny_trainer(episodes=1, steps_per_episode=60)
     row2, result = tr2.run_training_episode(1)
     assert row2.reward_sum == sum(result.rewards[METRIC_START:])
+
+
+def test_episode_stream_follows_the_episode_index():
+    # episode 3 draws its initial state and delays from the same stream
+    # whether or not episodes 1 and 2 ran before it on this trainer
+    straight = [result for _, result in
+                tiny_trainer(seed=4, episodes=3).episodes()]
+    _, alone = tiny_trainer(seed=4, episodes=3).run_training_episode(3)
+    first = alone.samples[0]
+    for name in ("x", "tau_sc", "tau_cp"):
+        assert np.array_equal(first[name], straight[2].samples[0][name])
+    assert not np.array_equal(first["x"], straight[0].samples[0]["x"])
 
 
 def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
@@ -636,9 +672,9 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     for name in ("trace", "target_trace"):
         assert tr.update_buffers[name].x.shape[0] == 3
     assert (tr.noise.theta, tr.noise.sigma) == (0.3, 0.05)
-    assert noise_scale(cfg, 2, 5) == 2.0
-    assert noise_scale(cfg, 4, 5) == 2.0 + (0.5 - 2.0) * (2 / 3)
-    assert noise_scale(cfg, 5, 5) == 0.5
+    assert noise_scale(cfg, 2) == 2.0
+    assert noise_scale(cfg, 4) == 2.0 + (0.5 - 2.0) * (2 / 3)
+    assert noise_scale(cfg, 5) == 0.5
 
     seen = {"gamma": set(), "rate": set()}
 
@@ -653,14 +689,13 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
 
     monkeypatch.setattr(agent, "batch_loss_and_grad", recording_loss)
     monkeypatch.setattr(agent, "soft_update", recording_soft_update)
-    rows = []
-    tr.run(on_episode=lambda ep, row, result: rows.append((row, result)))
+    rows = list(tr.episodes())
     assert seen == {"gamma": {0.9}, "rate": {0.01}}
     assert len(rows) == 5
     for episode, (row, result) in enumerate(rows, start=1):
         assert len(result.samples) == 13
         assert np.abs(result.samples["x"][0]).max() <= 1.5
-        assert row.noise_scale == noise_scale(cfg, episode, 5)
+        assert row.noise_scale == noise_scale(cfg, episode)
     # a block of 5 updates at every third instant once 6 transitions are
     # held: instants 6, 9 and 12 of episode 1, then 3, 6, 9 and 12
     assert tr.update_count == 5 * (3 + 4 * 4)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from netnaf import cli, nn
+from netnaf.agent import Trainer
 from netnaf.cli import main
 from netnaf.config import (ExperimentConfig, apply_overrides, load_config,
                            parse_config)
@@ -385,20 +386,83 @@ def test_train_unwritable_curve_fails_before_training(tmp_path, capsys):
     assert not (out / "final.nnc").exists()
 
 
-def test_train_failed_curve_write_keeps_final_weights(tmp_path, monkeypatch,
-                                                      capsys):
-    def full_disk(fh, rows):
-        raise OSError("No space left on device")
+def test_train_failed_curve_write_keeps_the_written_rows(tmp_path, monkeypatch,
+                                                         capsys):
+    write = cli.write_learning_curve
 
-    monkeypatch.setattr(cli, "write_learning_curve", full_disk)
+    def full_disk_at_episode_2(fh, rows, header=True):
+        if any(row.episode == 2 for row in rows):
+            raise OSError("No space left on device")
+        write(fh, rows, header)
+
+    monkeypatch.setattr(cli, "write_learning_curve", full_disk_at_episode_2)
     cfg_path = tmp_path / "exp.txt"
     cfg_path.write_text(SMALL_CONFIG)
     out = tmp_path / "run"
     code = main(["train", "--config", str(cfg_path), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
-    assert (out / "final.nnc").is_file()
-    assert not (out / "learning_curve.csv").exists()
+    rows = read_csv(out / "learning_curve.csv")
+    assert rows[0] == cli.LEARNING_CURVE_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["1"]
+    # episode 2's checkpoint is due only once its row is written
+    assert not any((out / "checkpoints").iterdir())
+    assert not (out / "final.nnc").exists()
+
+
+def test_train_interrupt_keeps_the_completed_episodes(tmp_path, monkeypatch):
+    run_training_episode = Trainer.run_training_episode
+
+    def interrupted_at_episode_3(trainer, episode):
+        if episode == 3:
+            raise KeyboardInterrupt
+        return run_training_episode(trainer, episode)
+
+    monkeypatch.setattr(Trainer, "run_training_episode",
+                        interrupted_at_episode_3)
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)  # a checkpoint every 2 episodes
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert (out / "config.txt").is_file()
+    rows = read_csv(out / "learning_curve.csv")
+    assert rows[0] == cli.LEARNING_CURVE_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    assert [p.name for p in (out / "checkpoints").iterdir()] == ["ep000002.nnc"]
+    assert not (out / "final.nnc").exists()
+
+
+def test_train_curve_holds_each_row_once_its_episode_ends(tmp_path,
+                                                          monkeypatch):
+    out = tmp_path / "run"
+    run_training_episode = Trainer.run_training_episode
+    on_disk = []
+
+    def reading_the_curve(trainer, episode):
+        on_disk.append(read_csv(out / "learning_curve.csv"))
+        return run_training_episode(trainer, episode)
+
+    monkeypatch.setattr(Trainer, "run_training_episode", reading_the_curve)
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 0
+    final = read_csv(out / "learning_curve.csv")
+    assert final[0] == cli.LEARNING_CURVE_COLUMNS
+    # while episode N runs, the file holds the header and N - 1 rows
+    assert on_disk == [final[:1], final[:2], final[:3]]
+
+
+def test_train_progress_prints_every_nth_episode(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    code = main(["train", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "run"), "--progress", "2"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    status = [line for line in lines if line.startswith("episode ")]
+    assert len(status) == 1 and status[0].startswith("episode 2/3 ")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
