@@ -101,55 +101,48 @@ class HistoryBuffer:
 
 
 class ReplayMemory:
-    """Bounded FIFO of transitions (w, u, r, w') kept as four arrays;
-    uniform sampling without replacement.
+    """Bounded FIFO of transitions, one float64 row each laid out as
+    [w | u | r | w']; uniform sampling without replacement.
 
-    Row i is the i-th push until the memory is full; then pushes overwrite
-    rows from 0 on. Rows are allocated by doubling, up to capacity.
+    Push n goes to row n % capacity: row i is the i-th push until the
+    memory is full, then pushes overwrite rows from 0 on. Rows are
+    allocated by doubling, up to capacity.
     """
 
     def __init__(self, capacity: int, state_dim: int, input_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.w = np.empty((1, state_dim))
-        self.u = np.empty((1, input_dim))
-        self.r = np.empty(1)
-        self.w_next = np.empty((1, state_dim))
-        self._len = 0
-        self._cursor = 0
+        self.state_dim = state_dim
+        self.input_dim = input_dim
+        self.rows = np.empty((1, 2 * state_dim + input_dim + 1))
+        self.pushes = 0
 
     def __len__(self):
-        return self._len
+        return min(self.pushes, self.capacity)
 
-    def _grow(self):
-        rows = min(2 * self.r.shape[0], self.capacity)
-        for name in ("w", "u", "r", "w_next"):
-            old = getattr(self, name)
-            new = np.empty((rows, *old.shape[1:]))
-            new[:old.shape[0]] = old
-            setattr(self, name, new)
+    def split(self, block):
+        """(w, u, r, w') views of a row or of a block of rows."""
+        s, m = self.state_dim, self.input_dim
+        return (block[..., :s], block[..., s:s + m], block[..., s + m],
+                block[..., s + m + 1:])
 
     def push(self, w, u, r: float, w_next):
-        if self._len < self.capacity:
-            i = self._len
-            if i == self.r.shape[0]:
-                self._grow()
-            self._len += 1
-        else:
-            i = self._cursor
-            self._cursor = (self._cursor + 1) % self.capacity
-        self.w[i] = w
-        self.u[i] = u
-        self.r[i] = r
-        self.w_next[i] = w_next
+        i = self.pushes % self.capacity
+        if i == self.rows.shape[0]:
+            grown = np.empty((min(2 * i, self.capacity), self.rows.shape[1]))
+            grown[:i] = self.rows
+            self.rows = grown
+        for column, value in zip(self.split(self.rows[i]), (w, u, r, w_next)):
+            column[...] = value
+        self.pushes += 1
 
     def sample(self, rng: np.random.Generator, n: int):
-        """(w, u, r, w') rows of n distinct transitions, as copies."""
-        if n > self._len:
-            raise ValueError(f"cannot sample {n} of {self._len} transitions")
-        idx = rng.choice(self._len, size=n, replace=False)
-        return self.w[idx], self.u[idx], self.r[idx], self.w_next[idx]
+        """(w, u, r, w') of n distinct transitions, as views of one gathered
+        copy of their rows."""
+        if n > len(self):
+            raise ValueError(f"cannot sample {n} of {len(self)} transitions")
+        return self.split(self.rows[rng.choice(len(self), size=n, replace=False)])
 
 
 class OrnsteinUhlenbeck:
@@ -449,24 +442,24 @@ class Trainer:
         self.replay = ReplayMemory(cfg.replay_capacity, dim, m)
         self.noise = OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma)
         self._sample_rng = np.random.default_rng(sample_ss)
-        self.update_count = 0
-        self._episode_losses: list[float] = []
 
-    def _update_block(self):
+    @property
+    def update_count(self) -> int:
+        """Updates made so far: each makes exactly one Adam step."""
+        return self.adam.step
+
+    def _update_block(self) -> list[float]:
+        """update_iters updates; returns their losses."""
         s = self.settings
+        losses = []
         for _ in range(s.update_iters):
             batch = self.replay.sample(self._sample_rng, s.batch_size)
             loss, grad = batch_loss_and_grad(self.net, self.target, batch,
                                              s.gamma, **self.update_buffers)
             adam_step(self.net.params, grad, self.adam)
             soft_update(self.target.params, self.net.params, s.soft_update_rate)
-            self._episode_losses.append(loss)
-            self.update_count += 1
-
-    def _on_step(self, k: int):
-        s = self.settings
-        if k > 0 and k % s.update_period == 0 and len(self.replay) >= s.warmup:
-            self._update_block()
+            losses.append(loss)
+        return losses
 
     def run_training_episode(self, episode: int) -> tuple[TrainRow, EpisodeResult]:
         s = self.settings
@@ -476,11 +469,15 @@ class Trainer:
         x0 = ep_rng.uniform(-s.init_box, s.init_box,
                             size=self.setup.plant.state_dim)
         scale = noise_scale(s, episode)
-        self._episode_losses = []
+        losses = []
+
+        def on_step(k):
+            if k > 0 and k % s.update_period == 0 and len(self.replay) >= s.warmup:
+                losses.extend(self._update_block())
+
         result = run_episode(self.net, self.setup, s, x0=x0, rng=ep_rng,
                              noise=self.noise, noise_scale_value=scale,
-                             replay=self.replay, on_step=self._on_step)
-        losses = self._episode_losses
+                             replay=self.replay, on_step=on_step)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         row = TrainRow(episode, result.reward_sum_from(), mean_loss, scale, 0.0)
         return row, result

@@ -113,6 +113,11 @@ def cmd_train(args) -> int:
         default_out_root() / f"train-seed{cfg.seed}")
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
+    # an older run's checkpoints here would pass for this run's; only the
+    # names train writes are removed, nothing else in the directory
+    older = ckpt_dir.glob("ep[0-9][0-9][0-9][0-9][0-9][0-9].nnc")
+    for path in [out_dir / "final.nnc", *older]:
+        path.unlink(missing_ok=True)
     cfg.save(out_dir / "config.txt")
 
     trainer = cfg.trainer()

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,8 @@ from .errors import CheckpointFormatError, DimensionError, NumericsError
 _MAGIC = b"NNAFCKP1"
 _VERSION = 1
 _F8 = np.dtype("<f8")
+# the checkpoint header's Adam entry: these AdamState fields, no others
+_ADAM_KEYS = ("step", "lr", "beta1", "beta2", "eps")
 
 
 def _layer_shapes(widths, m):
@@ -290,6 +293,16 @@ class AdamState:
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # comparisons, not math.isfinite: they reject NaN and an int too
+        # large for a float; a value that is not a number raises TypeError
+        big = sys.float_info.max
+        if not (type(self.step) is int and self.step >= 0
+                and 0 < self.lr <= big and 0 < self.eps <= big
+                and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(
+                "Adam needs an int step >= 0, finite lr and eps > 0 and betas "
+                f"in [0, 1); got step {self.step!r}, lr {self.lr!r}, beta1 "
+                f"{self.beta1!r}, beta2 {self.beta2!r}, eps {self.eps!r}")
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
@@ -373,8 +386,7 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
     and removes the temporary file.
     """
     header = _header(net)
-    header["adam"] = {"step": adam.step, "lr": adam.lr, "beta1": adam.beta1,
-                      "beta2": adam.beta2, "eps": adam.eps}
+    header["adam"] = {key: getattr(adam, key) for key in _ADAM_KEYS}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     if adam.m.shape != net.params.shape:
         raise DimensionError("optimizer state does not match network size")
@@ -440,8 +452,9 @@ def load_checkpoint(path):
         net = MlpNetwork(widths, header["action_dim"],
                          header["heads"]["action"]["tanh_weight"], block[:total])
         a = header.pop("adam")
-        adam = AdamState(block[total:2 * total], block[2 * total:], a["step"],
-                         a["lr"], a["beta1"], a["beta2"], a["eps"])
+        if set(a) != set(_ADAM_KEYS):
+            raise ValueError(f"Adam entry {a!r} does not hold {_ADAM_KEYS}")
+        adam = AdamState(block[total:2 * total], block[2 * total:], **a)
     except (LookupError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
         raise CheckpointFormatError(f"malformed header: {exc!r}") from exc
     if header != _header(net):

@@ -301,7 +301,8 @@ def push_numbered(mem, count, start=0):
 def test_replay_evicts_oldest_first():
     mem = ReplayMemory(10, 22, 1)
     push_numbered(mem, 14)
-    assert set(mem.r[:len(mem)]) == set(range(4, 14))
+    _, _, r, _ = mem.split(mem.rows[:len(mem)])
+    assert set(r) == set(range(4, 14))
     assert len(mem) == 10
 
 
@@ -321,10 +322,11 @@ def test_replay_slots_across_growth_and_wraparound():
         if i in (0, 1, 2, 511, 512, 999, 1000, 1733, 2499):
             n = len(mem)
             assert n == len(reference)
-            assert np.array_equal(mem.r[:n], reference)
-            assert np.array_equal(mem.w[:n], np.repeat(reference, 22).reshape(n, 22))
-            assert np.array_equal(mem.u[:n, 0], reference)
-            assert np.array_equal(mem.w_next[:n, 0], -np.array(reference))
+            w, u, r, w_next = mem.split(mem.rows[:n])
+            assert np.array_equal(r, reference)
+            assert np.array_equal(w, np.repeat(reference, 22).reshape(n, 22))
+            assert np.array_equal(u[:, 0], reference)
+            assert np.array_equal(w_next[:, 0], -np.array(reference))
     w, u, r, w_next = mem.sample(np.random.default_rng(9), 128)
     expected = np.array(reference)[
         np.random.default_rng(9).choice(capacity, size=128, replace=False)]
@@ -336,9 +338,28 @@ def test_replay_grows_by_doubling_up_to_capacity():
     mem = ReplayMemory(1000, 22, 1)
     for n in range(1, 2501):
         push_numbered(mem, 1, start=n)
-        for rows in (mem.w, mem.u, mem.r, mem.w_next):
-            assert rows.shape[0] <= min(1000, 2 * len(mem))
-    assert all(a.shape[0] == 1000 for a in (mem.w, mem.u, mem.r, mem.w_next))
+        assert mem.rows.shape[0] <= min(1000, 2 * len(mem))
+    assert mem.rows.shape[0] == 1000
+
+
+def test_replay_rows_are_w_u_r_w_next_of_their_push():
+    # push n owns row n % capacity; the table doubles 1, 2, 4, 8 then 10
+    mem = ReplayMemory(10, 3, 2)
+    rng = np.random.default_rng(8)
+    pushed = []
+    for n in range(27):
+        transition = (rng.normal(size=3), rng.normal(size=2), rng.normal(),
+                      rng.normal(size=3))
+        mem.push(*transition)
+        pushed.append(np.concatenate([transition[0], transition[1],
+                                      [transition[2]], transition[3]]))
+        if n in (0, 1, 4, 9, 10, 17, 26):
+            assert mem.pushes == n + 1 and len(mem) == min(n + 1, 10)
+            for i in range(len(mem)):
+                owner = max(p for p in range(n + 1) if p % 10 == i)
+                assert np.array_equal(mem.rows[i], pushed[owner])
+    w, u, r, w_next = mem.split(mem.rows[3])
+    assert (w.shape, u.shape, r.shape, w_next.shape) == ((3,), (2,), (), (3,))
 
 
 def test_replay_samples_are_copies():
@@ -459,13 +480,14 @@ def test_transition_alignment():
                          noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=1.0,
                          replay=mem)
     assert len(mem) == 20
-    assert np.array_equal(mem.r[:20], result.rewards)
+    ws, us, rs, w_nexts = mem.split(mem.rows[:20])
+    assert np.array_equal(rs, result.rewards)
     for i in range(20):
-        w, u, r, w_next = mem.w[i], mem.u[i], mem.r[i], mem.w_next[i]
+        w, u, r, w_next = ws[i], us[i], rs[i], w_nexts[i]
         assert np.array_equal(blocks(w_next)[1][0], u)
         # w' of one transition is w of the next
         if i < 19:
-            assert np.array_equal(w_next, mem.w[i + 1])
+            assert np.array_equal(w_next, ws[i + 1])
         # reward recomputes exactly from (w, u, w')
         assert r == transition_reward(w, u, w_next, setup.reward_weights,
                                       settings.output_history_len)
@@ -511,9 +533,9 @@ def test_divergence_aborts_episode_with_penalty():
     assert np.array_equal(log["k"], np.arange(len(result.rewards)))
     assert log["t"][-1] < result.diverged_at
     assert np.isfinite(log["x"]).all()
-    last = len(mem) - 1
-    assert mem.r[last] == -1234.0
-    assert np.array_equal(mem.w[last], mem.w_next[last])
+    w, _, r, w_next = mem.split(mem.rows[len(mem) - 1])
+    assert r == -1234.0
+    assert np.array_equal(w, w_next)
     assert len(mem) == len(result.rewards)
 
 
@@ -605,6 +627,7 @@ def test_update_cadence_once_warm():
                       update_iters=2, update_period=4, batch_size=4)
     list(tr.episodes())
     assert tr.update_count == 3 * 2 * (16 // 4)
+    assert tr.update_count == tr.adam.step
 
 
 def test_no_updates_before_warmup():
@@ -651,6 +674,48 @@ def test_episode_stream_follows_the_episode_index():
     for name in ("x", "tau_sc", "tau_cp"):
         assert np.array_equal(first[name], straight[2].samples[0][name])
     assert not np.array_equal(first["x"], straight[0].samples[0]["x"])
+
+
+def curve_values(rows):
+    """Curve rows minus the wall clock, as an array for NaN-aware compares."""
+    return np.array([(r.episode, r.reward_sum, r.mean_loss, r.noise_scale)
+                     for r in rows])
+
+
+@pytest.mark.parametrize("stop", [1, 3, 9],
+                         ids=["before_warmup", "after_wrap", "long_after_wrap"])
+def test_training_continues_from_the_state_a_snapshot_would_hold(stop):
+    # a trainer that gets only the networks, Adam, the replay's filled rows
+    # and push count and the minibatch stream of another, after `stop`
+    # episodes, continues that run exactly: the OU state is reset every
+    # episode, each episode's stream comes from its index, and the update
+    # count is Adam's step
+    kw = dict(seed=6, episodes=12, steps_per_episode=16, warmup=20,
+              replay_capacity=40)
+    straight = tiny_trainer(**kw)
+    expected = curve_values(curve(straight))
+
+    first = tiny_trainer(**kw)
+    rows = [first.run_training_episode(e)[0] for e in range(1, stop + 1)]
+    assert (len(first.replay) < 20) == (stop == 1)
+    assert (first.replay.pushes > 40) == (stop > 1)
+    second = tiny_trainer(**kw)
+    second.net.params[:] = first.net.params
+    second.target.params[:] = first.target.params
+    for name in ("m", "v"):
+        getattr(second.adam, name)[:] = getattr(first.adam, name)
+    second.adam.step = first.adam.step
+    second.replay.rows = first.replay.rows[:len(first.replay)].copy()
+    second.replay.pushes = first.replay.pushes
+    second._sample_rng.bit_generator.state = first._sample_rng.bit_generator.state
+    rows += [second.run_training_episode(e)[0] for e in range(stop + 1, 13)]
+
+    np.testing.assert_array_equal(curve_values(rows), expected)
+    assert np.array_equal(second.net.params, straight.net.params)
+    assert np.array_equal(second.target.params, straight.target.params)
+    assert np.array_equal(second.adam.m, straight.adam.m)
+    assert np.array_equal(second.adam.v, straight.adam.v)
+    assert second.update_count == straight.update_count > 0
 
 
 def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
@@ -700,5 +765,6 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     # held: instants 6, 9 and 12 of episode 1, then 3, 6, 9 and 12
     assert tr.update_count == 5 * (3 + 4 * 4)
     before = tr.update_count
-    tr._update_block()
-    assert tr.update_count - before == 5
+    losses = tr._update_block()
+    assert len(losses) == 5 and tr.update_count - before == 5
+    assert tr.update_count == tr.adam.step

@@ -433,6 +433,39 @@ def test_train_interrupt_keeps_the_completed_episodes(tmp_path, monkeypatch):
     assert not (out / "final.nnc").exists()
 
 
+def test_train_removes_an_older_runs_checkpoints(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG.replace("checkpoint_every = 2",
+                                             "checkpoint_every = 1"))
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(cfg_path), "--out", str(out)]
+    assert main([*argv, "--seed", "0"]) == 0
+    assert (out / "final.nnc").is_file()
+    keep = [out / "notes.txt", out / "checkpoints" / "ep1.nnc",
+            out / "checkpoints" / "final.nnc"]
+    for path in keep:
+        path.write_text("not written by train")
+
+    run_training_episode = Trainer.run_training_episode
+
+    def interrupted_at_episode_2(trainer, episode):
+        if episode == 2:
+            raise KeyboardInterrupt
+        return run_training_episode(trainer, episode)
+
+    monkeypatch.setattr(Trainer, "run_training_episode",
+                        interrupted_at_episode_2)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--seed", "9"])
+    assert "seed = 9" in (out / "config.txt").read_text()
+    assert [row[0] for row in read_csv(out / "learning_curve.csv")[1:]] == ["1"]
+    assert not (out / "final.nnc").exists()
+    assert sorted(p.name for p in (out / "checkpoints").glob("ep??????.nnc")) \
+        == ["ep000001.nnc"]
+    # only the names train writes are removed
+    assert all(path.read_text() == "not written by train" for path in keep)
+
+
 def test_train_curve_holds_each_row_once_its_episode_ends(tmp_path,
                                                           monkeypatch):
     out = tmp_path / "run"

@@ -647,7 +647,16 @@ def _set(*keys, value):
     return edit
 
 
-# the last five are headers this program would not write for any network
+def _adam(**entry):
+    """A header edit that replaces the Adam entry's values given."""
+    def edit(header):
+        header["adam"].update(entry)
+        return header
+    return edit
+
+
+# five headers this program would not write for any network, then Adam
+# entries no AdamState holds
 @pytest.mark.parametrize("edit", [
     _set("trunk", 0, "in", value=None),
     _set("heads", "value", "activation", value=None),
@@ -657,11 +666,46 @@ def _set(*keys, value):
     _set("layout", 2, 1, value=47),
     _set("heads", "action", "tanh_weight", value=None),
     _set("heads", "action", "tanh_weight", value=0),
+    _adam(step=-7, lr="fast", beta1=None, beta2=5, eps=-1),
+    _adam(step=-7),
+    _adam(step=True),
+    _adam(step=2.0),
+    _adam(lr="fast"),
+    _adam(lr=0.0),
+    _adam(lr=float("nan")),
+    _adam(lr=float("inf")),
+    _adam(lr=10 ** 400),
+    _adam(eps=-1),
+    _adam(beta1=None),
+    _adam(beta1=1.0),
+    _adam(beta2=5),
+    _adam(beta2=-0.1),
+    _set("adam", "eps", value=None),
+    _adam(momentum=0.5),
+    _set("adam", value=[1, 2]),
 ], ids=["missing_in", "missing_activation", "list", "linear_trunk",
-        "relu_action_head", "layout_offset", "no_tanh_weight", "zero_tanh_weight"])
+        "relu_action_head", "layout_offset", "no_tanh_weight", "zero_tanh_weight",
+        "adam_all_bad", "adam_negative_step", "adam_bool_step", "adam_float_step",
+        "adam_text_lr", "adam_zero_lr", "adam_nan_lr", "adam_inf_lr",
+        "adam_huge_lr", "adam_negative_eps", "adam_null_beta1", "adam_beta1_one",
+        "adam_beta2_five", "adam_negative_beta2", "adam_no_eps",
+        "adam_extra_key", "adam_list"])
 def test_checkpoint_malformed_header(tmp_path, edit):
     with pytest.raises(CheckpointFormatError):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(step=-1), dict(step=True), dict(lr=0.0), dict(lr=float("nan")),
+    dict(eps=0.0), dict(beta1=1.0), dict(beta2=-0.5)])
+def test_adam_state_rejects_bad_hyperparameters(kw):
+    with pytest.raises(ValueError, match="Adam needs"):
+        nn.AdamState(np.zeros(3), np.zeros(3), **{"step": 0, "lr": 1e-3, **kw})
+
+
+def test_fresh_adam_state_checks_its_lr():
+    with pytest.raises(ValueError, match="Adam needs"):
+        nn.AdamState.fresh(3, lr=-1e-3)
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
