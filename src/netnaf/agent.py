@@ -4,8 +4,8 @@ The controller never sees the plant state. It works on an extended state:
 the newest outputs (one more than the configured output history length) and
 the inputs it issued over the worst-case delay window plus that history.
 Episodes run on the sensor's sampling grid; payload timing goes through the
-two delay channels, and the plant is integrated between samples with input
-switches applied exactly where the delayed actuation lands.
+two delay channels, and the plant is integrated between samples over the
+controller-to-plant channel's arrivals, each applied exactly where it lands.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
                  forward, init_network, soft_update)
-from .plant import InputSchedule, PlantModel, SensorMap, integrate, sense
+from .plant import PlantModel, SensorMap, integrate, sense
 from .reward import (RewardWeights, change_penalty, input_steps_penalty,
                      output_steps_penalty, total_reward)
 
@@ -340,12 +340,10 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
         t_k = k * delta
 
         arrivals = cp_channel.poll(t_k)
-        held_before = actuator.held
-        fragment = actuator.apply(arrivals)
         if t_k > t_plant:
             try:
-                x = integrate(plant, x, InputSchedule(held_before, fragment),
-                              t_plant, t_k, setup.substep)
+                x = integrate(plant, x, actuator.held, t_plant, t_k,
+                              setup.substep, arrivals)
             except DivergenceError as err:
                 result.diverged_at = err.time
                 if w_prev is not None and u_prev is not None:
@@ -355,6 +353,7 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
                         replay.push(w_prev, u_prev, r, w_prev)
                 break
             t_plant = t_k
+        actuator.apply(arrivals)
 
         y_k = sense(x, sensor)
         sc_delay = sample_delay(setup.delays, SC, rng)

@@ -108,6 +108,9 @@ def cmd_train(args) -> int:
         raise ConfigError("--progress must be >= 0")
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = apply_overrides(cfg, seed=args.seed, episodes=args.episodes)
+    # a config that cannot be built (one too large for memory, say) fails
+    # before the run directory exists
+    trainer = cfg.trainer()
 
     out_dir = Path(args.out) if args.out else (
         default_out_root() / f"train-seed{cfg.seed}")
@@ -120,7 +123,6 @@ def cmd_train(args) -> int:
         path.unlink(missing_ok=True)
     cfg.save(out_dir / "config.txt")
 
-    trainer = cfg.trainer()
     # an unwritable curve path fails before any episode runs. The file is
     # line-buffered, so the header and each row reach it as written: however
     # the run stops (an error, Ctrl-C, a kill), the finished episodes' rows
@@ -266,8 +268,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CheckpointFormatError, DimensionError, NumericsError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,9 @@ bounded random delays. Physical networks can deliver out of order when iid
 delays overlap; here arrival times are clamped to be nondecreasing, which
 realizes in-order delivery as an explicit mechanism instead of an unchecked
 assumption. The worst-case end-to-end delay, in sampling periods, is the
-pair of known bounds a + b.
+pair of known bounds a + b. The actuator holds the newest input it has
+received; `plant.integrate`, given the same arrivals, resolves ties between
+them.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class DelayedChannel:
         if delay < 0:
             raise ValueError("delay must be nonnegative")
         arrival = max(t_send + delay, self.last_arrival)
-        self._queue.append((t_send, arrival, payload))
+        self._queue.append((arrival, payload))
         self.last_send = t_send
         self.last_arrival = arrival
         return arrival
@@ -118,35 +120,24 @@ class DelayedChannel:
             raise ValueError(f"poll time {t} precedes previous poll {self._last_poll}")
         self._last_poll = t
         out = []
-        while self._queue and self._queue[0][1] <= t:
-            _, arrival, payload = self._queue.popleft()
-            out.append((arrival, payload))
+        while self._queue and self._queue[0][0] <= t:
+            out.append(self._queue.popleft())
         return out
 
 
 class Actuator:
-    """Digital-to-analog side: holds the last received input (zero before
-    any arrival) and turns arrivals into input switch events."""
+    """Digital-to-analog side: holds the newest received input (zero before
+    any arrival), which the episode log records."""
 
     def __init__(self, input_dim: int):
         self.held = np.zeros(input_dim)
         self.last_arrival = -np.inf
 
-    def apply(self, arrivals) -> list:
-        """Consume (time, input) arrivals; returns the switch fragment.
-
-        Clamping can land several arrivals on one instant; the fragment
-        keeps only the last of them (later sends win ties).
-        """
-        fragment = []
+    def apply(self, arrivals) -> None:
+        """Consume (time, input) arrivals in arrival order; the newest input
+        is held from then on."""
         for when, value in arrivals:
             if when < self.last_arrival:
                 raise ValueError("actuation arrivals must be nondecreasing in time")
             self.last_arrival = when
-            value = np.atleast_1d(np.asarray(value, dtype=float))
-            self.held = value
-            if fragment and fragment[-1][0] == when:
-                fragment[-1] = (when, value)
-            else:
-                fragment.append((when, value))
-        return fragment
+            self.held = np.atleast_1d(np.asarray(value, dtype=float))

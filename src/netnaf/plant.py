@@ -2,7 +2,9 @@
 
 The integrator is classical fixed-step RK4 with exact event splitting:
 integration segments never straddle an input switch time, so hold semantics
-are preserved to the bit. The plant has three states, like the Chua circuit
+are preserved to the bit. The switches are the delayed inputs exactly as
+the controller-to-plant channel releases them; `integrate` alone decides
+which of them holds when. The plant has three states, like the Chua circuit
 (cubic nonlinearity) that is the paper's plant; states and inputs are tuples
 of Python floats, and the one RK4 step writes each stage out per
 component. The circuit's parameters are known only to the simulator, never
@@ -12,7 +14,7 @@ to the learner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -88,21 +90,6 @@ def sense(x: np.ndarray, sensor: SensorMap) -> np.ndarray:
     return sensor.matrix @ x
 
 
-@dataclass
-class InputSchedule:
-    """Piecewise-constant input: `initial` until the first switch, then each
-    switch value holds until the next (switch times strictly increasing)."""
-
-    initial: np.ndarray
-    switches: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
-        times = [t for t, _ in self.switches]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("switch times must be strictly increasing")
-
-
 def _rk4_step(model, x, u, h, t):
     """RK4 step of length h ending at time t, for a three-state model; per
     component, the operations of the array formula in its order, with four
@@ -130,27 +117,6 @@ def _rk4_step(model, x, u, h, t):
     return (x1, x2, x3)
 
 
-def _segments(schedule: InputSchedule, t0: float, t1: float):
-    """Split [t0, t1] at switch times; yields (a, b, held input)."""
-    current = schedule.initial
-    cuts = []
-    for when, value in schedule.switches:
-        if when <= t0:
-            current = value
-        elif when <= t1:
-            cuts.append((when, value))
-        else:
-            break
-    start = t0
-    for when, value in cuts:
-        if when > start:
-            yield start, when, current
-        start = when
-        current = value
-    if t1 >= start:
-        yield start, t1, current
-
-
 def _span(model, x, u, a, b, h):
     span = b - a
     if span <= 0.0:
@@ -167,9 +133,15 @@ def _span(model, x, u, a, b, h):
     return x
 
 
-def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
-              t1: float, substep: float) -> np.ndarray:
-    """State at t1, starting from x0 at t0, input held per schedule.
+def integrate(model: PlantModel, x0, u, t0: float, t1: float,
+              substep: float, switches=()) -> np.ndarray:
+    """State at t1, starting from x0 at t0 with input u held at t0.
+
+    `switches` are (time, input) pairs with nondecreasing times, as
+    DelayedChannel.poll returns arrivals; each input holds from its time
+    until the next switch. A switch at or before t0 holds from t0; of
+    simultaneous switches, the later one holds; switches after t1 are
+    ignored.
 
     Fixed RK4 substeps, restarted exactly at every switch time inside the
     window; a shorter final step lands on each segment end. The model must
@@ -180,6 +152,9 @@ def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
         raise ValueError("t1 must be >= t0")
     if substep <= 0:
         raise ValueError("substep must be positive")
+    times = [when for when, _ in switches]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("switch times must be nondecreasing")
     x0 = np.asarray(x0, dtype=float)
     if model.state_dim != 3 or x0.shape != (3,):
         raise DimensionError(f"integrate steps three states; the plant has "
@@ -187,6 +162,12 @@ def integrate(model: PlantModel, x0, schedule: InputSchedule, t0: float,
     x = tuple(x0.tolist())
     if not all(abs(v) <= DIVERGENCE_LIMIT for v in x):
         raise DivergenceError(t0)
-    for a, b, u in _segments(schedule, t0, t1):
-        x = _span(model, x, u, a, b, substep)
-    return np.array(x)
+    start = t0
+    for when, value in switches:
+        if when > t1:
+            break
+        if when > start:
+            x = _span(model, x, u, start, when, substep)
+            start = when
+        u = value
+    return np.array(_span(model, x, u, start, t1, substep))

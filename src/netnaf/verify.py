@@ -23,7 +23,7 @@ from .agent import (HistoryBuffer, batch_loss_and_grad, extended_state_dim,
                     run_episode)
 from .config import ExperimentConfig
 from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
-from .plant import ChuaCircuit, InputSchedule, integrate, sense
+from .plant import ChuaCircuit, integrate, sense
 from .reward import (RewardWeights, change_penalty, input_steps_penalty,
                      output_steps_penalty, total_reward)
 
@@ -68,8 +68,8 @@ def classical_sampled_loop(net, setup, cfg, x0):
     u = np.zeros(plant.input_dim)
     for k in range(cfg.steps_per_episode + 1):
         if k > 0:
-            x = integrate(plant, x, InputSchedule(u), (k - 1) * delta,
-                          k * delta, setup.substep)
+            x = integrate(plant, x, u, (k - 1) * delta, k * delta,
+                          setup.substep)
         y = sense(x, sensor)
         if k == 0:
             hist.reset(y)
@@ -182,9 +182,8 @@ def generate_rk4_order():
         def deriv(self, x, u):
             return (-x[0], -x[1], -x[2])
 
-    schedule = InputSchedule(np.zeros(1))
     steps = [2.0 ** -e for e in range(4, 9)]
-    errs = [abs(integrate(Linear(), np.ones(3), schedule, 0.0, 1.0, h)[0]
+    errs = [abs(integrate(Linear(), np.ones(3), np.zeros(1), 0.0, 1.0, h)[0]
                 - np.exp(-1.0)) for h in steps]
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     chua = ChuaCircuit()

@@ -8,22 +8,21 @@ import numpy as np
 
 from netnaf.delays import DelayModel
 from netnaf.errors import DivergenceError
-from netnaf.plant import DIVERGENCE_LIMIT, InputSchedule, PlantModel, integrate
+from netnaf.plant import DIVERGENCE_LIMIT, PlantModel, integrate
 
 
-def integrate_trajectory(model: PlantModel, x0, schedule: InputSchedule,
-                         t0: float, t1: float, substep: float):
-    """integrate read at every substep node t0 + i*substep and at t1;
-    returns (times, states). Each leg is one integrate call, which is one
-    substep of the call from t0 to t1 when no switch falls inside the
-    window."""
+def integrate_trajectory(model: PlantModel, x0, u, t0: float, t1: float,
+                         substep: float):
+    """integrate with input u held, read at every substep node
+    t0 + i*substep and at t1; returns (times, states). Each leg is one
+    integrate call, which is one substep of the call from t0 to t1."""
     n_full = math.floor((t1 - t0) / substep + 1e-9)
     times = [t0 + i * substep for i in range(n_full + 1)]
     if t1 - times[-1] > substep * 1e-9:
         times.append(t1)
     states = [np.array(x0, dtype=float)]
     for a, b in zip(times, times[1:]):
-        states.append(integrate(model, states[-1], schedule, a, b, substep))
+        states.append(integrate(model, states[-1], u, a, b, substep))
     return np.array(times), np.array(states)
 
 

@@ -17,7 +17,7 @@ from scipy import stats
 
 from netnaf.agent import HistoryBuffer, extended_state_dim, split_extended_state
 from netnaf.config import ExperimentConfig
-from netnaf.plant import ChuaCircuit, InputSchedule
+from netnaf.plant import ChuaCircuit
 from netnaf.verify import (DELTA, check_channels, check_gradient,
                            check_naf_algebra, check_reward, check_rk4_order,
                            generate_channel_suite, generate_gradient_check,
@@ -94,11 +94,10 @@ def test_criterion_3_integrator_order():
 
 def generate_chua_qualitative():
     chua = ChuaCircuit()
-    schedule = InputSchedule(np.zeros(1))
     out = {}
     for name, x0 in (("scroll", [-0.2, 0.1, -0.1]), ("cycle", [2.0, -1.0, 1.0])):
-        ts, xs = integrate_trajectory(chua, np.array(x0), schedule, 0.0, 100.0,
-                                      2.0 ** -8)
+        ts, xs = integrate_trajectory(chua, np.array(x0), np.zeros(1), 0.0,
+                                      100.0, 2.0 ** -8)
         tail = xs[ts >= 80.0]
         x1 = tail[:, 0]
         interior = (x1[1:-1] > x1[:-2]) & (x1[1:-1] > x1[2:])
@@ -226,6 +225,7 @@ def smoke_results():
     return results, time.perf_counter() - started
 
 
+@pytest.mark.slow
 def test_criterion_8_learning_trend(smoke_results):
     results, elapsed = smoke_results
     first = np.concatenate([np.asarray(r[:20]) for r in results.values()])
@@ -263,6 +263,7 @@ def test_criterion_9_full_configuration_optional():
 # 10. determinism
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(smoke_results):
     """Re-run every generator with the same seeds; artifacts must agree
     byte for byte. The learning run is re-verified on seed 0."""

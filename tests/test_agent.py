@@ -13,7 +13,7 @@ from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
 from netnaf.config import ExperimentConfig
 from netnaf.delays import DelayModel
 from netnaf.errors import DimensionError, NumericsError
-from netnaf.plant import ChuaCircuit, InputSchedule, chua_sensor, integrate
+from netnaf.plant import ChuaCircuit, chua_sensor, integrate
 from netnaf.reward import (RewardWeights, change_penalty, input_steps_penalty,
                            output_steps_penalty, total_reward)
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
@@ -412,7 +412,7 @@ def test_zero_delay_zero_net_equals_uncontrolled_plant():
     x0 = np.array([-0.2, 0.1, -0.1])
     result = run_episode(net, setup, settings, x0=x0,
                          rng=np.random.default_rng(0))
-    _, free = None, integrate(setup.plant, x0, InputSchedule(np.zeros(1)),
+    _, free = None, integrate(setup.plant, x0, np.zeros(1),
                               0.0, 32 * DELTA, setup.substep)
     # constant zero input throughout
     assert np.array_equal(result.samples["u"], np.zeros((33, 1)))
@@ -491,6 +491,27 @@ def test_transition_alignment():
         # reward recomputes exactly from (w, u, w')
         assert r == transition_reward(w, u, w_next, setup.reward_weights,
                                       settings.output_history_len)
+
+
+def test_each_extended_state_holds_that_instants_sensed_output():
+    # wide delays clamp arrivals onto each other on both channels; the
+    # controller still polls its channel at the output's own arrival, so
+    # exactly that output is released and is the newest in w_k
+    wide = DelayModel(DELTA, (0.0, 4 * DELTA), (0.0, 4 * DELTA), 4, 4)
+    settings = make_settings(steps_per_episode=60, max_delay_steps=8)
+    setup = chua_setup(delays=wide)
+    dim = extended_state_dim(2, 1, 8, settings.output_history_len)
+    net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
+    mem = ReplayMemory(100, dim, 1)
+    result = run_episode(net, setup, settings, x0=np.array([0.3, -0.2, 0.1]),
+                         rng=np.random.default_rng(7), replay=mem)
+    log = result.samples
+    assert len(log) == 61
+    assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
+    assert (np.diff(log["plant_arrival"]) == 0.0).any()
+    ws, _, _, w_nexts = mem.split(mem.rows[:60])
+    for k, w in enumerate([*ws, w_nexts[-1]]):
+        assert np.array_equal(blocks(w)[0][0], log["y"][k])
 
 
 def test_episode_rewards_nonpositive():

@@ -16,7 +16,7 @@ from netnaf.cli import main
 from netnaf.config import (ExperimentConfig, apply_overrides, load_config,
                            parse_config)
 from netnaf.errors import ConfigError
-from netnaf.plant import ChuaCircuit, InputSchedule, integrate
+from netnaf.plant import ChuaCircuit, integrate
 
 
 SMALL_CONFIG = """
@@ -371,6 +371,21 @@ def test_train_rejects_a_negative_progress(tmp_path, capsys, progress):
     assert not out.exists()
 
 
+def test_train_config_too_large_to_build_leaves_no_run_directory(tmp_path,
+                                                                 capsys):
+    # a valid delay bound whose extended state is far larger than any
+    # address space: the first allocation fails at once, committing nothing
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG
+                        + "\n[delays]\nsc_bound_steps = 10000000000000\n")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_unwritable_curve_fails_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "exp.txt"
     cfg_path.write_text(SMALL_CONFIG)
@@ -598,7 +613,7 @@ def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
     rows = read_csv(out_csv)
     states = np.array([[float(v) for v in r[2:5]] for r in rows[1:]])
     free = integrate(ChuaCircuit(), np.array([2.0, -1.0, 1.0]),
-                     InputSchedule(np.zeros(1)), 0.0, 1.0, cfg.substep)
+                     np.zeros(1), 0.0, 1.0, cfg.substep)
     assert np.abs(states[-1] - free).max() <= 1e-12
 
 

@@ -193,22 +193,21 @@ def test_end_to_end_bound_under_clamping():
 def test_actuator_holds_zero_before_any_arrival():
     act = Actuator(1)
     assert np.array_equal(act.held, np.zeros(1))
-    assert act.apply([]) == []
+    act.apply([])
     assert np.array_equal(act.held, np.zeros(1))
 
 
 def test_actuator_single_arrival_switches():
     act = Actuator(1)
-    frag = act.apply([(0.5, np.array([2.0]))])
-    assert len(frag) == 1 and frag[0][0] == 0.5
+    act.apply([(0.5, np.array([2.0]))])
     assert np.array_equal(act.held, np.array([2.0]))
+    assert act.last_arrival == 0.5
 
 
-def test_actuator_collapses_simultaneous_arrivals():
+def test_actuator_holds_the_later_of_simultaneous_arrivals():
     act = Actuator(1)
-    frag = act.apply([(0.5, np.array([1.0])), (0.5, np.array([2.0]))])
-    assert len(frag) == 1
-    assert np.array_equal(frag[0][1], np.array([2.0]))
+    act.apply([(0.5, np.array([1.0])), (0.5, np.array([2.0]))])
+    assert np.array_equal(act.held, np.array([2.0]))
 
 
 def test_actuator_rejects_time_regression():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from netnaf.errors import DimensionError, DivergenceError
-from netnaf.plant import (DIVERGENCE_LIMIT, ChuaCircuit, InputSchedule,
-                          SensorMap, _rk4_step, chua_sensor, integrate, sense)
+from netnaf.plant import (DIVERGENCE_LIMIT, ChuaCircuit, SensorMap,
+                          _rk4_step, chua_sensor, integrate, sense)
 from support import generic_rk4_step, integrate_trajectory
 
 DELTA = 2.0 ** -4
@@ -21,7 +21,7 @@ class LinearDecay:
 
 
 class Integrator:
-    """dx1/dt = u, for input-schedule checks; x2 and x3 rest."""
+    """dx1/dt = u, for input-hold checks; x2 and x3 rest."""
 
     state_dim = 3
     input_dim = 1
@@ -99,13 +99,13 @@ def test_chua_rejects_bad_params():
 
 
 def test_integrate_empty_interval():
-    x = integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
+    x = integrate(LinearDecay(), np.ones(3), np.zeros(1),
                   0.0, 0.0, 2.0 ** -8)
     assert np.array_equal(x, np.ones(3))
 
 
 def test_integrate_matches_exponential():
-    x = integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
+    x = integrate(LinearDecay(), np.ones(3), np.zeros(1),
                   0.0, 1.0, 2.0 ** -8)
     assert abs(x[0] - np.exp(-1.0)) < 1e-8
 
@@ -113,7 +113,7 @@ def test_integrate_matches_exponential():
 def test_rk4_fourth_order_convergence():
     errs = []
     for h in (2.0 ** -5, 2.0 ** -6):
-        x = integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
+        x = integrate(LinearDecay(), np.ones(3), np.zeros(1),
                       0.0, 1.0, h)
         errs.append(abs(x[0] - np.exp(-1.0)))
     ratio = errs[0] / errs[1]
@@ -126,29 +126,28 @@ def test_event_splitting_is_bitwise():
     h = 2.0 ** -6
     s = 0.25
     u1 = np.array([0.7])
-    sched = InputSchedule(np.zeros(1), [(s, u1)])
-    combined = integrate(chua, x0, sched, 0.0, 0.5, h)
-    mid = integrate(chua, x0, InputSchedule(np.zeros(1)), 0.0, s, h)
-    split = integrate(chua, mid, InputSchedule(u1), s, 0.5, h)
+    combined = integrate(chua, x0, np.zeros(1), 0.0, 0.5, h, [(s, u1)])
+    mid = integrate(chua, x0, np.zeros(1), 0.0, s, h)
+    split = integrate(chua, mid, u1, s, 0.5, h)
     assert np.array_equal(combined, split)
 
 
 def test_schedule_hold_semantics():
     # dx/dt = u: area under the piecewise-constant input
-    sched = InputSchedule(np.array([1.0]), [(1.0, np.array([3.0]))])
-    x = integrate(Integrator(), np.zeros(3), sched, 0.0, 2.0, 2.0 ** -6)
+    x = integrate(Integrator(), np.zeros(3), np.array([1.0]), 0.0, 2.0,
+                  2.0 ** -6, [(1.0, np.array([3.0]))])
     assert abs(x[0] - (1.0 + 3.0)) < 1e-12
 
 
 def test_switch_at_window_start_applies_immediately():
-    sched = InputSchedule(np.array([1.0]), [(0.0, np.array([5.0]))])
-    x = integrate(Integrator(), np.zeros(3), sched, 0.0, 1.0, 2.0 ** -6)
+    x = integrate(Integrator(), np.zeros(3), np.array([1.0]), 0.0, 1.0,
+                  2.0 ** -6, [(0.0, np.array([5.0]))])
     assert abs(x[0] - 5.0) < 1e-12
 
 
 def test_integrate_rejects_reversed_interval():
     with pytest.raises(ValueError):
-        integrate(LinearDecay(), np.ones(3), InputSchedule(np.zeros(1)),
+        integrate(LinearDecay(), np.ones(3), np.zeros(1),
                   1.0, 0.0, 0.1)
 
 
@@ -162,13 +161,13 @@ def test_integrate_rejects_a_one_state_plant():
 
     # a three-state start, so only the plant's own shape is wrong
     with pytest.raises(DimensionError):
-        integrate(OneState(), np.ones(3), InputSchedule(np.zeros(1)), 0.0,
+        integrate(OneState(), np.ones(3), np.zeros(1), 0.0,
                   1.0, 2.0 ** -8)
 
 
 def test_integrate_rejects_a_two_vector_start():
     with pytest.raises(DimensionError):
-        integrate(ChuaCircuit(), np.ones(2), InputSchedule(np.zeros(1)), 0.0,
+        integrate(ChuaCircuit(), np.ones(2), np.zeros(1), 0.0,
                   1.0, 2.0 ** -8)
 
 
@@ -177,14 +176,14 @@ def test_integrate_rejects_a_two_vector_start():
                                    2.0 * DIVERGENCE_LIMIT])
 def test_start_outside_the_trusted_region_is_divergence_at_t0(i, value):
     with pytest.raises(DivergenceError) as err:
-        integrate(LinearDecay(), _start(i, value), InputSchedule(np.zeros(1)),
+        integrate(LinearDecay(), _start(i, value), np.zeros(1),
                   0.5, 1.0, 2.0 ** -8)
     assert err.value.time == 0.5
 
 
 def _divergence_time(plant, x0, t1, substep):
     with pytest.raises(DivergenceError) as err:
-        integrate(plant, x0, InputSchedule(np.zeros(1)), 0.0, t1, substep)
+        integrate(plant, x0, np.zeros(1), 0.0, t1, substep)
     return err.value.time
 
 
@@ -205,7 +204,7 @@ def test_overflowing_stage_is_divergence(x1):
     # x1 ** 3 overflows within the first substep: a float power raises
     # OverflowError where numpy gave inf, and both must end the same way.
     with pytest.raises(DivergenceError) as err:
-        integrate(ChuaCircuit(), [x1, 0.0, 0.0], InputSchedule(np.zeros(1)),
+        integrate(ChuaCircuit(), [x1, 0.0, 0.0], np.zeros(1),
                   0.0, DELTA, SUBSTEP)
     assert err.value.time == SUBSTEP
 
@@ -248,11 +247,10 @@ def test_float_rk4_bit_identical_to_array_formula():
         x0 = rng.normal(scale=2.0, size=3)
         u0, u1 = rng.normal(scale=3.0, size=(2, 1))
         switch = float(rng.uniform(0.0, DELTA))
-        held = integrate(chua, x0, InputSchedule(u0), 0.0, DELTA, SUBSTEP)
+        held = integrate(chua, x0, u0, 0.0, DELTA, SUBSTEP)
         assert np.array_equal(
             held, _reference_integrate(chua, x0, [(0.0, DELTA, u0)], SUBSTEP))
-        switched = integrate(chua, x0, InputSchedule(u0, [(switch, u1)]), 0.0,
-                             DELTA, SUBSTEP)
+        switched = integrate(chua, x0, u0, 0.0, DELTA, SUBSTEP, [(switch, u1)])
         assert np.array_equal(switched, _reference_integrate(
             chua, x0, [(0.0, switch, u0), (switch, DELTA, u1)], SUBSTEP))
 
@@ -291,22 +289,41 @@ def test_one_period_calls_deriv_four_times_per_substep(monkeypatch):
         return original(self, x, u)
 
     monkeypatch.setattr(ChuaCircuit, "deriv", counting)
-    integrate(ChuaCircuit(), [0.3, -0.1, 0.2], InputSchedule(np.zeros(1)), 0.0,
+    integrate(ChuaCircuit(), [0.3, -0.1, 0.2], np.zeros(1), 0.0,
               DELTA, SUBSTEP)
     assert len(calls) == 64
 
 
 def test_schedule_requires_increasing_switch_times():
     with pytest.raises(ValueError):
-        InputSchedule(np.zeros(1), [(0.5, np.ones(1)), (0.5, np.ones(1))])
+        integrate(Integrator(), np.zeros(3), np.zeros(1), 0.0, 1.0, 2.0 ** -6,
+                  [(0.5, np.ones(1)), (0.25, np.ones(1))])
+
+
+def test_simultaneous_switches_hold_the_later():
+    # dx/dt = u: 1 until 0.5, then 3; the 2 at 0.5 never holds
+    x = integrate(Integrator(), np.zeros(3), np.array([1.0]), 0.0, 1.0,
+                  2.0 ** -6, [(0.5, np.array([2.0])), (0.5, np.array([3.0]))])
+    assert abs(x[0] - (0.5 + 1.5)) < 1e-12
+
+
+@pytest.mark.parametrize("switches, area", [
+    ([(-1.0, 5.0)], 5.0),               # before t0: holds from t0
+    ([(0.0, 2.0), (0.0, 5.0)], 5.0),    # a tie at t0
+    ([(1.0, 2.0), (1.0, 5.0)], 1.0),    # a tie at t1: nothing left to hold
+    ([(0.5, 3.0), (2.0, 5.0)], 2.0),    # after t1: ignored
+])
+def test_switches_at_the_window_edges(switches, area):
+    x = integrate(Integrator(), np.zeros(3), np.array([1.0]), 0.0, 1.0,
+                  2.0 ** -6, [(t, np.array([v])) for t, v in switches])
+    assert abs(x[0] - area) < 1e-12
 
 
 def test_trajectory_consistent_with_integrate():
     chua = ChuaCircuit()
     x0 = np.array([2.0, -1.0, 1.0])
-    sched = InputSchedule(np.zeros(1))
-    end = integrate(chua, x0, sched, 0.0, 3.0, 2.0 ** -6)
-    ts, xs = integrate_trajectory(chua, x0, sched, 0.0, 3.0, 2.0 ** -6)
+    end = integrate(chua, x0, np.zeros(1), 0.0, 3.0, 2.0 ** -6)
+    ts, xs = integrate_trajectory(chua, x0, np.zeros(1), 0.0, 3.0, 2.0 ** -6)
     assert ts[0] == 0.0 and ts[-1] == 3.0
     assert np.array_equal(xs[-1], end)
 
@@ -317,9 +334,8 @@ def test_trajectory_consistent_with_integrate():
 
 def test_uncontrolled_chua_stays_bounded_and_unsettled():
     chua = ChuaCircuit()
-    sched = InputSchedule(np.zeros(1))
-    ts, xs = integrate_trajectory(chua, np.array([-0.2, 0.1, -0.1]), sched,
-                                  0.0, 100.0, 2.0 ** -8)
+    ts, xs = integrate_trajectory(chua, np.array([-0.2, 0.1, -0.1]),
+                                  np.zeros(1), 0.0, 100.0, 2.0 ** -8)
     assert np.abs(xs).max() < 10.0
     tail = xs[ts >= 80.0]
     dmin = min(np.linalg.norm(tail - eq, axis=1).min()
@@ -329,9 +345,8 @@ def test_uncontrolled_chua_stays_bounded_and_unsettled():
 
 def test_uncontrolled_chua_second_start_near_periodic():
     chua = ChuaCircuit()
-    sched = InputSchedule(np.zeros(1))
-    ts, xs = integrate_trajectory(chua, np.array([2.0, -1.0, 1.0]), sched,
-                                  0.0, 100.0, 2.0 ** -8)
+    ts, xs = integrate_trajectory(chua, np.array([2.0, -1.0, 1.0]),
+                                  np.zeros(1), 0.0, 100.0, 2.0 ** -8)
     assert np.abs(xs).max() < 10.0
     tail = xs[ts >= 80.0, 0]
     interior = (tail[1:-1] > tail[:-2]) & (tail[1:-1] > tail[2:])
