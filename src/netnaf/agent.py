@@ -6,22 +6,26 @@ the inputs it issued over the worst-case delay window plus that history.
 Episodes run on the sensor's sampling grid; payload timing goes through the
 two delay channels, and the plant is integrated between samples over the
 controller-to-plant channel's arrivals, each applied exactly where it lands.
+
+The loop and the trainer take an `ExperimentConfig` as their one description
+of the closed loop and build the plant, sensor and delay model from it. The
+config is duck-typed: this module imports nothing from `config`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import CP, SC, Actuator, DelayModel, DelayedChannel, sample_delay
+from .delays import CP, SC, Actuator, DelayedChannel, sample_delay
 from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
                  forward, init_network, soft_update)
-from .plant import PlantModel, SensorMap, integrate, sense
+from .plant import integrate, sense
 from .reward import (RewardWeights, change_penalty, input_steps_penalty,
                      output_steps_penalty, total_reward)
 
@@ -225,21 +229,6 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
 # Closed-loop episode
 
 
-@dataclass(frozen=True)
-class LoopSetup:
-    """Physical side of the loop: plant, sensor, channels, integrator grain."""
-
-    plant: PlantModel
-    sensor: SensorMap
-    delays: DelayModel
-    substep: float
-    reward_weights: RewardWeights = field(default_factory=RewardWeights)
-
-    def __post_init__(self):
-        if self.reward_weights.output_weights.shape[0] != self.sensor.output_dim:
-            raise DimensionError("reward output weights do not match the sensor")
-
-
 def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
                       weights: RewardWeights, output_history_len: int) -> float:
     """Composite reward, a pure function of (w, u, w').
@@ -295,8 +284,7 @@ class EpisodeResult:
         return float(sum(self.rewards[start:]))
 
 
-def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
-                x0, rng: np.random.Generator,
+def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                 noise: OrnsteinUhlenbeck | None = None,
                 noise_scale_value: float = 0.0, replay: ReplayMemory | None = None,
                 on_step=None) -> EpisodeResult:
@@ -315,15 +303,18 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
     self-loop carrying the divergence penalty, and the log stops at the last
     completed instant.
 
-    `cfg` is an `ExperimentConfig`; the loop reads its steps_per_episode,
-    max_delay_steps, output_history_len and divergence_penalty.
+    `cfg` is an `ExperimentConfig`, the loop's one description: the plant,
+    sensor and delay model come from its builders, and the history window
+    is sized from the bounds of the same delay model the delays are drawn
+    from. The reward weights are `RewardWeights()`.
     """
-    plant, sensor = setup.plant, setup.sensor
+    plant, sensor, delays = cfg.plant(), cfg.sensor(), cfg.delay_model()
+    weights = RewardWeights()
     delta = sensor.period
     sc_channel, cp_channel = DelayedChannel(), DelayedChannel()
     actuator = Actuator(plant.input_dim)
     hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
-                         cfg.max_delay_steps, cfg.output_history_len)
+                         delays.total_delay_steps, cfg.output_history_len)
     if noise is not None:
         noise.reset()
 
@@ -343,7 +334,7 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
         if t_k > t_plant:
             try:
                 x = integrate(plant, x, actuator.held, t_plant, t_k,
-                              setup.substep, arrivals)
+                              cfg.substep, arrivals)
             except DivergenceError as err:
                 result.diverged_at = err.time
                 if w_prev is not None and u_prev is not None:
@@ -356,8 +347,8 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
         actuator.apply(arrivals)
 
         y_k = sense(x, sensor)
-        sc_delay = sample_delay(setup.delays, SC, rng)
-        cp_delay = sample_delay(setup.delays, CP, rng)
+        sc_delay = sample_delay(delays, SC, rng)
+        cp_delay = sample_delay(delays, CP, rng)
         ctrl_arrival = sc_channel.send(t_k, y_k, sc_delay)
         received = sc_channel.poll(ctrl_arrival)
         y_recv = received[-1][1]
@@ -369,7 +360,7 @@ def run_episode(net: MlpNetwork, setup: LoopSetup, cfg, *,
         w_k = hist.extended_state()
 
         if k >= 1:
-            r = transition_reward(w_prev, u_prev, w_k, setup.reward_weights,
+            r = transition_reward(w_prev, u_prev, w_k, weights,
                                   cfg.output_history_len)
             result.rewards.append(r)
             if replay is not None:
@@ -414,18 +405,16 @@ class Trainer:
     the update step's buffers.
 
     `cfg` is the `ExperimentConfig` it is built from, kept as `settings`:
-    hidden widths, tanh weight, seed and every training and noise value are
-    read from it. The seed makes the whole run deterministic: network init,
-    initial states, delays, exploration noise and minibatch choices all
-    derive from it through independent child streams.
+    the networks are sized from its extended_dim, and hidden widths, tanh
+    weight, seed and every training and noise value are read from it. The
+    seed makes the whole run deterministic: network init, initial states,
+    delays, exploration noise and minibatch choices all derive from it
+    through independent child streams.
     """
 
-    def __init__(self, setup: LoopSetup, cfg):
-        self.setup = setup
+    def __init__(self, cfg):
         self.settings = cfg
-        p = setup.sensor.output_dim
-        m = setup.plant.input_dim
-        dim = extended_state_dim(p, m, cfg.max_delay_steps, cfg.output_history_len)
+        dim, m = cfg.extended_dim, cfg.plant().input_dim
         net_ss, sample_ss = np.random.SeedSequence(cfg.seed).spawn(2)
         net_seed = int(net_ss.generate_state(1)[0])
         self.net = init_network([dim, *cfg.hidden], m, cfg.tanh_weight, net_seed)
@@ -465,8 +454,7 @@ class Trainer:
         # the seed's third child stream, split once per episode by its index
         ep_rng = np.random.default_rng(
             np.random.SeedSequence(s.seed, spawn_key=(2, episode - 1)))
-        x0 = ep_rng.uniform(-s.init_box, s.init_box,
-                            size=self.setup.plant.state_dim)
+        x0 = ep_rng.uniform(-s.init_box, s.init_box, size=s.plant().state_dim)
         scale = noise_scale(s, episode)
         losses = []
 
@@ -474,7 +462,7 @@ class Trainer:
             if k > 0 and k % s.update_period == 0 and len(self.replay) >= s.warmup:
                 losses.extend(self._update_block())
 
-        result = run_episode(self.net, self.setup, s, x0=x0, rng=ep_rng,
+        result = run_episode(self.net, s, x0=x0, rng=ep_rng,
                              noise=self.noise, noise_scale_value=scale,
                              replay=self.replay, on_step=on_step)
         mean_loss = float(np.mean(losses)) if losses else float("nan")

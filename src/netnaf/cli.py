@@ -209,7 +209,7 @@ def cmd_eval(args) -> int:
         raise DimensionError(f"initial state needs {plant.state_dim} components")
 
     rng = np.random.default_rng(args.delay_seed)
-    result = run_episode(net, cfg.loop_setup(), cfg, x0=x0, rng=rng)
+    result = run_episode(net, cfg, x0=x0, rng=rng)
     # both files are written, or neither is left behind
     with _open_outputs(out, args.delay_trace or None) as (traj_fh, trace_fh):
         write_trajectory(traj_fh, result.samples)

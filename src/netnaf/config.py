@@ -4,6 +4,10 @@ Unknown sections or keys are hard errors; a silently misspelled
 hyperparameter is the classic way these experiments stop being
 reproducible. Every run directory gets a resolved snapshot that parses
 back to the identical configuration.
+
+The config is the closed loop's one description: `run_episode(net, cfg)` and
+`Trainer(cfg)` take it alone and build the plant, sensor and delay model
+from its builders.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .agent import LoopSetup, Trainer, extended_state_dim
+from .agent import Trainer, extended_state_dim
 from .delays import UNIFORM, DelayModel
 from .errors import ConfigError
 from .plant import ChuaCircuit, chua_sensor
-from .reward import RewardWeights
 
 
 def _setting(section: str, default, key: str | None = None):
@@ -94,6 +97,10 @@ class ExperimentConfig:
             raise ConfigError("hidden widths must be positive")
         if self.tanh_weight <= 0:
             raise ConfigError("tanh weight must be positive")
+        if self.init_box < 0:
+            raise ConfigError("init_box must be >= 0")
+        if self.divergence_penalty > 0:
+            raise ConfigError("divergence penalty must be <= 0")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.seed < 0:
@@ -127,13 +134,10 @@ class ExperimentConfig:
         return int(round(self.horizon / self.delta))
 
     @property
-    def max_delay_steps(self) -> int:
-        return self.sc_bound_steps + self.cp_bound_steps
-
-    @property
     def extended_dim(self) -> int:
         return extended_state_dim(self.sensor().output_dim,
-                                  ChuaCircuit.input_dim, self.max_delay_steps,
+                                  self.plant().input_dim,
+                                  self.delay_model().total_delay_steps,
                                   self.output_history_len)
 
     # -- object builders
@@ -149,12 +153,8 @@ class ExperimentConfig:
                           (self.cp_min, self.cp_max), self.sc_bound_steps,
                           self.cp_bound_steps, self.delay_distribution)
 
-    def loop_setup(self) -> LoopSetup:
-        return LoopSetup(self.plant(), self.sensor(), self.delay_model(),
-                         self.substep, RewardWeights())
-
     def trainer(self) -> Trainer:
-        return Trainer(self.loop_setup(), self)
+        return Trainer(self)
 
     # -- text round trip
 

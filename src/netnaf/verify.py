@@ -7,7 +7,8 @@ matching check_* function turns that artifact into (ok, detail) with the
 acceptance thresholds. The acceptance tests run the generators at full
 size; `netnaf verify` runs them at the small sizes in ALL_SUITES. The
 mutation_guard suite feeds a sign-flipped head through the criterion-1
-generator to prove that its check can fail.
+generator to prove that its check can fail. The undelayed-loop oracle,
+like `run_episode`, takes the `ExperimentConfig` alone.
 
 Imports nothing beyond numpy and this package.
 """
@@ -56,20 +57,21 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / scale)
 
 
-def classical_sampled_loop(net, setup, cfg, x0):
+def classical_sampled_loop(net, cfg, x0):
     """Undelayed sampled-data reference: sense at each period, act at once,
-    hold the input, integrate to the next sample. No channels anywhere."""
-    plant, sensor = setup.plant, setup.sensor
+    hold the input, integrate to the next sample. No channels anywhere; the
+    config's delay bounds size the history only."""
+    plant, sensor = cfg.plant(), cfg.sensor()
     delta = sensor.period
     hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
-                         cfg.max_delay_steps, cfg.output_history_len)
+                         cfg.delay_model().total_delay_steps,
+                         cfg.output_history_len)
     x = np.asarray(x0, dtype=float).copy()
     states, inputs = [], []
     u = np.zeros(plant.input_dim)
     for k in range(cfg.steps_per_episode + 1):
         if k > 0:
-            x = integrate(plant, x, u, (k - 1) * delta, k * delta,
-                          setup.substep)
+            x = integrate(plant, x, u, (k - 1) * delta, k * delta, cfg.substep)
         y = sense(x, sensor)
         if k == 0:
             hist.reset(y)
@@ -230,11 +232,10 @@ def generate_channel_suite(sequences=400, sends=250):
     cfg = ExperimentConfig(sc_min=0.0, sc_max=0.0, cp_min=0.0, cp_max=0.0,
                            sc_bound_steps=0, cp_bound_steps=0, hidden=(8, 8),
                            horizon=2.0)
-    setup = cfg.loop_setup()
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, 4.0, 55)
     x0 = np.array([1.0, -0.5, 0.3])
-    result = run_episode(net, setup, cfg, x0=x0, rng=np.random.default_rng(0))
-    ref_states, _ = classical_sampled_loop(net, setup, cfg, x0)
+    result = run_episode(net, cfg, x0=x0, rng=np.random.default_rng(0))
+    ref_states, _ = classical_sampled_loop(net, cfg, x0)
     mismatch = float(np.abs(result.samples["x"] - ref_states).max())
     return {"sends": total, "in_order": in_order, "worst_end_to_end": worst,
             "bound": bound, "zero_delay_mismatch": mismatch}

@@ -5,42 +5,35 @@ import pytest
 from scipy import stats
 
 from netnaf import agent, nn
-from netnaf.agent import (HistoryBuffer, LoopSetup, METRIC_START,
-                          OrnsteinUhlenbeck, ReplayMemory, Trainer,
-                          batch_loss_and_grad, batch_targets,
-                          extended_state_dim, noise_scale, run_episode,
-                          split_extended_state, transition_reward)
+from netnaf.agent import (HistoryBuffer, METRIC_START, OrnsteinUhlenbeck,
+                          ReplayMemory, Trainer, batch_loss_and_grad,
+                          batch_targets, extended_state_dim, noise_scale,
+                          run_episode, split_extended_state, transition_reward)
 from netnaf.config import ExperimentConfig
-from netnaf.delays import DelayModel
 from netnaf.errors import DimensionError, NumericsError
-from netnaf.plant import ChuaCircuit, chua_sensor, integrate
+from netnaf.plant import integrate
 from netnaf.reward import (RewardWeights, change_penalty, input_steps_penalty,
                            output_steps_penalty, total_reward)
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
                            rel_err)
-from support import no_delay_model
 
 DELTA = 2.0 ** -4
 
 
-def make_settings(steps_per_episode=16, max_delay_steps=4, **kw):
-    """A config for the loop and trainer tests. The loop setup chooses the
-    delays drawn; the config's own delay ranges sit inside its bounds."""
+def make_settings(steps_per_episode=16, max_delay_steps=4,
+                  delay_range=(0.0, 0.0), **kw):
+    """A config for the loop and trainer tests: both channels draw from
+    delay_range, and the bounds split max_delay_steps between them."""
     sc_bound = max_delay_steps // 2
+    lo, hi = delay_range
     args = dict(episodes=3, horizon=steps_per_episode * DELTA,
                 sc_bound_steps=sc_bound,
                 cp_bound_steps=max_delay_steps - sc_bound,
-                sc_min=0.0, sc_max=0.0, cp_min=0.0, cp_max=0.0,
+                sc_min=lo, sc_max=hi, cp_min=lo, cp_max=hi,
                 output_history_len=4, batch_size=4, warmup=4, update_iters=2,
                 update_period=4, learning_rate=1e-3, replay_capacity=1000)
     args.update(kw)
     return ExperimentConfig(**args)
-
-
-def chua_setup(delays=None, substep=DELTA / 16):
-    delays = delays if delays is not None else no_delay_model(DELTA)
-    return LoopSetup(ChuaCircuit(), chua_sensor(DELTA), delays, substep,
-                     RewardWeights())
 
 
 def blocks(w, p=2, m=1, tau_o=4):
@@ -405,15 +398,11 @@ def zero_weight_net(dim, m=1):
 
 def test_zero_delay_zero_net_equals_uncontrolled_plant():
     settings = make_settings(steps_per_episode=32)
-    setup = chua_setup()
-    dim = extended_state_dim(2, 1, settings.max_delay_steps,
-                             settings.output_history_len)
-    net = zero_weight_net(dim)
+    net = zero_weight_net(settings.extended_dim)
     x0 = np.array([-0.2, 0.1, -0.1])
-    result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0))
-    _, free = None, integrate(setup.plant, x0, np.zeros(1),
-                              0.0, 32 * DELTA, setup.substep)
+    result = run_episode(net, settings, x0=x0, rng=np.random.default_rng(0))
+    free = integrate(settings.plant(), x0, np.zeros(1), 0.0, 32 * DELTA,
+                     settings.substep)
     # constant zero input throughout
     assert np.array_equal(result.samples["u"], np.zeros((33, 1)))
     assert np.array_equal(result.samples["x"][-1], free)
@@ -421,14 +410,11 @@ def test_zero_delay_zero_net_equals_uncontrolled_plant():
 
 def test_zero_delay_loop_matches_classical_oracle():
     settings = make_settings(steps_per_episode=24)
-    setup = chua_setup()
-    dim = extended_state_dim(2, 1, settings.max_delay_steps,
-                             settings.output_history_len)
-    net = nn.init_network([dim, 8, 8], 1, 4.0, 42)  # arbitrary fixed policy
+    # arbitrary fixed policy
+    net = nn.init_network([settings.extended_dim, 8, 8], 1, 4.0, 42)
     x0 = np.array([1.0, -0.5, 0.3])
-    result = run_episode(net, setup, settings, x0=x0,
-                         rng=np.random.default_rng(0))
-    ref_states, ref_inputs = classical_sampled_loop(net, setup, settings, x0)
+    result = run_episode(net, settings, x0=x0, rng=np.random.default_rng(0))
+    ref_states, ref_inputs = classical_sampled_loop(net, settings, x0)
     assert np.abs(result.samples["x"] - ref_states).max() <= 1e-12
     # eval applies exactly the policy output, nothing else
     held = result.samples["u"]
@@ -437,12 +423,8 @@ def test_zero_delay_loop_matches_classical_oracle():
 
 def test_full_horizon_step_count():
     settings = make_settings(steps_per_episode=192)
-    setup = chua_setup()
-    dim = extended_state_dim(2, 1, settings.max_delay_steps,
-                             settings.output_history_len)
-    net = zero_weight_net(dim)
-    result = run_episode(net, setup, settings,
-                         x0=np.array([-0.2, 0.1, -0.1]),
+    net = zero_weight_net(settings.extended_dim)
+    result = run_episode(net, settings, x0=np.array([-0.2, 0.1, -0.1]),
                          rng=np.random.default_rng(1))
     assert len(result.samples) == 193
     assert result.samples["t"][-1] == 12.0
@@ -451,14 +433,11 @@ def test_full_horizon_step_count():
 
 def test_max_delay_first_effect_time():
     # both channels pinned at their bounds: input k lands at (k + tau) periods
-    tau_model = DelayModel(DELTA, (4 * DELTA, 4 * DELTA),
-                           (4 * DELTA, 4 * DELTA), 4, 4)
-    settings = make_settings(steps_per_episode=24, max_delay_steps=8)
-    setup = chua_setup(delays=tau_model)
+    settings = make_settings(steps_per_episode=24, max_delay_steps=8,
+                             delay_range=(4 * DELTA, 4 * DELTA))
     dim = extended_state_dim(2, 1, 8, settings.output_history_len)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 4)
-    result = run_episode(net, setup, settings,
-                         x0=np.array([0.5, 0.5, 0.5]),
+    result = run_episode(net, settings, x0=np.array([0.5, 0.5, 0.5]),
                          rng=np.random.default_rng(2))
     log = result.samples
     assert np.allclose(log["plant_arrival"] - log["t"], 8 * DELTA, atol=1e-12)
@@ -467,15 +446,12 @@ def test_max_delay_first_effect_time():
 
 
 def test_transition_alignment():
-    settings = make_settings(steps_per_episode=20)
-    setup = chua_setup(delays=DelayModel(DELTA, (DELTA, 3 * DELTA),
-                                         (DELTA, 3 * DELTA), 4, 4))
-    dim = extended_state_dim(2, 1, settings.max_delay_steps,
-                             settings.output_history_len)
+    settings = make_settings(steps_per_episode=20, max_delay_steps=8,
+                             delay_range=(DELTA, 3 * DELTA))
+    dim = settings.extended_dim
     net = nn.init_network([dim, 8, 8], 1, 4.0, 5)
     mem = ReplayMemory(100, dim, 1)
-    result = run_episode(net, setup, settings,
-                         x0=np.array([0.2, -0.2, 0.1]),
+    result = run_episode(net, settings, x0=np.array([0.2, -0.2, 0.1]),
                          rng=np.random.default_rng(3),
                          noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=1.0,
                          replay=mem)
@@ -489,7 +465,7 @@ def test_transition_alignment():
         if i < 19:
             assert np.array_equal(w_next, ws[i + 1])
         # reward recomputes exactly from (w, u, w')
-        assert r == transition_reward(w, u, w_next, setup.reward_weights,
+        assert r == transition_reward(w, u, w_next, RewardWeights(),
                                       settings.output_history_len)
 
 
@@ -497,13 +473,12 @@ def test_each_extended_state_holds_that_instants_sensed_output():
     # wide delays clamp arrivals onto each other on both channels; the
     # controller still polls its channel at the output's own arrival, so
     # exactly that output is released and is the newest in w_k
-    wide = DelayModel(DELTA, (0.0, 4 * DELTA), (0.0, 4 * DELTA), 4, 4)
-    settings = make_settings(steps_per_episode=60, max_delay_steps=8)
-    setup = chua_setup(delays=wide)
+    settings = make_settings(steps_per_episode=60, max_delay_steps=8,
+                             delay_range=(0.0, 4 * DELTA))
     dim = extended_state_dim(2, 1, 8, settings.output_history_len)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
     mem = ReplayMemory(100, dim, 1)
-    result = run_episode(net, setup, settings, x0=np.array([0.3, -0.2, 0.1]),
+    result = run_episode(net, settings, x0=np.array([0.3, -0.2, 0.1]),
                          rng=np.random.default_rng(7), replay=mem)
     log = result.samples
     assert len(log) == 61
@@ -515,63 +490,39 @@ def test_each_extended_state_holds_that_instants_sensed_output():
 
 
 def test_episode_rewards_nonpositive():
-    setup = chua_setup(delays=DelayModel(DELTA, (DELTA, 2 * DELTA),
-                                         (DELTA, 2 * DELTA), 2, 2))
-    settings = make_settings(steps_per_episode=30, max_delay_steps=4)
+    settings = make_settings(steps_per_episode=30, max_delay_steps=4,
+                             delay_range=(DELTA, 2 * DELTA))
     dim = extended_state_dim(2, 1, 4, 4)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
-    result = run_episode(net, setup, settings,
-                         x0=np.array([1.0, 1.0, -1.0]),
+    result = run_episode(net, settings, x0=np.array([1.0, 1.0, -1.0]),
                          rng=np.random.default_rng(4),
                          noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=3.5)
     assert all(r <= 0.0 for r in result.rewards)
 
 
-def test_divergence_aborts_episode_with_penalty():
-    class Exploder:
-        state_dim = 3
-        input_dim = 1
-
-        def deriv(self, x, u):
-            return (x[0] * x[0], 0.0, 0.0)
-
-    from netnaf.plant import SensorMap
-    setup = LoopSetup(Exploder(), SensorMap([[1.0, 0.0, 0.0]], DELTA),
-                      no_delay_model(DELTA), DELTA / 16,
-                      RewardWeights(output_weights=np.eye(1)))
-    settings = make_settings(steps_per_episode=60, max_delay_steps=0,
-                             divergence_penalty=-1234.0)
-    dim = extended_state_dim(1, 1, 0, 4)
+def test_early_divergence_scores_its_penalty():
+    # the state leaves float range in the first sampling period, so the
+    # penalty is the only reward and falls before METRIC_START
+    settings = make_settings(steps_per_episode=60, divergence_penalty=-1234.0)
+    dim = settings.extended_dim
     net = zero_weight_net(dim)
     mem = ReplayMemory(100, dim, 1)
-    result = run_episode(net, setup, settings, x0=np.array([40.0, 0.0, 0.0]),
-                         rng=np.random.default_rng(5), replay=mem)
+    result = run_episode(net, settings, x0=np.array([1e5, 0.0, 0.0]),
+                         rng=np.random.default_rng(0), replay=mem)
     assert result.diverged
-    assert result.diverged_at is not None
-    assert result.rewards[-1] == -1234.0
+    assert result.rewards == [-1234.0]
+    assert result.reward_sum_from() == -1234.0
+    assert result.reward_sum_from(0) == -1234.0
     # the log holds the completed instants only, each with its reward
     log = result.samples
     assert np.array_equal(log["k"], np.arange(len(result.rewards)))
     assert log["t"][-1] < result.diverged_at
     assert np.isfinite(log["x"]).all()
+    # the final transition is a self-loop carrying the penalty
     w, _, r, w_next = mem.split(mem.rows[len(mem) - 1])
     assert r == -1234.0
     assert np.array_equal(w, w_next)
     assert len(mem) == len(result.rewards)
-
-
-def test_early_divergence_scores_its_penalty():
-    # the state leaves float range in the first sampling period, so the
-    # penalty is the only reward and falls before METRIC_START
-    settings = make_settings(steps_per_episode=60)
-    net = zero_weight_net(extended_state_dim(2, 1, 4, 4))
-    result = run_episode(net, chua_setup(), settings,
-                         x0=np.array([1e5, 0.0, 0.0]),
-                         rng=np.random.default_rng(0))
-    assert result.diverged
-    assert result.rewards == [-1000.0]
-    assert result.reward_sum_from() == -1000.0
-    assert result.reward_sum_from(0) == -1000.0
 
 
 def composed_transition_reward(w, u, w_next, weights, output_history_len):
@@ -620,21 +571,13 @@ def test_transition_reward_rejects_a_short_next_state():
             transition_reward(w, [0.0], w_next, weights, 4)
 
 
-def test_loop_setup_rejects_reward_weights_of_another_output_dim():
-    # transition_reward takes p from the weights to split the extended state
-    with pytest.raises(DimensionError):
-        LoopSetup(ChuaCircuit(), chua_sensor(DELTA), no_delay_model(DELTA),
-                  DELTA / 16, RewardWeights(output_weights=np.eye(1)))
-
-
 # ---------------------------------------------------------------------------
 # trainer
 
 
 def tiny_trainer(seed=0, **kw):
-    setup = chua_setup(delays=DelayModel(DELTA, (DELTA, 2 * DELTA),
-                                         (DELTA, 2 * DELTA), 2, 2))
-    return Trainer(setup, make_settings(hidden=(8, 8), seed=seed, **kw))
+    return Trainer(make_settings(hidden=(8, 8), seed=seed,
+                                 delay_range=(DELTA, 2 * DELTA), **kw))
 
 
 def curve(trainer):
@@ -748,7 +691,7 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
         replay_capacity=50, warmup=6, init_box=1.5, divergence_penalty=-77.0,
         ou_theta=0.3, ou_sigma=0.05, noise_scale=2.0, noise_decay_start=2,
         noise_scale_final=0.5, hidden=(5, 6), tanh_weight=2.5, seed=3)
-    tr = Trainer(chua_setup(), cfg)
+    tr = Trainer(cfg)
     assert tr.settings is cfg
     assert tr.net.input_dim == extended_state_dim(2, 1, 2, 2)
     assert [w.shape[0] for w, _ in tr.net.layers[:-3]] == [5, 6]

@@ -59,7 +59,7 @@ def test_defaults_match_reference_experiment():
     assert cfg.update_iters == 10
     assert cfg.update_period == 4
     assert cfg.learning_rate == 1.25e-5
-    assert cfg.max_delay_steps == 8
+    assert cfg.delay_model().total_delay_steps == 8
     assert cfg.output_history_len == 4
     assert cfg.hidden == (128, 128, 128, 128)
     assert cfg.replay_capacity == 10 ** 6
@@ -177,6 +177,12 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(ou_sigma=-0.2)
     with pytest.raises(ConfigError):
         ExperimentConfig(checkpoint_every=-2)  # would checkpoint every 2nd episode
+    with pytest.raises(ConfigError, match="init_box"):
+        ExperimentConfig(init_box=-1.0)  # numpy's uniform would refuse it
+    with pytest.raises(ConfigError, match="divergence penalty"):
+        ExperimentConfig(divergence_penalty=1000.0)  # diverging would pay
+    # a fixed initial state and a zero penalty stay valid
+    ExperimentConfig(init_box=0.0, divergence_penalty=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-1)  # SeedSequence rejects it
     with pytest.raises(ConfigError, match="soft update rate"):
@@ -319,10 +325,12 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     ("[run]\nseed = -1", [], "seed"),
     ("lr = -1.0", [], "learning rate"),
     ("[noise]\nscale = nan", [], "noise_scale must be finite"),
+    ("divergence_penalty = 1000.0", [], "divergence penalty must be <= 0"),
 ], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes",
         "negative_checkpoint_every", "negative_noise_theta",
         "negative_noise_sigma", "negative_seed_flag", "negative_seed_key",
-        "negative_learning_rate", "nan_noise_scale"])
+        "negative_learning_rate", "nan_noise_scale",
+        "positive_divergence_penalty"])
 def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
                                              reason):
     cfg_path = tmp_path / "exp.txt"
@@ -341,8 +349,10 @@ def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
     ("horizon = 1.0", "p1 = -1", "circuit parameters must be positive"),
     ("horizon = 1.0", "p1 = nan", "p1 must be finite"),
     ("horizon = 1.0", "init_box = nan", "init_box must be finite"),
+    ("horizon = 1.0", "init_box = -1.0", "init_box must be >= 0"),
     ("hidden = 8,8", "tanh_weight = nan", "tanh_weight must be finite"),
-], ids=["negative_p1", "nan_p1", "nan_init_box", "nan_tanh_weight"])
+], ids=["negative_p1", "nan_p1", "nan_init_box", "negative_init_box",
+        "nan_tanh_weight"])
 def test_train_rejects_bad_plant_and_network_settings(tmp_path, capsys, after,
                                                       line, reason):
     cfg_path = tmp_path / "exp.txt"
@@ -590,6 +600,29 @@ def test_eval_second_initial_state(small_run, tmp_path):
     assert code == 0
     rows = read_csv(out_csv)
     assert [float(v) for v in rows[1][2:5]] == [2.0, -1.0, 1.0]
+
+
+def test_eval_config_under_another_delay_law(small_run, tmp_path):
+    # the grid law keeps the run's delay bounds, so its checkpoint still fits
+    grid_cfg = tmp_path / "grid.txt"
+    apply_overrides(load_config(small_run / "config.txt"),
+                    delay_distribution="grid").save(grid_cfg)
+    rollouts = {}
+    for law, extra in (("uniform", []), ("grid", ["--config", str(grid_cfg)])):
+        out_csv, trace_csv = tmp_path / f"{law}.csv", tmp_path / f"{law}-d.csv"
+        code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                     "--init", "0.5,-0.2,0.1", "--delay-seed", "3",
+                     "--out", str(out_csv), "--delay-trace", str(trace_csv),
+                     *extra])
+        assert code == 0
+        rollouts[law] = read_csv(out_csv), read_csv(trace_csv)
+    rows, trace = rollouts["grid"]
+    delta = load_config(grid_cfg).delta
+    taus = [float(v) / delta for row in trace[1:]
+            for v in row[trace[0].index("tau_sc"):trace[0].index("tau_cp") + 1]]
+    assert len(taus) == 2 * 17 and taus == [round(v) for v in taus]
+    assert rows[0] == rollouts["uniform"][0][0]
+    assert rows[1:] != rollouts["uniform"][0][1:]
 
 
 def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
