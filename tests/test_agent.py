@@ -500,6 +500,41 @@ def test_episode_rewards_nonpositive():
     assert all(r <= 0.0 for r in result.rewards)
 
 
+def test_divergence_aborts_episode_with_penalty():
+    class Exploder:
+        state_dim = 3
+        input_dim = 1
+
+        def deriv(self, x, u):
+            return (x[0] * x[0], 0.0, 0.0)
+
+    class ExploderConfig(ExperimentConfig):
+        def plant(self):
+            return Exploder()
+
+    base = make_settings(steps_per_episode=60, max_delay_steps=0,
+                         divergence_penalty=-1234.0)
+    settings = ExploderConfig(**{f.name: getattr(base, f.name)
+                                 for f in dataclasses.fields(base)})
+    dim = settings.extended_dim
+    net = zero_weight_net(dim)
+    mem = ReplayMemory(100, dim, 1)
+    result = run_episode(net, settings, x0=np.array([40.0, 0.0, 0.0]),
+                         rng=np.random.default_rng(5), replay=mem)
+    assert result.diverged
+    assert result.diverged_at is not None
+    assert result.rewards[-1] == -1234.0
+    # the log holds the completed instants only, each with its reward
+    log = result.samples
+    assert np.array_equal(log["k"], np.arange(len(result.rewards)))
+    assert log["t"][-1] < result.diverged_at
+    assert np.isfinite(log["x"]).all()
+    w, _, r, w_next = mem.split(mem.rows[len(mem) - 1])
+    assert r == -1234.0
+    assert np.array_equal(w, w_next)
+    assert len(mem) == len(result.rewards)
+
+
 def test_early_divergence_scores_its_penalty():
     # the state leaves float range in the first sampling period, so the
     # penalty is the only reward and falls before METRIC_START
