@@ -54,22 +54,26 @@ def split_extended_state(w: np.ndarray, output_dim: int, input_dim: int,
 class HistoryBuffer:
     """Past outputs and inputs, held as one vector in the extended-state layout.
 
-    Before the first sample, inputs read as zero; outputs read as the first
-    observed output (so the initial extended state carries no fictitious
-    jumps).
+    It starts from the first observed output y0: every output row reads y0
+    and every input reads zero, so the first extended state carries no
+    fictitious jumps. The output dimension is y0's size.
     """
 
-    def __init__(self, output_dim: int, input_dim: int, delay_steps: int,
+    def __init__(self, y0, input_dim: int, delay_steps: int,
                  output_history_len: int):
         if output_history_len < 1:
             raise ValueError("output history length must be >= 1")
         if delay_steps < 0:
             raise ValueError("delay steps must be >= 0")
-        self._vec = np.zeros(extended_state_dim(output_dim, input_dim,
+        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        if y0.ndim != 1 or y0.size == 0:
+            raise DimensionError(f"first output has shape {y0.shape}, expected "
+                                 f"a nonempty vector")
+        self._vec = np.zeros(extended_state_dim(y0.size, input_dim,
                                                 delay_steps, output_history_len))
         self._outputs, self._inputs = split_extended_state(
-            self._vec, output_dim, input_dim, output_history_len)
-        self._started = False
+            self._vec, y0.size, input_dim, output_history_len)
+        self._outputs[:] = y0
 
     @staticmethod
     def _shift_in(block, value, what):
@@ -81,12 +85,6 @@ class HistoryBuffer:
         block[1:] = block[:-1]
         block[0] = value
 
-    def reset(self, y0):
-        self._shift_in(self._outputs, y0, "output")
-        self._outputs[1:] = self._outputs[0]
-        self._inputs[:] = 0.0
-        self._started = True
-
     def push_output(self, y):
         self._shift_in(self._outputs, y, "output")
 
@@ -95,8 +93,6 @@ class HistoryBuffer:
 
     def extended_state(self) -> np.ndarray:
         """A copy: later pushes shift the buffer in place."""
-        if not self._started:
-            raise RuntimeError("history not initialized; reset with the first output")
         return self._vec.copy()
 
 
@@ -295,9 +291,12 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     extends its histories, scores and stores the previous transition,
     evaluates the policy (plus scaled exploration noise when `noise` is
     given) and sends the input through the controller-to-plant channel. The
-    actuator holds each delayed input until the next one lands. Transitions
-    go to `replay` when one is given. on_step(k) fires after the k-th input
-    is issued and the instant is logged as row k of `samples`.
+    history starts at k = 0 from the first received output. Each instant
+    integrates the plant from the previous one over the inputs delivered
+    since; `integrate` sees them first and rejects decreasing times, and the
+    actuator then holds the last one delivered. Transitions go to `replay`
+    when one is given. on_step(k) fires after the k-th input is issued and
+    the instant is logged as row k of `samples`.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
@@ -313,37 +312,32 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     delta = sensor.period
     sc_channel, cp_channel = DelayedChannel(), DelayedChannel()
     actuator = Actuator(plant.input_dim)
-    hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
-                         delays.total_delay_steps, cfg.output_history_len)
     if noise is not None:
         noise.reset()
 
     x = np.asarray(x0, dtype=float).copy()
-    t_plant = 0.0
     log = np.empty(cfg.steps_per_episode + 1,
                    dtype=episode_log_dtype(plant.state_dim, sensor.output_dim,
                                            plant.input_dim))
     result = EpisodeResult([], log[:0])
-    w_prev = None
-    u_prev = None
 
     for k in range(cfg.steps_per_episode + 1):
         t_k = k * delta
 
         arrivals = cp_channel.poll(t_k)
-        if t_k > t_plant:
+        if k > 0:
+            # instant k - 1 computed the same float as its t_k, and set
+            # w_prev and u_prev
             try:
-                x = integrate(plant, x, actuator.held, t_plant, t_k,
+                x = integrate(plant, x, actuator.held, (k - 1) * delta, t_k,
                               cfg.substep, arrivals)
             except DivergenceError as err:
                 result.diverged_at = err.time
-                if w_prev is not None and u_prev is not None:
-                    r = cfg.divergence_penalty
-                    result.rewards.append(r)
-                    if replay is not None:
-                        replay.push(w_prev, u_prev, r, w_prev)
+                r = cfg.divergence_penalty
+                result.rewards.append(r)
+                if replay is not None:
+                    replay.push(w_prev, u_prev, r, w_prev)
                 break
-            t_plant = t_k
         actuator.apply(arrivals)
 
         y_k = sense(x, sensor)
@@ -354,7 +348,8 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         y_recv = received[-1][1]
 
         if k == 0:
-            hist.reset(y_recv)
+            hist = HistoryBuffer(y_recv, plant.input_dim,
+                                 delays.total_delay_steps, cfg.output_history_len)
         else:
             hist.push_output(y_recv)
         w_k = hist.extended_state()

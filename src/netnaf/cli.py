@@ -146,14 +146,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _config_path_for(checkpoint_path: Path, explicit) -> Path:
-    if explicit:
-        return Path(explicit)
+def _run_config_path(checkpoint_path: Path):
+    """The run's config.txt, next to the checkpoint or in its parent, or
+    None."""
     for candidate in (checkpoint_path.parent / "config.txt",
                       checkpoint_path.parent.parent / "config.txt"):
         if candidate.is_file():
             return candidate
-    raise ConfigError("no config.txt found next to the checkpoint; pass --config")
+    return None
 
 
 def _file_identity(path):
@@ -189,7 +189,10 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
     net, _ = load_checkpoint(ckpt_path)
-    config_path = _config_path_for(ckpt_path, args.config)
+    run_config = _run_config_path(ckpt_path)
+    config_path = Path(args.config) if args.config else run_config
+    if config_path is None:
+        raise ConfigError("no config.txt found next to the checkpoint; pass --config")
     _check_distinct_paths(("--checkpoint", ckpt_path), ("--config", config_path),
                           ("--out", out),
                           ("--delay-trace", args.delay_trace or None))
@@ -198,6 +201,16 @@ def cmd_eval(args) -> int:
         raise DimensionError(
             f"checkpoint expects input width {net.input_dim}, configuration "
             f"implies {cfg.extended_dim}")
+    # one width fits several layouts: the plant and sensor fix p and m, the
+    # output history length and the delay bounds the rest
+    if run_config is not None and (
+            _file_identity(run_config) != _file_identity(config_path)):
+        trained, given = ((c.output_history_len, c.delay_model().total_delay_steps)
+                          for c in (load_config(run_config), cfg))
+        if trained != given:
+            raise DimensionError(
+                f"(output history length, delay bound steps) is {trained} in "
+                f"the run's {run_config}, {given} in the configuration")
     try:
         x0 = np.array([float(part) for part in args.init.split(",")])
     except ValueError as exc:

@@ -5,9 +5,8 @@ bounded random delays. Physical networks can deliver out of order when iid
 delays overlap; here arrival times are clamped to be nondecreasing, which
 realizes in-order delivery as an explicit mechanism instead of an unchecked
 assumption. The worst-case end-to-end delay, in sampling periods, is the
-pair of known bounds a + b. The actuator holds the newest input it has
-received; `plant.integrate`, given the same arrivals, resolves ties between
-them.
+pair of known bounds a + b. The actuator holds the last input delivered;
+`plant.integrate`, given the same arrivals, resolves ties between them.
 """
 
 from __future__ import annotations
@@ -126,18 +125,15 @@ class DelayedChannel:
 
 
 class Actuator:
-    """Digital-to-analog side: holds the newest received input (zero before
-    any arrival), which the episode log records."""
+    """Digital-to-analog side: holds the last delivered input (zero before
+    any arrival), which the episode log records. The channel's clamp alone
+    orders arrivals."""
 
     def __init__(self, input_dim: int):
         self.held = np.zeros(input_dim)
-        self.last_arrival = -np.inf
 
     def apply(self, arrivals) -> None:
-        """Consume (time, input) arrivals in arrival order; the newest input
-        is held from then on."""
-        for when, value in arrivals:
-            if when < self.last_arrival:
-                raise ValueError("actuation arrivals must be nondecreasing in time")
-            self.last_arrival = when
-            self.held = np.atleast_1d(np.asarray(value, dtype=float))
+        """Hold the last of a list of (time, input) arrivals, in arrival
+        order; no arrival keeps the held input."""
+        if arrivals:
+            self.held = np.atleast_1d(np.asarray(arrivals[-1][1], dtype=float))

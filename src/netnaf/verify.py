@@ -60,23 +60,19 @@ def rel_err(a, b):
 def classical_sampled_loop(net, cfg, x0):
     """Undelayed sampled-data reference: sense at each period, act at once,
     hold the input, integrate to the next sample. No channels anywhere; the
-    config's delay bounds size the history only."""
+    history starts from the first sensed output, and the config's delay
+    bounds size it only."""
     plant, sensor = cfg.plant(), cfg.sensor()
     delta = sensor.period
-    hist = HistoryBuffer(sensor.output_dim, plant.input_dim,
+    x = np.asarray(x0, dtype=float).copy()
+    hist = HistoryBuffer(sense(x, sensor), plant.input_dim,
                          cfg.delay_model().total_delay_steps,
                          cfg.output_history_len)
-    x = np.asarray(x0, dtype=float).copy()
     states, inputs = [], []
-    u = np.zeros(plant.input_dim)
     for k in range(cfg.steps_per_episode + 1):
         if k > 0:
             x = integrate(plant, x, u, (k - 1) * delta, k * delta, cfg.substep)
-        y = sense(x, sensor)
-        if k == 0:
-            hist.reset(y)
-        else:
-            hist.push_output(y)
+            hist.push_output(sense(x, sensor))
         u = nn.forward(net, hist.extended_state(), head="action").mu.copy()
         hist.push_input(u)
         states.append(x.copy())

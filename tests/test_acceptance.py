@@ -147,27 +147,25 @@ def test_criterion_5_delay_channels():
 
 def generate_extended_state_suite():
     dim = extended_state_dim(2, 1, 8, 4)
-    hist = HistoryBuffer(2, 1, 8, 4)
 
-    def blocks():
+    def blocks(hist):
         return split_extended_state(hist.extended_state(), 2, 1, 4)
 
-    hist.reset(np.array([1.0, 2.0]))
-    outputs, inputs = blocks()
+    outputs, inputs = blocks(HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4))
     padding_ok = (np.array_equal(outputs, np.tile([1.0, 2.0], (5, 1)))
                   and np.array_equal(inputs, np.zeros((12, 1))))
 
     shift_ok = True
     rng = np.random.default_rng(1006)
-    for _ in range(5):  # scripted 20-step episodes
-        hist.reset(rng.normal(size=2))
-        prev_outputs, prev_inputs = blocks()
+    for _ in range(5):  # scripted 20-step episodes, one buffer each
+        hist = HistoryBuffer(rng.normal(size=2), 1, 8, 4)
+        prev_outputs, prev_inputs = blocks(hist)
         for _ in range(20):
             u = rng.normal(size=1)
             y = rng.normal(size=2)
             hist.push_input(u)
             hist.push_output(y)
-            outputs, inputs = blocks()
+            outputs, inputs = blocks(hist)
             shift_ok = shift_ok and np.array_equal(outputs[1:], prev_outputs[:-1])
             shift_ok = shift_ok and np.array_equal(outputs[0], y)
             shift_ok = shift_ok and np.array_equal(inputs[1:], prev_inputs[:-1])

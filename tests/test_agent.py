@@ -49,8 +49,7 @@ def test_extended_state_dimension():
 
 
 def test_initial_extended_state_padding():
-    hist = HistoryBuffer(2, 1, 8, 4)
-    hist.reset(np.array([1.0, 2.0]))
+    hist = HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4)
     w = hist.extended_state()
     assert w.shape == (22,)
     outputs, inputs = blocks(w)
@@ -59,8 +58,7 @@ def test_initial_extended_state_padding():
 
 
 def test_extended_state_shift_property():
-    hist = HistoryBuffer(2, 1, 8, 4)
-    hist.reset(np.array([0.0, 0.0]))
+    hist = HistoryBuffer(np.array([0.0, 0.0]), 1, 8, 4)
     ys = [np.array([float(k), -float(k)]) for k in range(1, 21)]
     us = [np.array([10.0 + k]) for k in range(20)]
     prev = None
@@ -79,8 +77,7 @@ def test_extended_state_shift_property():
 
 def test_extended_state_is_a_copy():
     # the buffer shifts one vector in place; earlier states must not move
-    hist = HistoryBuffer(2, 1, 8, 4)
-    hist.reset(np.array([1.0, 2.0]))
+    hist = HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4)
     w = hist.extended_state()
     kept = w.copy()
     for k in range(3):
@@ -99,10 +96,17 @@ def test_split_extended_state_blocks():
     assert np.shares_memory(outputs, w) and np.shares_memory(inputs, w)
 
 
-def test_history_buffer_requires_reset():
-    hist = HistoryBuffer(2, 1, 8, 4)
-    with pytest.raises(RuntimeError):
-        hist.extended_state()
+def test_history_buffer_starts_from_a_vector_first_output():
+    # a scalar is a one-output history; its first state is y0 and zeros
+    outputs, inputs = split_extended_state(
+        HistoryBuffer(0.7, 2, 3, 2).extended_state(), 1, 2, 2)
+    assert np.array_equal(outputs, np.full((3, 1), 0.7))
+    assert np.array_equal(inputs, np.zeros((5, 2)))
+    for y0 in (np.ones((2, 2)), np.array([])):
+        with pytest.raises(DimensionError):
+            HistoryBuffer(y0, 1, 8, 4)
+    with pytest.raises(DimensionError):
+        HistoryBuffer(np.ones(2), 1, 8, 4).push_output(np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +491,34 @@ def test_each_extended_state_holds_that_instants_sensed_output():
     ws, _, _, w_nexts = mem.split(mem.rows[:60])
     for k, w in enumerate([*ws, w_nexts[-1]]):
         assert np.array_equal(blocks(w)[0][0], log["y"][k])
+
+
+def test_logged_input_is_the_last_delivered_one():
+    # a noisy run under wide delays: both channels clamp arrivals onto each
+    # other, some instants take in several inputs and some take in none
+    settings = make_settings(steps_per_episode=60, max_delay_steps=8,
+                             delay_range=(0.0, 4 * DELTA))
+    dim = extended_state_dim(2, 1, 8, settings.output_history_len)
+    net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
+    mem = ReplayMemory(100, dim, 1)
+    result = run_episode(net, settings, x0=np.array([0.3, -0.2, 0.1]),
+                         rng=np.random.default_rng(7), replay=mem,
+                         noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2),
+                         noise_scale_value=3.5)
+    log = result.samples
+    assert len(log) == 61
+    assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
+    assert (np.diff(log["plant_arrival"]) == 0.0).any()
+    issued = mem.split(mem.rows[:60])[1]
+    # instant k's own input is sent after the actuator takes its arrivals
+    delivered = [np.flatnonzero(log["plant_arrival"][:k] <= t)
+                 for k, t in enumerate(log["t"])]
+    new_per_instant = np.diff([d.size for d in delivered])
+    assert new_per_instant.max() >= 2 and (new_per_instant[10:] == 0).any()
+    assert delivered[0].size == 0
+    for k, d in enumerate(delivered):
+        expected = issued[d[-1]] if d.size else np.zeros(1)
+        assert np.array_equal(log["u"][k], expected)
 
 
 def test_episode_rewards_nonpositive():

@@ -660,6 +660,43 @@ def test_eval_dimension_mismatch_fails(small_run, tmp_path, capsys):
     assert "input width" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_config_of_another_layout(small_run, tmp_path, capsys):
+    # as wide as the run's 22, but 6 outputs and 10 inputs where the run
+    # has 5 and 12: a rollout would read outputs as inputs
+    other = apply_overrides(load_config(small_run / "config.txt"),
+                            output_history_len=5, sc_bound_steps=3,
+                            cp_bound_steps=2, cp_max=0.125)
+    assert other.extended_dim == 22
+    other_cfg = tmp_path / "other.txt"
+    other.save(other_cfg)
+    out_csv, trace_csv = tmp_path / "traj.csv", tmp_path / "trace.csv"
+    args = ["--init", "0.5,-0.2,0.1", "--config", str(other_cfg),
+            "--out", str(out_csv), "--delay-trace", str(trace_csv)]
+    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"), *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(4, 8)" in err and "(5, 5)" in err
+    assert not out_csv.exists() and not trace_csv.exists()
+    # with no run config beside the checkpoint, only the width can be checked
+    lonely = tmp_path / "lonely.nnc"
+    lonely.write_bytes((small_run / "final.nnc").read_bytes())
+    assert main(["eval", "--checkpoint", str(lonely), *args]) == 0
+
+
+def test_eval_config_naming_the_runs_own_gives_the_same_rollout(small_run,
+                                                                 tmp_path):
+    link = tmp_path / "link.txt"
+    link.symlink_to(small_run / "config.txt")
+    rollouts = []
+    for extra in ([], ["--config", str(link)]):
+        out_csv = tmp_path / f"traj{len(extra)}.csv"
+        code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                     "--init", "0.5,-0.2,0.1", "--out", str(out_csv), *extra])
+        assert code == 0
+        rollouts.append(out_csv.read_bytes())
+    assert rollouts[0] == rollouts[1]
+
+
 def test_eval_missing_config_reports_error(small_run, tmp_path, capsys):
     lonely = tmp_path / "lonely.nnc"
     lonely.write_bytes((small_run / "final.nnc").read_bytes())

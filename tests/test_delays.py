@@ -201,17 +201,9 @@ def test_actuator_single_arrival_switches():
     act = Actuator(1)
     act.apply([(0.5, np.array([2.0]))])
     assert np.array_equal(act.held, np.array([2.0]))
-    assert act.last_arrival == 0.5
 
 
 def test_actuator_holds_the_later_of_simultaneous_arrivals():
     act = Actuator(1)
     act.apply([(0.5, np.array([1.0])), (0.5, np.array([2.0]))])
     assert np.array_equal(act.held, np.array([2.0]))
-
-
-def test_actuator_rejects_time_regression():
-    act = Actuator(1)
-    act.apply([(1.0, np.array([1.0]))])
-    with pytest.raises(ValueError):
-        act.apply([(0.5, np.array([2.0]))])
