@@ -413,6 +413,7 @@ class Trainer:
         net_ss, sample_ss = np.random.SeedSequence(cfg.seed).spawn(2)
         net_seed = int(net_ss.generate_state(1)[0])
         self.net = init_network([dim, *cfg.hidden], m, cfg.tanh_weight, net_seed)
+        self.net.run_config = cfg.field_texts()
         self.target = self.net.copy()
         self.adam = AdamState.fresh(self.net.params.size, lr=cfg.learning_rate)
         # written by every update, so one update allocates no batch trace or

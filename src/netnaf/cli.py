@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .agent import run_episode
-from .config import ExperimentConfig, apply_overrides, load_config
+from .config import (ExperimentConfig, apply_overrides, format_field_texts,
+                     from_field_texts, load_config)
 from .errors import (CheckpointFormatError, ConfigError, DimensionError,
                      NumericsError)
 from .nn import load_checkpoint, save_checkpoint
@@ -32,10 +33,6 @@ LEARNING_CURVE_COLUMNS = ["episode", "reward_sum_from_50th", "mean_loss",
                           "noise_scale", "seconds_elapsed"]
 DELAY_TRACE_FIELDS = ("k", "t", "tau_sc", "tau_cp", "ctrl_arrival",
                       "plant_arrival")
-
-
-def default_out_root() -> Path:
-    return Path(os.environ.get("NETNAF_OUT_ROOT", "runs"))
 
 
 def _write_csv(fh, header, rows):
@@ -113,7 +110,7 @@ def cmd_train(args) -> int:
     trainer = cfg.trainer()
 
     out_dir = Path(args.out) if args.out else (
-        default_out_root() / f"train-seed{cfg.seed}")
+        Path(os.environ.get("NETNAF_OUT_ROOT", "runs")) / f"train-seed{cfg.seed}")
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     # an older run's checkpoints here would pass for this run's; only the
@@ -121,7 +118,7 @@ def cmd_train(args) -> int:
     older = ckpt_dir.glob("ep[0-9][0-9][0-9][0-9][0-9][0-9].nnc")
     for path in [out_dir / "final.nnc", *older]:
         path.unlink(missing_ok=True)
-    cfg.save(out_dir / "config.txt")
+    (out_dir / "config.txt").write_text(format_field_texts(trainer.net.run_config))
 
     # an unwritable curve path fails before any episode runs. The file is
     # line-buffered, so the header and each row reach it as written: however
@@ -144,16 +141,6 @@ def cmd_train(args) -> int:
     save_checkpoint(out_dir / "final.nnc", trainer.net, trainer.adam)
     print(f"trained {cfg.episodes} episodes, artifacts in {out_dir}")
     return 0
-
-
-def _run_config_path(checkpoint_path: Path):
-    """The run's config.txt, next to the checkpoint or in its parent, or
-    None."""
-    for candidate in (checkpoint_path.parent / "config.txt",
-                      checkpoint_path.parent.parent / "config.txt"):
-        if candidate.is_file():
-            return candidate
-    return None
 
 
 def _file_identity(path):
@@ -183,34 +170,37 @@ def _check_distinct_paths(*named):
 
 
 def cmd_eval(args) -> int:
+    """One noise-free rollout of a checkpoint, under the configuration it
+    stores or, to change the delay law say, `--config`. That must match
+    the policy's input width and the stored output history length and
+    delay bound steps; a checkpoint storing none needs `--config`."""
     if args.delay_seed < 0:
         raise ConfigError("--delay-seed must be >= 0")
     ckpt_path = Path(args.checkpoint)
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
     net, _ = load_checkpoint(ckpt_path)
-    run_config = _run_config_path(ckpt_path)
-    config_path = Path(args.config) if args.config else run_config
-    if config_path is None:
-        raise ConfigError("no config.txt found next to the checkpoint; pass --config")
-    _check_distinct_paths(("--checkpoint", ckpt_path), ("--config", config_path),
-                          ("--out", out),
-                          ("--delay-trace", args.delay_trace or None))
-    cfg = load_config(config_path)
+    _check_distinct_paths(("--checkpoint", ckpt_path), ("--config", args.config or None),
+                          ("--out", out), ("--delay-trace", args.delay_trace or None))
+    try:
+        stored = None if net.run_config is None else from_field_texts(net.run_config)
+    except ConfigError as exc:
+        raise ConfigError(f"configuration stored in {ckpt_path}: {exc}") from exc
+    if stored is None and not args.config:
+        raise ConfigError(f"{ckpt_path} stores no configuration; pass --config")
+    cfg = load_config(args.config) if args.config else stored
     if net.input_dim != cfg.extended_dim:
         raise DimensionError(
             f"checkpoint expects input width {net.input_dim}, configuration "
             f"implies {cfg.extended_dim}")
-    # one width fits several layouts: the plant and sensor fix p and m, the
-    # output history length and the delay bounds the rest
-    if run_config is not None and (
-            _file_identity(run_config) != _file_identity(config_path)):
+    # one width fits several layouts, set by the history length and delay bounds
+    if stored is not None:
         trained, given = ((c.output_history_len, c.delay_model().total_delay_steps)
-                          for c in (load_config(run_config), cfg))
+                          for c in (stored, cfg))
         if trained != given:
             raise DimensionError(
                 f"(output history length, delay bound steps) is {trained} in "
-                f"the run's {run_config}, {given} in the configuration")
+                f"the checkpoint's configuration, {given} in {args.config}")
     try:
         x0 = np.array([float(part) for part in args.init.split(",")])
     except ValueError as exc:
@@ -265,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--init", required=True,
                         help="initial plant state, comma separated")
     p_eval.add_argument("--delay-seed", type=int, default=0, dest="delay_seed")
-    p_eval.add_argument("--config", help="config file (default: sibling config.txt)")
+    p_eval.add_argument("--config", help="config file (default: the checkpoint's own)")
     p_eval.add_argument("--out", help="trajectory CSV path")
     p_eval.add_argument("--delay-trace", dest="delay_trace",
                         help="also dump realized delays to this CSV")

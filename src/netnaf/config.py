@@ -13,7 +13,6 @@ from its builders.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -158,20 +157,16 @@ class ExperimentConfig:
 
     # -- text round trip
 
-    def to_text(self) -> str:
-        out = io.StringIO()
-        current = None
+    def field_texts(self) -> dict:
+        """{section: {key: text}}, in snapshot order: the mapping configparser
+        reads from the text form, and what a checkpoint stores."""
+        texts = {section: {} for section, _ in _BY_KEY}
         for (section, key), f in _BY_KEY.items():
-            if section != current:
-                out.write(f"\n[{section}]\n")
-                current = section
-            text = _FORMATS.get(f.type, str)(getattr(self, f.name))
-            out.write(f"{key} = {text}\n")
-        return out.getvalue()[1:]  # no blank line before the first section
+            texts[section][key] = _FORMATS.get(f.type, str)(getattr(self, f.name))
+        return texts
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
+    def to_text(self) -> str:
+        return format_field_texts(self.field_texts())
 
 
 # (section, key) -> field, in declaration order
@@ -185,6 +180,35 @@ _FORMATS = {"float": lambda value: repr(float(value)),
             "tuple": lambda value: ",".join(str(v) for v in value)}
 
 
+def format_field_texts(texts) -> str:
+    """The text form of a {section: {key: text}} mapping."""
+    return "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                     for section, keys in texts.items())
+
+
+def from_field_texts(texts) -> ExperimentConfig:
+    """The config of a {section: {key: text}} mapping, with the text form's checks."""
+    if not (isinstance(texts, dict)
+            and all(isinstance(keys, dict) for keys in texts.values())):
+        raise ConfigError("configuration is not a mapping of sections to keys")
+    values = {}
+    for section, keys in texts.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in keys.items():
+            f = _BY_KEY.get((section, key))
+            if f is None:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if not isinstance(raw, str):
+                raise ConfigError(f"[{section}] {key} must be text, got {raw!r}")
+            try:
+                values[f.name] = _PARSERS[f.type](raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for [{section}] {key}: {raw!r}") from exc
+    return ExperimentConfig(**values)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse configuration text; every key must be known."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -194,21 +218,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unparseable configuration: {exc}") from exc
     if parser.defaults():
         raise ConfigError("top-level keys are not allowed; use sections")
-
-    values = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            f = _BY_KEY.get((section, key))
-            if f is None:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            try:
-                values[f.name] = _PARSERS[f.type](raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key}: {raw!r}") from exc
-    return ExperimentConfig(**values)
+    return from_field_texts({section: dict(parser.items(section))
+                             for section in parser.sections()})
 
 
 def load_config(path) -> ExperimentConfig:

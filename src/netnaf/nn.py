@@ -15,7 +15,6 @@ one set for its update step); the results are bit-identical either way.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 import struct
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import CheckpointFormatError, DimensionError, NumericsError
 
 _MAGIC = b"NNAFCKP1"
-_VERSION = 1
+_VERSION = 2
 _F8 = np.dtype("<f8")
 # the checkpoint header's Adam entry: these AdamState fields, no others
 _ADAM_KEYS = ("step", "lr", "beta1", "beta2", "eps")
@@ -64,10 +63,12 @@ class MlpNetwork:
     `layers` holds each layer's (weights, biases) views into it, trunk
     first, then value, action and scale: writing into `params` (an
     optimizer step, a soft update) is what the next forward pass sees.
+    `run_config`, its run's configuration (a JSON object or None), is
+    opaque: checkpoints store and restore it.
     """
 
     def __init__(self, widths, action_dim: int, tanh_weight: float,
-                 params: np.ndarray | None = None):
+                 params: np.ndarray | None = None, run_config=None):
         """widths: [input, hidden...]. params defaults to zeros."""
         self.widths = tuple(int(w) for w in widths)
         if len(self.widths) < 2:
@@ -88,6 +89,7 @@ class MlpNetwork:
         self.layers = _layer_views(shapes, self.params)
         self.action_dim = action_dim
         self.tanh_weight = tanh_weight
+        self.run_config = run_config
 
     @property
     def input_dim(self) -> int:
@@ -95,7 +97,7 @@ class MlpNetwork:
 
     def copy(self) -> "MlpNetwork":
         return MlpNetwork(self.widths, self.action_dim, self.tanh_weight,
-                          self.params.copy())
+                          self.params.copy(), self.run_config)
 
 
 def init_network(layer_widths, action_dim: int, tanh_weight: float,
@@ -374,11 +376,13 @@ def _header(net: MlpNetwork) -> dict:
         },
         "layout": [[name, off, list(shape)] for name, off, shape in layout],
         "param_count": total,
+        "run_config": net.run_config,
     }
 
 
 def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
-    """Write `net.params` and Adam's moments as little-endian float64 blocks.
+    """Write a JSON header (layers, Adam's settings and step, `run_config`),
+    then `net.params` and Adam's moments as little-endian float64 blocks.
 
     The write is atomic: the bytes go to a temporary file in the same
     directory, which is flushed, synced to disk and then renamed over
@@ -390,19 +394,13 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     if adam.m.shape != net.params.shape:
         raise DimensionError("optimizer state does not match network size")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    buf.write(struct.pack("<Q", len(blob)))
-    buf.write(blob)
-    buf.write(net.params.astype(_F8).tobytes())
-    buf.write(adam.m.astype(_F8).tobytes())
-    buf.write(adam.v.astype(_F8).tobytes())
+    data = b"".join([_MAGIC, struct.pack("<IQ", _VERSION, len(blob)), blob,
+                     *(a.astype(_F8).tobytes() for a in (net.params, adam.m, adam.v))])
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -415,11 +413,11 @@ def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
 def load_checkpoint(path):
     """Read a checkpoint back; returns (network, adam state), bit-exact.
 
-    The network is built from the widths, action dimension and tanh
-    weight the header gives, and any header other than the one
-    `save_checkpoint` writes for that network is rejected. The float64
-    blocks are read straight into one array; `net.params` and the Adam
-    moments are views into it, so nothing is copied.
+    The network is built from the header's widths, action dimension, tanh
+    weight and `run_config` (a JSON object or null); a version-1 file, and
+    any header other than the one `save_checkpoint` writes for that network,
+    are rejected. The float64 blocks are read straight into one array;
+    `net.params` and the Adam moments are views into it, so nothing is copied.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -428,7 +426,8 @@ def load_checkpoint(path):
             raise CheckpointFormatError("bad magic bytes, not a checkpoint file")
         version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
         if version != _VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+            why = " (it predates the stored run configuration)" if version == 1 else ""
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}{why}")
         pos = len(prefix) + header_len
         if size < pos:
             raise CheckpointFormatError("truncated header")
@@ -449,8 +448,11 @@ def load_checkpoint(path):
     try:
         trunk = header["trunk"]
         widths = [trunk[0]["in"], *(layer["out"] for layer in trunk)]
+        if not isinstance(header["run_config"], (dict, type(None))):
+            raise ValueError("run_config is neither an object nor null")
         net = MlpNetwork(widths, header["action_dim"],
-                         header["heads"]["action"]["tanh_weight"], block[:total])
+                         header["heads"]["action"]["tanh_weight"], block[:total],
+                         header["run_config"])
         a = header.pop("adam")
         if set(a) != set(_ADAM_KEYS):
             raise ValueError(f"Adam entry {a!r} does not hold {_ADAM_KEYS}")

@@ -12,13 +12,9 @@ import numpy as np
 from .errors import DimensionError
 
 
-def _default_output_weights():
-    return np.diag([0.8, 0.8])
-
-
 @dataclass(frozen=True)
 class RewardWeights:
-    output_weights: np.ndarray = field(default_factory=_default_output_weights)
+    output_weights: np.ndarray = field(default_factory=lambda: np.diag([0.8, 0.8]))
     input_effort: float = 1.0
     input_smoothness: float = 0.15
 

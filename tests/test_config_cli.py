@@ -13,8 +13,8 @@ import pytest
 from netnaf import cli, nn
 from netnaf.agent import Trainer
 from netnaf.cli import main
-from netnaf.config import (ExperimentConfig, apply_overrides, load_config,
-                           parse_config)
+from netnaf.config import (ExperimentConfig, apply_overrides, from_field_texts,
+                           load_config, parse_config)
 from netnaf.errors import ConfigError
 from netnaf.plant import ChuaCircuit, integrate
 
@@ -106,6 +106,7 @@ def test_every_setting_roundtrips_under_its_own_key():
     assert len(changed) == len(dataclasses.fields(cfg)) - 1 == 33
     text = cfg.to_text()
     assert parse_config(text) == cfg
+    assert from_field_texts(cfg.field_texts()) == cfg
     pairs, section = [], None
     for line in text.splitlines():
         if line.startswith("["):
@@ -605,8 +606,8 @@ def test_eval_second_initial_state(small_run, tmp_path):
 def test_eval_config_under_another_delay_law(small_run, tmp_path):
     # the grid law keeps the run's delay bounds, so its checkpoint still fits
     grid_cfg = tmp_path / "grid.txt"
-    apply_overrides(load_config(small_run / "config.txt"),
-                    delay_distribution="grid").save(grid_cfg)
+    grid_cfg.write_text(apply_overrides(load_config(small_run / "config.txt"),
+                                        delay_distribution="grid").to_text())
     rollouts = {}
     for law, extra in (("uniform", []), ("grid", ["--config", str(grid_cfg)])):
         out_csv, trace_csv = tmp_path / f"{law}.csv", tmp_path / f"{law}-d.csv"
@@ -634,9 +635,9 @@ def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
     dim = cfg.extended_dim
     net = nn.init_network([dim, *cfg.hidden], 1, cfg.tanh_weight, 0)
     net.params[:] = 0.0
+    net.run_config = cfg.field_texts()
     run = tmp_path / "zero"
     run.mkdir()
-    cfg.save(run / "config.txt")
     nn.save_checkpoint(run / "zero.nnc", net,
                        nn.AdamState.fresh(net.params.size, cfg.learning_rate))
     out_csv = tmp_path / "traj.csv"
@@ -668,19 +669,78 @@ def test_eval_rejects_a_config_of_another_layout(small_run, tmp_path, capsys):
                             cp_bound_steps=2, cp_max=0.125)
     assert other.extended_dim == 22
     other_cfg = tmp_path / "other.txt"
-    other.save(other_cfg)
+    other_cfg.write_text(other.to_text())
     out_csv, trace_csv = tmp_path / "traj.csv", tmp_path / "trace.csv"
     args = ["--init", "0.5,-0.2,0.1", "--config", str(other_cfg),
             "--out", str(out_csv), "--delay-trace", str(trace_csv)]
-    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"), *args])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "(4, 8)" in err and "(5, 5)" in err
-    assert not out_csv.exists() and not trace_csv.exists()
-    # with no run config beside the checkpoint, only the width can be checked
+    # the checkpoint's stored configuration is checked, wherever it lies
     lonely = tmp_path / "lonely.nnc"
     lonely.write_bytes((small_run / "final.nnc").read_bytes())
-    assert main(["eval", "--checkpoint", str(lonely), *args]) == 0
+    for ckpt in (small_run / "final.nnc", lonely):
+        code = main(["eval", "--checkpoint", str(ckpt), *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(4, 8)" in err and "(5, 5)" in err
+        assert not out_csv.exists() and not trace_csv.exists()
+
+
+def test_eval_works_on_a_checkpoint_copied_away_from_its_run(small_run,
+                                                             tmp_path):
+    away = tmp_path / "away"
+    away.mkdir()
+    (away / "final.nnc").write_bytes((small_run / "final.nnc").read_bytes())
+    outputs = []
+    for ckpt in (small_run / "final.nnc", away / "final.nnc"):
+        out_csv, trace_csv = ckpt.with_suffix(".csv"), ckpt.with_suffix(".d.csv")
+        code = main(["eval", "--checkpoint", str(ckpt), "--init", "0.5,-0.2,0.1",
+                     "--delay-seed", "3", "--out", str(out_csv),
+                     "--delay-trace", str(trace_csv)])
+        assert code == 0
+        outputs.append((out_csv.read_bytes(), trace_csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert sorted(p.name for p in away.iterdir()) == [
+        "final.csv", "final.d.csv", "final.nnc"]
+
+
+def test_eval_reads_a_policy_saved_the_way_the_benchmark_saves_it(tmp_path):
+    # perfbench's eval_grid saves cfg.trainer()'s net and Adam and runs eval
+    # with no --config; the rollout must last the stored horizon
+    cfg = parse_config("[plant]\nhorizon = 1.0\n")
+    trainer = cfg.trainer()
+    path = tmp_path / "policy" / "final.nnc"
+    path.parent.mkdir()
+    nn.save_checkpoint(path, trainer.net, trainer.adam)
+    net, _ = nn.load_checkpoint(path)
+    assert net.run_config == cfg.field_texts()
+    out_csv = tmp_path / "traj.csv"
+    code = main(["eval", "--checkpoint", str(path), "--init", "0.5,-0.2,0.1",
+                 "--out", str(out_csv)])
+    assert code == 0
+    assert len(read_csv(out_csv)) == 1 + 17
+
+
+@pytest.mark.parametrize("stored, message", [
+    ([{"plant": {"horizon": "1.0"}}], "run_config"),
+    ({"plant": "horizon = 1.0"}, "not a mapping"),
+    ({"plant": {"horizon": "1.0", "colour": "red"}}, "unknown key 'colour'"),
+    ({"plant": {"horizon": 1.0}}, "must be text"),
+    ({"network": {"hidden": "8,eight"}}, "bad value for [network] hidden"),
+], ids=["list", "section_not_a_mapping", "unknown_key", "non_string_value",
+        "unparseable_value"])
+def test_eval_rejects_a_malformed_stored_config(tmp_path, capsys, stored,
+                                                message):
+    net = nn.init_network([ExperimentConfig().extended_dim, 8, 8], 1, 4.0, 0)
+    net.run_config = stored
+    path = tmp_path / "bad.nnc"
+    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size, 1e-3))
+    out_csv = tmp_path / "traj.csv"
+    code = main(["eval", "--checkpoint", str(path), "--init", "0,0,0",
+                 "--out", str(out_csv)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.nnc"]
 
 
 def test_eval_config_naming_the_runs_own_gives_the_same_rollout(small_run,
@@ -698,11 +758,21 @@ def test_eval_config_naming_the_runs_own_gives_the_same_rollout(small_run,
 
 
 def test_eval_missing_config_reports_error(small_run, tmp_path, capsys):
-    lonely = tmp_path / "lonely.nnc"
-    lonely.write_bytes((small_run / "final.nnc").read_bytes())
-    code = main(["eval", "--checkpoint", str(lonely), "--init", "0,0,0"])
+    # a network built without a config stores none; eval then needs --config
+    cfg = load_config(small_run / "config.txt")
+    net = nn.init_network([cfg.extended_dim, *cfg.hidden], 1, cfg.tanh_weight, 0)
+    bare = tmp_path / "bare.nnc"
+    nn.save_checkpoint(bare, net, nn.AdamState.fresh(net.params.size, 1e-3))
+    code = main(["eval", "--checkpoint", str(bare), "--init", "0,0,0"])
     assert code == 1
-    assert "config" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--config" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "eval-seed0.csv").exists()
+    code = main(["eval", "--checkpoint", str(bare), "--init", "0,0,0",
+                 "--config", str(small_run / "config.txt")])
+    assert code == 0
+    assert (tmp_path / "eval-seed0.csv").is_file()
 
 
 @pytest.mark.parametrize("init, extra", [
@@ -779,22 +849,16 @@ def test_eval_rejects_outputs_that_name_one_file(small_run, tmp_path, capsys,
     assert not (small_run / "eval-seed0.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["out_is_sibling_config",
-                                  "trace_is_sibling_config",
-                                  "out_is_explicit_config",
+@pytest.mark.parametrize("case", ["out_is_explicit_config",
                                   "trace_is_explicit_config"])
 def test_eval_rejects_outputs_that_name_its_config(small_run, tmp_path, capsys,
                                                    case):
-    explicit = tmp_path / "cfg.txt"
-    explicit.write_bytes((small_run / "config.txt").read_bytes())
-    config = explicit if case.endswith("explicit_config") else (
-        small_run / "config.txt")
+    config = tmp_path / "cfg.txt"
+    config.write_bytes((small_run / "config.txt").read_bytes())
     before = config.read_bytes()
     out_csv = tmp_path / "t.csv"
     argv = ["eval", "--checkpoint", str(small_run / "final.nnc"),
-            "--init", "0.5,-0.2,0.1"]
-    if config == explicit:
-        argv += ["--config", str(explicit)]
+            "--init", "0.5,-0.2,0.1", "--config", str(config)]
     if case.startswith("out"):
         argv += ["--out", str(config)]
     else:

@@ -496,6 +496,8 @@ def test_copy_shares_no_memory():
         assert not np.shares_memory(a, b)
     dup.params[:] = 0.0
     assert np.array_equal(net.params, small_net().params)
+    net.run_config = {"run": {"seed": "3"}}
+    assert net.copy().run_config == {"run": {"seed": "3"}}
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +604,12 @@ def test_checkpoint_bad_version(tmp_path):
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
-    raw[8] = 99
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointFormatError):
-        nn.load_checkpoint(path)
+    for version, message in ((99, "unsupported checkpoint version 99"),
+                             (1, r"version 1 \(it predates the stored run configuration\)")):
+        raw[8] = version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match=message):
+            nn.load_checkpoint(path)
 
 
 def checkpoint_with_header(tmp_path, edit):
@@ -683,13 +687,17 @@ def _adam(**entry):
     _set("adam", "eps", value=None),
     _adam(momentum=0.5),
     _set("adam", value=[1, 2]),
+    _set("run_config", value=None),
+    _set("run_config", value=[{"run": {"seed": "3"}}]),
+    _set("run_config", value="[run]\nseed = 3\n"),
 ], ids=["missing_in", "missing_activation", "list", "linear_trunk",
         "relu_action_head", "layout_offset", "no_tanh_weight", "zero_tanh_weight",
         "adam_all_bad", "adam_negative_step", "adam_bool_step", "adam_float_step",
         "adam_text_lr", "adam_zero_lr", "adam_nan_lr", "adam_inf_lr",
         "adam_huge_lr", "adam_negative_eps", "adam_null_beta1", "adam_beta1_one",
         "adam_beta2_five", "adam_negative_beta2", "adam_no_eps",
-        "adam_extra_key", "adam_list"])
+        "adam_extra_key", "adam_list", "no_run_config", "run_config_list",
+        "run_config_text"])
 def test_checkpoint_malformed_header(tmp_path, edit):
     with pytest.raises(CheckpointFormatError):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
@@ -715,7 +723,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6e772ddbbbebbf966058e50b3972efdaa9b7a24f612f6105706383d1442db3b2")
+        "26db224c1fe116a5c5f4ba8b52dc6490dbecc5b3d3f31ee6539d9041f559c5aa")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -725,9 +733,15 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path, m, hidden):
     adam = nn.AdamState.fresh(net.params.size, lr=3e-4)
     nn.adam_step(net.params, np.random.default_rng(m).normal(size=adam.m.size), adam)
     first, second = tmp_path / "a.nnc", tmp_path / "b.nnc"
-    nn.save_checkpoint(first, net, adam)
-    nn.save_checkpoint(second, *nn.load_checkpoint(first))
-    assert second.read_bytes() == first.read_bytes()
+    # a bare network, then one that stores its run's configuration
+    for run_config in (None, {"network": {"hidden": ",".join(map(str, hidden))},
+                              "run": {"seed": str(m)}}):
+        net.run_config = run_config
+        nn.save_checkpoint(first, net, adam)
+        loaded = nn.load_checkpoint(first)
+        assert loaded[0].run_config == run_config
+        nn.save_checkpoint(second, *loaded)
+        assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("block", [0, 1, 2], ids=["params", "adam_m", "adam_v"])
