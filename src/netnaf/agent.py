@@ -3,8 +3,8 @@
 The controller never sees the plant state. It works on an extended state:
 the newest outputs (one more than the configured output history length) and
 the inputs it issued over the worst-case delay window plus that history.
-Episodes run on the sensor's sampling grid; payload timing goes through the
-two delay channels, and the plant is integrated between samples over the
+Episodes run on the sensor's sampling grid; outputs reach the controller at
+clamped arrival times, and the plant is integrated between samples over the
 controller-to-plant channel's arrivals, each applied exactly where it lands.
 
 The loop and the trainer take an `ExperimentConfig` as their one description
@@ -101,48 +101,67 @@ class HistoryBuffer:
 
 
 class ReplayMemory:
-    """Bounded FIFO of transitions, one float64 row each laid out as
-    [w | u | r | w']; uniform sampling without replacement.
-
-    Push n goes to row n % capacity: row i is the i-th push until the
-    memory is full, then pushes overwrite rows from 0 on. Rows are
-    allocated by doubling, up to capacity.
+    """Bounded FIFO of the last `capacity` transitions, sampled uniformly
+    without replacement. Push n fills slot n % (capacity + window), where
+    window = delay_steps + output_history_len is w's input count: a row
+    [y | u | r | y'] of `rows` (the newest outputs of w and w'), its
+    episode's first push number in `starts` and the self-loop flag (w' = w)
+    in `loops`. The spare slots keep the oldest window whole; slots grow by
+    doubling. FIFO position i is the newest push = i (mod capacity).
     """
 
-    def __init__(self, capacity: int, state_dim: int, input_dim: int):
+    def __init__(self, capacity: int, output_dim: int, input_dim: int,
+                 delay_steps: int, output_history_len: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.state_dim = state_dim
-        self.input_dim = input_dim
-        self.rows = np.empty((1, 2 * state_dim + input_dim + 1))
+        self.capacity, self.window = capacity, delay_steps + output_history_len
+        self.output_dim, self.input_dim = output_dim, input_dim
+        self.output_history_len = output_history_len
+        self.rows = np.empty((1, 2 * output_dim + input_dim + 1))
+        self.starts, self.loops = np.zeros(1, np.int64), np.zeros(1, bool)
         self.pushes = 0
 
     def __len__(self):
         return min(self.pushes, self.capacity)
 
-    def split(self, block):
-        """(w, u, r, w') views of a row or of a block of rows."""
-        s, m = self.state_dim, self.input_dim
-        return (block[..., :s], block[..., s:s + m], block[..., s + m],
-                block[..., s + m + 1:])
-
-    def push(self, w, u, r: float, w_next):
-        i = self.pushes % self.capacity
-        if i == self.rows.shape[0]:
-            grown = np.empty((min(2 * i, self.capacity), self.rows.shape[1]))
-            grown[:i] = self.rows
-            self.rows = grown
-        for column, value in zip(self.split(self.rows[i]), (w, u, r, w_next)):
-            column[...] = value
+    def push(self, y, u, r: float, y_next, *, first: bool, loop: bool = False):
+        """Store (w, u, r, w') by the newest outputs y of w and y_next of w';
+        `first` marks an episode's first transition, `loop` the self-loop."""
+        n, ring = self.pushes, self.capacity + self.window
+        i = n % ring
+        if i == len(self.rows):
+            size = min(2 * i, ring)
+            for name in ("rows", "starts", "loops"):
+                old = getattr(self, name)
+                setattr(self, name, np.empty((size, *old.shape[1:]), old.dtype))
+                getattr(self, name)[:i] = old
+        np.concatenate((y, u, (r,), y_next), out=self.rows[i])
+        self.starts[i] = n if first else self.starts[i - 1]
+        self.loops[i] = loop
         self.pushes += 1
 
     def sample(self, rng: np.random.Generator, n: int):
-        """(w, u, r, w') of n distinct transitions, as views of one gathered
-        copy of their rows."""
+        """(w, u, r, w') of n distinct transitions, rebuilt as fresh arrays."""
         if n > len(self):
             raise ValueError(f"cannot sample {n} of {len(self)} transitions")
-        return self.split(self.rows[rng.choice(len(self), size=n, replace=False)])
+        pos = rng.choice(len(self), size=n, replace=False)
+        pushed = self.pushes - 1 - (self.pushes - 1 - pos) % self.capacity
+        slots = pushed % (self.capacity + self.window)
+        age = (pushed - self.starts[slots])[:, None]
+        # the `window` slots back, clipped at the episode's first, whose y pads
+        # the outputs (earlier inputs are zero); only a full ring wraps back
+        p, m, back = self.output_dim, self.input_dim, np.arange(self.window + 1)
+        held = self.rows.take(slots[:, None] - np.minimum(back, age), axis=0)
+        inputs = held[:, :, p:p + m]
+        np.copyto(inputs, 0.0, where=(back > age)[:, :, None])
+        # (y', y, ...) and (u, ...), newest first: w drops the first of each, w' the last
+        outputs = np.concatenate((held[:, :1, -p:],
+                                  held[:, :self.output_history_len + 1, :p]), axis=1)
+        outputs, inputs = outputs.reshape(n, -1), inputs.reshape(n, -1)
+        w = np.concatenate((outputs[:, p:], inputs[:, m:]), axis=1)
+        w_next = np.concatenate((outputs[:, :-p], inputs[:, :-m]), axis=1)
+        np.copyto(w_next, w, where=self.loops[slots][:, None])
+        return w, held[:, 0, p:p + m], held[:, 0, p + m], w_next
 
 
 class OrnsteinUhlenbeck:
@@ -286,17 +305,18 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                 on_step=None) -> EpisodeResult:
     """Simulate one episode of the delayed closed loop.
 
-    On the k-th sampling instant the sensed output goes through the
-    sensor-to-controller channel; on its (clamped) arrival the controller
-    extends its histories, scores and stores the previous transition,
-    evaluates the policy (plus scaled exploration noise when `noise` is
-    given) and sends the input through the controller-to-plant channel. The
-    history starts at k = 0 from the first received output. Each instant
-    integrates the plant from the previous one over the inputs delivered
-    since; `integrate` sees them first and rejects decreasing times, and the
-    actuator then holds the last one delivered. Transitions go to `replay`
-    when one is given. on_step(k) fires after the k-th input is issued and
-    the instant is logged as row k of `samples`.
+    The k-th sensed output y_k reaches the controller at its clamped arrival
+    max(t_k + sensor-to-controller delay, previous arrival), which is all of
+    that link: the controller always acts on y_k itself. It then extends its
+    histories (started at k = 0 from the first output), scores and stores
+    the previous transition, evaluates the policy (plus scaled exploration
+    noise when `noise` is given) and sends the input through the
+    controller-to-plant channel. Each instant integrates the plant from the
+    previous one over the inputs delivered since; `integrate` sees them first
+    and rejects decreasing times, and the actuator then holds the last one
+    delivered. Transitions go to `replay` when one is given. on_step(k)
+    fires after the k-th input is issued and the instant is logged as row k
+    of `samples`.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
@@ -310,7 +330,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     plant, sensor, delays = cfg.plant(), cfg.sensor(), cfg.delay_model()
     weights = RewardWeights()
     delta = sensor.period
-    sc_channel, cp_channel = DelayedChannel(), DelayedChannel()
+    cp_channel, ctrl_arrival = DelayedChannel(), -math.inf
     actuator = Actuator(plant.input_dim)
     if noise is not None:
         noise.reset()
@@ -327,7 +347,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         arrivals = cp_channel.poll(t_k)
         if k > 0:
             # instant k - 1 computed the same float as its t_k, and set
-            # w_prev and u_prev
+            # w_prev, u_prev and y_prev
             try:
                 x = integrate(plant, x, actuator.held, (k - 1) * delta, t_k,
                               cfg.substep, arrivals)
@@ -336,22 +356,20 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                 r = cfg.divergence_penalty
                 result.rewards.append(r)
                 if replay is not None:
-                    replay.push(w_prev, u_prev, r, w_prev)
+                    replay.push(y_prev, u_prev, r, y_prev, first=(k == 1), loop=True)
                 break
         actuator.apply(arrivals)
 
         y_k = sense(x, sensor)
         sc_delay = sample_delay(delays, SC, rng)
         cp_delay = sample_delay(delays, CP, rng)
-        ctrl_arrival = sc_channel.send(t_k, y_k, sc_delay)
-        received = sc_channel.poll(ctrl_arrival)
-        y_recv = received[-1][1]
+        ctrl_arrival = max(t_k + sc_delay, ctrl_arrival)
 
         if k == 0:
-            hist = HistoryBuffer(y_recv, plant.input_dim,
+            hist = HistoryBuffer(y_k, plant.input_dim,
                                  delays.total_delay_steps, cfg.output_history_len)
         else:
-            hist.push_output(y_recv)
+            hist.push_output(y_k)
         w_k = hist.extended_state()
 
         if k >= 1:
@@ -359,7 +377,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                                   cfg.output_history_len)
             result.rewards.append(r)
             if replay is not None:
-                replay.push(w_prev, u_prev, r, w_k)
+                replay.push(y_prev, u_prev, r, y_k, first=(k == 1))
 
         # the greedy action is the mu head alone; V and L feed only the TD loss
         mu_k = forward(net, w_k, head="action").mu
@@ -373,7 +391,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         log[k] = (k, t_k, x, y_k, actuator.held, sc_delay, cp_delay,
                   ctrl_arrival, plant_arrival)
         result.samples = log[:k + 1]
-        w_prev, u_prev = w_k, u_k
+        w_prev, u_prev, y_prev = w_k, u_k, y_k
         if on_step is not None:
             on_step(k)
 
@@ -423,7 +441,9 @@ class Trainer:
             "target_trace": ForwardTrace.empty(self.target, cfg.batch_size),
             "grad": np.empty_like(self.net.params),
         }
-        self.replay = ReplayMemory(cfg.replay_capacity, dim, m)
+        self.replay = ReplayMemory(cfg.replay_capacity, cfg.sensor().output_dim,
+                                   m, cfg.delay_model().total_delay_steps,
+                                   cfg.output_history_len)
         self.noise = OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma)
         self._sample_rng = np.random.default_rng(sample_ss)
 

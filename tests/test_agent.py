@@ -259,10 +259,9 @@ def test_batch_loss_with_buffers_is_bit_identical(m):
 def test_trainer_updates_write_into_its_buffers(monkeypatch):
     tr = tiny_trainer(batch_size=4, update_iters=3)
     rng = np.random.default_rng(2)
-    dim = tr.net.input_dim
-    for _ in range(8):
-        tr.replay.push(rng.normal(size=dim), rng.normal(size=1), rng.normal(),
-                       rng.normal(size=dim))
+    for k in range(8):
+        tr.replay.push(rng.normal(size=2), rng.normal(size=1), rng.normal(),
+                       rng.normal(size=2), first=k == 0)
     grads = []
 
     def recording(*args, **kwargs):
@@ -289,25 +288,40 @@ def test_batch_loss_rejects_nonfinite():
 # replay memory
 
 
+def numbered_memory(capacity):
+    """A replay of the default layout: 2 outputs, 1 input, a + b = 8, history 4."""
+    return ReplayMemory(capacity, 2, 1, 8, 4)
+
+
 def push_numbered(mem, count, start=0):
-    """Push transitions whose every field holds its push number."""
+    """Push transitions of one episode whose every field holds its push
+    number, negated in y'."""
     for i in range(start, start + count):
-        mem.push(np.full(22, i), np.array([float(i)]), float(i), np.full(22, -i))
+        mem.push(np.full(2, i), [float(i)], float(i), np.full(2, -i),
+                 first=mem.pushes == 0)
+
+
+def held(mem):
+    """Every held (w, u, r, w') in FIFO position order: a sample of all of
+    them, put back in the order its rng.choice call drew the positions."""
+    n = len(mem)
+    order = np.argsort(np.random.default_rng(0).choice(n, size=n, replace=False))
+    return tuple(a[order] for a in mem.sample(np.random.default_rng(0), n))
 
 
 def test_replay_evicts_oldest_first():
-    mem = ReplayMemory(10, 22, 1)
+    mem = numbered_memory(10)
     push_numbered(mem, 14)
-    _, _, r, _ = mem.split(mem.rows[:len(mem)])
+    _, _, r, _ = mem.sample(np.random.default_rng(1), len(mem))
     assert set(r) == set(range(4, 14))
     assert len(mem) == 10
 
 
 def test_replay_slots_across_growth_and_wraparound():
-    # slot i must hold what position i of an append-then-overwrite list
+    # position i must hold what position i of an append-then-overwrite list
     # holds, so the same rng.choice call picks the same transitions
     capacity = 1000
-    mem = ReplayMemory(capacity, 22, 1)
+    mem = numbered_memory(capacity)
     reference, cursor = [], 0
     for i in range(2500):
         push_numbered(mem, 1, start=i)
@@ -319,58 +333,69 @@ def test_replay_slots_across_growth_and_wraparound():
         if i in (0, 1, 2, 511, 512, 999, 1000, 1733, 2499):
             n = len(mem)
             assert n == len(reference)
-            w, u, r, w_next = mem.split(mem.rows[:n])
+            w, u, r, w_next = held(mem)
             assert np.array_equal(r, reference)
-            assert np.array_equal(w, np.repeat(reference, 22).reshape(n, 22))
+            assert np.array_equal(w[:, :2], np.repeat(reference, 2).reshape(n, 2))
             assert np.array_equal(u[:, 0], reference)
             assert np.array_equal(w_next[:, 0], -np.array(reference))
     w, u, r, w_next = mem.sample(np.random.default_rng(9), 128)
     expected = np.array(reference)[
         np.random.default_rng(9).choice(capacity, size=128, replace=False)]
     assert np.array_equal(r, expected) and np.array_equal(u[:, 0], expected)
-    assert np.array_equal(w[:, 3], expected) and np.array_equal(w_next[:, 3], -expected)
+    assert np.array_equal(w[:, 1], expected) and np.array_equal(w_next[:, 1], -expected)
 
 
 def test_replay_grows_by_doubling_up_to_capacity():
-    mem = ReplayMemory(1000, 22, 1)
+    # the ring is capacity plus the a + b + history = 12 slots of the window
+    mem = numbered_memory(1000)
     for n in range(1, 2501):
         push_numbered(mem, 1, start=n)
-        assert mem.rows.shape[0] <= min(1000, 2 * len(mem))
-    assert mem.rows.shape[0] == 1000
+        assert len(mem.rows) <= min(1012, 2 * mem.pushes)
+        assert len(mem.starts) == len(mem.loops) == len(mem.rows)
+    assert len(mem.rows) == 1012
 
 
-def test_replay_rows_are_w_u_r_w_next_of_their_push():
-    # push n owns row n % capacity; the table doubles 1, 2, 4, 8 then 10
-    mem = ReplayMemory(10, 3, 2)
+def test_replay_slots_hold_y_u_r_y_next_of_their_push():
+    # push n owns slot n % (capacity + a + b + history); the table doubles
+    # 1, 2, 4, 8 then 12
+    mem = ReplayMemory(10, 3, 2, 1, 1)
     rng = np.random.default_rng(8)
     pushed = []
     for n in range(27):
         transition = (rng.normal(size=3), rng.normal(size=2), rng.normal(),
                       rng.normal(size=3))
-        mem.push(*transition)
-        pushed.append(np.concatenate([transition[0], transition[1],
-                                      [transition[2]], transition[3]]))
-        if n in (0, 1, 4, 9, 10, 17, 26):
+        first, loop = n % 5 == 0, n % 7 == 6
+        mem.push(*transition, first=first, loop=loop)
+        pushed.append((np.concatenate([transition[0], transition[1],
+                                       [transition[2]], transition[3]]),
+                       n - n % 5, loop))
+        if n in (0, 1, 4, 9, 10, 11, 12, 17, 26):
             assert mem.pushes == n + 1 and len(mem) == min(n + 1, 10)
-            for i in range(len(mem)):
-                owner = max(p for p in range(n + 1) if p % 10 == i)
-                assert np.array_equal(mem.rows[i], pushed[owner])
-    w, u, r, w_next = mem.split(mem.rows[3])
-    assert (w.shape, u.shape, r.shape, w_next.shape) == ((3,), (2,), (), (3,))
+            assert len(mem.rows) == min(12, 1 << n.bit_length())
+            for i in range(min(n + 1, 12)):
+                row, start, loop = pushed[max(p for p in range(n + 1) if p % 12 == i)]
+                assert np.array_equal(mem.rows[i], row)
+                assert mem.starts[i] == start and mem.loops[i] == loop
+    # the table's first push starts an episode whatever it says
+    mem = ReplayMemory(10, 3, 2, 1, 1)
+    mem.push(np.ones(3), np.ones(2), 0.0, np.ones(3), first=False)
+    w, u, _, _ = mem.sample(rng, 1)
+    assert mem.starts[0] == 0 and np.array_equal(w, [[1.0] * 6 + [0.0] * 4])
 
 
 def test_replay_samples_are_copies():
-    mem = ReplayMemory(4, 22, 1)
+    mem = numbered_memory(4)
     push_numbered(mem, 4)
     batch = mem.sample(np.random.default_rng(0), 4)
+    assert not any(np.shares_memory(a, mem.rows) for a in batch)
     kept = [a.copy() for a in batch]
-    push_numbered(mem, 4, start=100)  # overwrites every slot
+    push_numbered(mem, 16, start=100)  # overwrites every slot of the ring
     assert all(np.array_equal(a, b) for a, b in zip(batch, kept))
 
 
 def test_replay_uniform_sampling_chi_square():
     size = 200
-    mem = ReplayMemory(size, 22, 1)
+    mem = numbered_memory(size)
     push_numbered(mem, size)
     rng = np.random.default_rng(23)
     counts = np.zeros(size)
@@ -384,14 +409,82 @@ def test_replay_uniform_sampling_chi_square():
 
 
 def test_replay_rejects_oversized_sample():
-    mem = ReplayMemory(10, 22, 1)
+    mem = numbered_memory(10)
     push_numbered(mem, 1)
     with pytest.raises(ValueError):
         mem.sample(np.random.default_rng(0), 2)
 
 
+# (length, diverges) of scripted episodes: long ones, a divergence at the
+# first transition, episodes shorter than a + b + history
+EPISODES = [(3, False), (1, True), (25, False), (2, False), (12, True),
+            (30, False), (5, False), (1, False), (17, True), (4, False)]
+
+
+@pytest.mark.parametrize("p, m, delay_steps, history, capacity", [
+    (2, 1, 8, 4, 1000), (2, 1, 8, 4, 7), (2, 1, 8, 4, 40), (3, 2, 2, 2, 13),
+    (2, 1, 0, 1, 5), (2, 1, 0, 4, 29)],
+    ids=["growth", "wrap_inside_the_window", "wrap", "wider", "no_delay",
+         "no_delay_wrap"])
+def test_replay_returns_the_transitions_a_window_table_holds(
+        p, m, delay_steps, history, capacity):
+    # every (w, u, r, w') equals the row a [w | u | r | w'] table of
+    # `capacity` rows, overwritten from row 0 on, holds for the same
+    # HistoryBuffer-driven pushes; the small capacities evict the start of
+    # episodes whose later transitions are still held
+    rng = np.random.default_rng(capacity)
+    mem = ReplayMemory(capacity, p, m, delay_steps, history)
+    dim = extended_state_dim(p, m, delay_steps, history)
+    reference, starts_evicted = [], 0
+    for length, diverges in EPISODES:
+        hist = HistoryBuffer(rng.normal(size=p), m, delay_steps, history)
+        for k in range(length):
+            w, u, r = hist.extended_state(), rng.normal(size=m), rng.normal()
+            hist.push_input(u)
+            loop = diverges and k == length - 1
+            if loop:
+                w_next = w
+            else:
+                hist.push_output(rng.normal(size=p))
+                w_next = hist.extended_state()
+            mem.push(w[:p], u, r, w_next[:p], first=k == 0, loop=loop)
+            row = np.concatenate([w, u, [r], w_next])
+            if len(reference) < capacity:
+                reference.append(row)
+            else:
+                reference[(mem.pushes - 1) % capacity] = row
+            starts_evicted += k >= capacity
+            table = np.array(reference)
+            for got, want in zip(held(mem), (table[:, :dim],
+                                             table[:, dim:dim + m],
+                                             table[:, dim + m],
+                                             table[:, dim + m + 1:])):
+                assert np.array_equal(got, want)
+    assert (starts_evicted > 0) == (capacity < 30)
+    batch = mem.sample(np.random.default_rng(3), min(capacity, 32))
+    rows = table[np.random.default_rng(3).choice(len(mem), size=len(batch[2]),
+                                                 replace=False)]
+    assert np.array_equal(np.column_stack(batch), rows)
+
+
+def test_replay_slot_fits_in_64_bytes_at_the_default_config():
+    # 2 outputs and 1 input: a row of 6 floats, a start and a flag, 57 B,
+    # where a [w | u | r | w'] row of the 22-wide state took 368 B
+    mem = ExperimentConfig().trainer().replay
+    push_numbered(mem, 300)
+    assert mem.sample(np.random.default_rng(0), 1)[0].shape == (1, 22)
+    slot_bytes = sum(a.nbytes for a in (mem.rows, mem.starts, mem.loops))
+    assert slot_bytes / len(mem.rows) <= 64
+
+
 # ---------------------------------------------------------------------------
 # closed loop
+
+
+def loop_memory(settings, capacity=100):
+    """A replay of the loop tests' layout: 2 outputs, 1 input."""
+    return ReplayMemory(capacity, 2, 1, settings.delay_model().total_delay_steps,
+                        settings.output_history_len)
 
 
 def zero_weight_net(dim, m=1):
@@ -454,13 +547,13 @@ def test_transition_alignment():
                              delay_range=(DELTA, 3 * DELTA))
     dim = settings.extended_dim
     net = nn.init_network([dim, 8, 8], 1, 4.0, 5)
-    mem = ReplayMemory(100, dim, 1)
+    mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([0.2, -0.2, 0.1]),
                          rng=np.random.default_rng(3),
                          noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=1.0,
                          replay=mem)
     assert len(mem) == 20
-    ws, us, rs, w_nexts = mem.split(mem.rows[:20])
+    ws, us, rs, w_nexts = held(mem)
     assert np.array_equal(rs, result.rewards)
     for i in range(20):
         w, u, r, w_next = ws[i], us[i], rs[i], w_nexts[i]
@@ -481,14 +574,14 @@ def test_each_extended_state_holds_that_instants_sensed_output():
                              delay_range=(0.0, 4 * DELTA))
     dim = extended_state_dim(2, 1, 8, settings.output_history_len)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
-    mem = ReplayMemory(100, dim, 1)
+    mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([0.3, -0.2, 0.1]),
                          rng=np.random.default_rng(7), replay=mem)
     log = result.samples
     assert len(log) == 61
     assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
     assert (np.diff(log["plant_arrival"]) == 0.0).any()
-    ws, _, _, w_nexts = mem.split(mem.rows[:60])
+    ws, _, _, w_nexts = held(mem)
     for k, w in enumerate([*ws, w_nexts[-1]]):
         assert np.array_equal(blocks(w)[0][0], log["y"][k])
 
@@ -500,7 +593,7 @@ def test_logged_input_is_the_last_delivered_one():
                              delay_range=(0.0, 4 * DELTA))
     dim = extended_state_dim(2, 1, 8, settings.output_history_len)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
-    mem = ReplayMemory(100, dim, 1)
+    mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([0.3, -0.2, 0.1]),
                          rng=np.random.default_rng(7), replay=mem,
                          noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2),
@@ -509,7 +602,7 @@ def test_logged_input_is_the_last_delivered_one():
     assert len(log) == 61
     assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
     assert (np.diff(log["plant_arrival"]) == 0.0).any()
-    issued = mem.split(mem.rows[:60])[1]
+    issued = held(mem)[1]
     # instant k's own input is sent after the actuator takes its arrivals
     delivered = [np.flatnonzero(log["plant_arrival"][:k] <= t)
                  for k, t in enumerate(log["t"])]
@@ -550,7 +643,7 @@ def test_divergence_aborts_episode_with_penalty():
                                  for f in dataclasses.fields(base)})
     dim = settings.extended_dim
     net = zero_weight_net(dim)
-    mem = ReplayMemory(100, dim, 1)
+    mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([40.0, 0.0, 0.0]),
                          rng=np.random.default_rng(5), replay=mem)
     assert result.diverged
@@ -561,7 +654,7 @@ def test_divergence_aborts_episode_with_penalty():
     assert np.array_equal(log["k"], np.arange(len(result.rewards)))
     assert log["t"][-1] < result.diverged_at
     assert np.isfinite(log["x"]).all()
-    w, _, r, w_next = mem.split(mem.rows[len(mem) - 1])
+    w, _, r, w_next = (a[-1] for a in held(mem))
     assert r == -1234.0
     assert np.array_equal(w, w_next)
     assert len(mem) == len(result.rewards)
@@ -573,7 +666,7 @@ def test_early_divergence_scores_its_penalty():
     settings = make_settings(steps_per_episode=60, divergence_penalty=-1234.0)
     dim = settings.extended_dim
     net = zero_weight_net(dim)
-    mem = ReplayMemory(100, dim, 1)
+    mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([1e5, 0.0, 0.0]),
                          rng=np.random.default_rng(0), replay=mem)
     assert result.diverged
@@ -586,7 +679,7 @@ def test_early_divergence_scores_its_penalty():
     assert log["t"][-1] < result.diverged_at
     assert np.isfinite(log["x"]).all()
     # the final transition is a self-loop carrying the penalty
-    w, _, r, w_next = mem.split(mem.rows[len(mem) - 1])
+    w, _, r, w_next = (a[-1] for a in held(mem))
     assert r == -1234.0
     assert np.array_equal(w, w_next)
     assert len(mem) == len(result.rewards)
@@ -716,11 +809,11 @@ def curve_values(rows):
 @pytest.mark.parametrize("stop", [1, 3, 9],
                          ids=["before_warmup", "after_wrap", "long_after_wrap"])
 def test_training_continues_from_the_state_a_snapshot_would_hold(stop):
-    # a trainer that gets only the networks, Adam, the replay's filled rows
-    # and push count and the minibatch stream of another, after `stop`
-    # episodes, continues that run exactly: the OU state is reset every
-    # episode, each episode's stream comes from its index, and the update
-    # count is Adam's step
+    # a trainer that gets only the networks, Adam, the replay's filled
+    # slots of rows, starts and loops with its push count, and the minibatch
+    # stream of another, after `stop` episodes, continues that run exactly:
+    # the OU state is reset every episode, each episode's stream comes from
+    # its index, and the update count is Adam's step
     kw = dict(seed=6, episodes=12, steps_per_episode=16, warmup=20,
               replay_capacity=40)
     straight = tiny_trainer(**kw)
@@ -736,7 +829,12 @@ def test_training_continues_from_the_state_a_snapshot_would_hold(stop):
     for name in ("m", "v"):
         getattr(second.adam, name)[:] = getattr(first.adam, name)
     second.adam.step = first.adam.step
-    second.replay.rows = first.replay.rows[:len(first.replay)].copy()
+    tables = {name: a for name, a in vars(first.replay).items()
+              if isinstance(a, np.ndarray)}
+    assert set(tables) == {"rows", "starts", "loops"}
+    filled = min(first.replay.pushes, len(first.replay.rows))
+    for name, a in tables.items():
+        setattr(second.replay, name, a[:filled].copy())
     second.replay.pushes = first.replay.pushes
     second._sample_rng.bit_generator.state = first._sample_rng.bit_generator.state
     rows += [second.run_training_episode(e)[0] for e in range(stop + 1, 13)]
