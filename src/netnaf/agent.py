@@ -1,10 +1,9 @@
 """The learning controller and its closed-loop episode simulator.
 
-The controller never sees the plant state. It works on an extended state:
-the newest outputs (one more than the configured output history length) and
-the inputs it issued over the worst-case delay window plus that history.
-Episodes run on the sensor's sampling grid; outputs reach the controller at
-clamped arrival times, and the plant is integrated between samples over the
+The controller never sees the plant state. It works on an extended state
+of its newest outputs and inputs (`extended_state_blocks`). Episodes run on
+the sensor's sampling grid; outputs reach the controller at clamped arrival
+times, and the plant is integrated between samples over the
 controller-to-plant channel's arrivals, each applied exactly where it lands.
 
 The loop and the trainer take an `ExperimentConfig` as their one description
@@ -37,17 +36,27 @@ METRIC_START = 50
 # Extended state
 
 
+def extended_state_blocks(delay_steps: int, output_history_len: int):
+    """The extended state's layout, stated once: its output block's rows (y_k
+    back to y_{k-h}), then its input block's (u_{k-1} back to u_{k-d-h}),
+    each newest first, for delay_steps d and output_history_len h."""
+    if output_history_len < 1:
+        raise ValueError("output history length must be >= 1")
+    if delay_steps < 0:
+        raise ValueError("delay steps must be >= 0")
+    return output_history_len + 1, delay_steps + output_history_len
+
+
 def extended_state_dim(output_dim: int, input_dim: int, delay_steps: int,
                        output_history_len: int) -> int:
-    return output_dim * (output_history_len + 1) + input_dim * (
-        delay_steps + output_history_len)
+    n_y, n_u = extended_state_blocks(delay_steps, output_history_len)
+    return output_dim * n_y + input_dim * n_u
 
 
 def split_extended_state(w: np.ndarray, output_dim: int, input_dim: int,
                          output_history_len: int):
-    """Views of an extended state's blocks, newest first: outputs
-    (output_history_len + 1, p) and inputs (delay_steps + output_history_len, m)."""
-    n = output_dim * (output_history_len + 1)
+    """Views of an extended state's two blocks, one output or input a row."""
+    n = output_dim * extended_state_blocks(0, output_history_len)[0]
     return w[:n].reshape(-1, output_dim), w[n:].reshape(-1, input_dim)
 
 
@@ -61,18 +70,13 @@ class HistoryBuffer:
 
     def __init__(self, y0, input_dim: int, delay_steps: int,
                  output_history_len: int):
-        if output_history_len < 1:
-            raise ValueError("output history length must be >= 1")
-        if delay_steps < 0:
-            raise ValueError("delay steps must be >= 0")
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         if y0.ndim != 1 or y0.size == 0:
             raise DimensionError(f"first output has shape {y0.shape}, expected "
                                  f"a nonempty vector")
-        self._vec = np.zeros(extended_state_dim(y0.size, input_dim,
-                                                delay_steps, output_history_len))
-        self._outputs, self._inputs = split_extended_state(
-            self._vec, y0.size, input_dim, output_history_len)
+        p, h = y0.size, output_history_len
+        self._vec = np.zeros(extended_state_dim(p, input_dim, delay_steps, h))
+        self._outputs, self._inputs = split_extended_state(self._vec, p, input_dim, h)
         self._outputs[:] = y0
 
     @staticmethod
@@ -102,24 +106,35 @@ class HistoryBuffer:
 
 class ReplayMemory:
     """Bounded FIFO of the last `capacity` transitions, sampled uniformly
-    without replacement. Push n fills slot n % (capacity + window), where
-    window = delay_steps + output_history_len is w's input count: a row
-    [y | u | r | y'] of `rows` (the newest outputs of w and w'), its
+    without replacement. Push n fills slot n % (capacity + window), window
+    being w's input rows: a row of `rows` by the named columns `cols`, the
     episode's first push number in `starts` and the self-loop flag (w' = w)
     in `loops`. The spare slots keep the oldest window whole; slots grow by
-    doubling. FIFO position i is the newest push = i (mod capacity).
-    """
+    doubling. FIFO position i is the newest push = i (mod capacity)."""
 
     def __init__(self, capacity: int, output_dim: int, input_dim: int,
                  delay_steps: int, output_history_len: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity, self.window = capacity, delay_steps + output_history_len
-        self.output_dim, self.input_dim = output_dim, input_dim
-        self.output_history_len = output_history_len
-        self.rows = np.empty((1, 2 * output_dim + input_dim + 1))
+        p, m, h = output_dim, input_dim, output_history_len
+        self.capacity, self.window = capacity, extended_state_blocks(delay_steps, h)[1]
+        ends = np.cumsum((p, m, 1, p)).tolist()
+        self.cols = dict(zip(("y", "u", "r", "y_next"), map(slice, [0, *ends], ends)))
+        self.rows = np.empty((1, ends[-1]))
         self.starts, self.loops = np.zeros(1, np.int64), np.zeros(1, bool)
         self.pushes = 0
+        # w and w' as entries (slots back * slot width + column) of the window
+        # of slots a transition reaches back, through split_extended_state's
+        # views; w' is w one slot nearer, its newest output the slot's y_next
+        entries = np.empty((2, extended_state_dim(p, m, delay_steps, h)), np.int64)
+        ys, us = split_extended_state(entries[0], p, m, h)
+        col = np.arange(ends[-1])
+        ys[:] = np.arange(len(ys))[:, None] * ends[-1] + col[self.cols["y"]]
+        us[:] = np.arange(1, len(us) + 1)[:, None] * ends[-1] + col[self.cols["u"]]
+        np.subtract(entries[0], ends[-1], out=entries[1])
+        split_extended_state(entries[1], p, m, h)[0][0] = col[self.cols["y_next"]]
+        # fixed by the arguments, so no part of the state a snapshot holds
+        self.layout = np.arange(self.window + 1), entries
 
     def __len__(self):
         return min(self.pushes, self.capacity)
@@ -135,7 +150,9 @@ class ReplayMemory:
                 old = getattr(self, name)
                 setattr(self, name, np.empty((size, *old.shape[1:]), old.dtype))
                 getattr(self, name)[:i] = old
-        np.concatenate((y, u, (r,), y_next), out=self.rows[i])
+        row, cols = self.rows[i], self.cols
+        row[cols["y"]], row[cols["u"]], row[cols["r"]], row[cols["y_next"]] = (
+            y, u, r, y_next)
         self.starts[i] = n if first else self.starts[i - 1]
         self.loops[i] = loop
         self.pushes += 1
@@ -150,18 +167,12 @@ class ReplayMemory:
         age = (pushed - self.starts[slots])[:, None]
         # the `window` slots back, clipped at the episode's first, whose y pads
         # the outputs (earlier inputs are zero); only a full ring wraps back
-        p, m, back = self.output_dim, self.input_dim, np.arange(self.window + 1)
+        back, entries = self.layout
         held = self.rows.take(slots[:, None] - np.minimum(back, age), axis=0)
-        inputs = held[:, :, p:p + m]
-        np.copyto(inputs, 0.0, where=(back > age)[:, :, None])
-        # (y', y, ...) and (u, ...), newest first: w drops the first of each, w' the last
-        outputs = np.concatenate((held[:, :1, -p:],
-                                  held[:, :self.output_history_len + 1, :p]), axis=1)
-        outputs, inputs = outputs.reshape(n, -1), inputs.reshape(n, -1)
-        w = np.concatenate((outputs[:, p:], inputs[:, m:]), axis=1)
-        w_next = np.concatenate((outputs[:, :-p], inputs[:, :-m]), axis=1)
+        np.copyto(held[:, :, self.cols["u"]], 0.0, where=(back > age)[:, :, None])
+        w, w_next = held.reshape(n, -1).take(entries, axis=1).transpose(1, 0, 2).copy()
         np.copyto(w_next, w, where=self.loops[slots][:, None])
-        return w, held[:, 0, p:p + m], held[:, 0, p + m], w_next
+        return w, held[:, 0, self.cols["u"]], held[:, 0, self.cols["r"]][:, 0], w_next
 
 
 class OrnsteinUhlenbeck:
@@ -315,8 +326,8 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     previous one over the inputs delivered since; `integrate` sees them first
     and rejects decreasing times, and the actuator then holds the last one
     delivered. Transitions go to `replay` when one is given. on_step(k)
-    fires after the k-th input is issued and the instant is logged as row k
-    of `samples`.
+    fires after the k-th input is issued and the instant is logged; the
+    result's `samples` are the logged rows, 0 to k.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
@@ -339,7 +350,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     log = np.empty(cfg.steps_per_episode + 1,
                    dtype=episode_log_dtype(plant.state_dim, sensor.output_dim,
                                            plant.input_dim))
-    result = EpisodeResult([], log[:0])
+    result = EpisodeResult([], log)
 
     for k in range(cfg.steps_per_episode + 1):
         t_k = k * delta
@@ -390,11 +401,12 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
 
         log[k] = (k, t_k, x, y_k, actuator.held, sc_delay, cp_delay,
                   ctrl_arrival, plant_arrival)
-        result.samples = log[:k + 1]
         w_prev, u_prev, y_prev = w_k, u_k, y_k
         if on_step is not None:
             on_step(k)
 
+    # a divergence at instant k stops before k is logged
+    result.samples = log[:k if result.diverged else k + 1]
     return result
 
 

@@ -32,26 +32,10 @@ _F8 = np.dtype("<f8")
 _ADAM_KEYS = ("step", "lr", "beta1", "beta2", "eps")
 
 
-def _layer_shapes(widths, m):
-    """(out, in) of each layer in layout order: the ReLU trunk over
-    [input, hidden...], then the value, action and scale heads."""
-    shapes = list(zip(widths[1:], widths))
-    top = widths[-1]
-    return shapes + [(1, top), (m, top), (m * (m + 1) // 2, top)]
-
-
-def _layer_views(shapes, flat: np.ndarray):
-    """Each layer's (weights, biases) views of a flat parameter vector.
-
-    This is the one definition of the layout: the layers in order, each as
-    its row-major weights and then its biases.
-    """
-    views, pos = [], 0
-    for n_out, n_in in shapes:
-        end = pos + n_out * n_in
-        views.append((flat[pos:end].reshape(n_out, n_in), flat[end:end + n_out]))
-        pos = end + n_out
-    return views
+def _layer_views(table, flat: np.ndarray):
+    """Each layer's (weights, biases) views of `flat`, laid out as `table`."""
+    return [(flat[w_at:b_at].reshape(shape), flat[b_at:b_at + n_out])
+            for (_, w_at, shape), (_, b_at, (n_out,)) in zip(table[::2], table[1::2])]
 
 
 class MlpNetwork:
@@ -59,10 +43,11 @@ class MlpNetwork:
     as tanh_weight * tanh, bounded by +/-tanh_weight, and linear scale
     entries (m(m+1)/2).
 
-    `params` is the network's one flat float64 parameter vector, and
-    `layers` holds each layer's (weights, biases) views into it, trunk
-    first, then value, action and scale: writing into `params` (an
-    optimizer step, a soft update) is what the next forward pass sees.
+    `params` is the network's one flat float64 parameter vector, laid out
+    as `layout` (its `parameter_layout` table), and `layers` holds each
+    layer's (weights, biases) views into it, trunk first, then value,
+    action and scale: writing into `params` (an optimizer step, a soft
+    update) is what the next forward pass sees.
     `run_config`, its run's configuration (a JSON object or None), is
     opaque: checkpoints store and restore it.
     """
@@ -80,14 +65,13 @@ class MlpNetwork:
             raise DimensionError("action dimension must be >= 1")
         if not tanh_weight > 0:
             raise ValueError("scaled tanh weight must be positive")
-        shapes = _layer_shapes(self.widths, action_dim)
-        count = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+        self.action_dim = action_dim
+        self.layout, count = parameter_layout(self)
         self.params = np.zeros(count) if params is None else params
         if self.params.shape != (count,):
             raise DimensionError(f"flat vector has {self.params.size} entries, "
                                  f"expected {count}")
-        self.layers = _layer_views(shapes, self.params)
-        self.action_dim = action_dim
+        self.layers = _layer_views(self.layout, self.params)
         self.tanh_weight = tanh_weight
         self.run_config = run_config
 
@@ -140,11 +124,10 @@ class ForwardTrace:
     @classmethod
     def empty(cls, net: MlpNetwork, rows: int) -> ForwardTrace:
         """Unfilled buffers for a batch of `rows` samples of `net`."""
-        m = net.action_dim
-        return cls(np.empty((rows, net.input_dim)),
-                   [np.empty((rows, w)) for w in net.widths[1:]],
-                   np.empty(rows), np.empty((rows, m)),
-                   np.empty((rows, m * (m + 1) // 2)), True)
+        *post, value, action, scale = (np.empty((rows, w.shape[0]))
+                                       for w, _ in net.layers)
+        return cls(np.empty((rows, net.input_dim)), post, value[:, 0], action,
+                   scale, True)
 
     @property
     def mu(self):
@@ -242,7 +225,7 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads,
     elif out.shape != net.params.shape:
         raise DimensionError("gradient buffer does not match the parameters")
 
-    views = _layer_views(_layer_shapes(net.widths, net.action_dim), out)
+    views = _layer_views(net.layout, out)
     top = trace.trunk_post[-1]
 
     def head_back(layer, layer_views, dout):
@@ -266,13 +249,18 @@ def backward(net: MlpNetwork, trace: ForwardTrace, head_grads,
 
 
 def parameter_layout(net: MlpNetwork):
-    """Fixed (name, offset, shape) table of `net.params`, and its length."""
-    names = [f"trunk{i}" for i in range(len(net.layers) - 3)]
+    """The (name, offset, shape) table of `net.params` and its length, from
+    the widths and action dimension alone: the one definition of the layout.
+    The trunk's layers over [input, hidden...], then the value, action and
+    scale heads, each as its row-major weights and then its biases."""
+    w, m = net.widths, net.action_dim
+    names = [f"trunk{i}" for i in range(len(w) - 1)] + ["value", "action", "scale"]
+    shapes = [*zip(w[1:], w), (1, w[-1]), (m, w[-1]), (m * (m + 1) // 2, w[-1])]
     table, pos = [], 0
-    for name, (w, b) in zip(names + ["value", "action", "scale"], net.layers):
-        table.append((f"{name}.w", pos, w.shape))
-        table.append((f"{name}.b", pos + w.size, b.shape))
-        pos += w.size + b.size
+    for name, (n_out, n_in) in zip(names, shapes):
+        table += [(f"{name}.w", pos, (n_out, n_in)),
+                  (f"{name}.b", pos + n_out * n_in, (n_out,))]
+        pos += n_out * (n_in + 1)
     return table, pos
 
 
@@ -365,7 +353,6 @@ def _header(net: MlpNetwork) -> dict:
         return {"out": n_out, "in": n_in, "activation": activation}
 
     *trunk, value, action, scale = net.layers
-    layout, total = parameter_layout(net)
     return {
         "action_dim": net.action_dim,
         "trunk": [spec(layer, "relu") for layer in trunk],
@@ -374,8 +361,8 @@ def _header(net: MlpNetwork) -> dict:
             "action": {**spec(action, "scaled_tanh"), "tanh_weight": net.tanh_weight},
             "scale": spec(scale, "linear"),
         },
-        "layout": [[name, off, list(shape)] for name, off, shape in layout],
-        "param_count": total,
+        "layout": [[name, off, list(shape)] for name, off, shape in net.layout],
+        "param_count": net.params.size,
         "run_config": net.run_config,
     }
 

@@ -48,6 +48,18 @@ def test_extended_state_dimension():
     assert extended_state_dim(2, 1, 8, 4) == 22
 
 
+@pytest.mark.parametrize("delay_steps,history", [(8, 0), (-1, 4)])
+def test_every_extended_state_reader_rejects_an_empty_history_or_a_negative_delay(
+        delay_steps, history):
+    # each reads the one layout statement, which holds the checks
+    with pytest.raises(ValueError):
+        extended_state_dim(2, 1, delay_steps, history)
+    with pytest.raises(ValueError):
+        HistoryBuffer(np.zeros(2), 1, delay_steps, history)
+    with pytest.raises(ValueError):
+        ReplayMemory(10, 2, 1, delay_steps, history)
+
+
 def test_initial_extended_state_padding():
     hist = HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4)
     w = hist.extended_state()

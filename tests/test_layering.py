@@ -1,6 +1,7 @@
 """The package layering the README claims, read from the import statements
 of `src/netnaf/*.py`: the loop and trainer take a duck-typed config, and
-the model layers import nothing from the loop or the config."""
+the model layers import nothing from the loop or the config. The package
+also stays inside the ROADMAP's size budget."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 import netnaf
 
 PACKAGE = Path(netnaf.__file__).parent
+# the ROADMAP's size budget: lines in src/netnaf/*.py, as `wc -l` counts them
+SIZE_BUDGET = 2400
 
 
 def imported_modules(name):
@@ -44,3 +47,10 @@ def test_agent_imports_no_config_cli_or_verify():
 @pytest.mark.parametrize("name", ["nn", "naf", "plant", "delays", "reward"])
 def test_model_layers_import_no_agent_or_config(name):
     assert not imported_modules(name) & {"agent", "config"}
+
+
+def test_package_stays_inside_the_size_budget():
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in PACKAGE.glob("*.py")}
+    assert {"agent.py", "nn.py", "__init__.py"} <= set(lines)
+    assert sum(lines.values()) <= SIZE_BUDGET, lines

@@ -455,8 +455,12 @@ def layer_arrays(net):
     return np.concatenate([a for w, b in net.layers for a in (w.ravel(), b)])
 
 
-@pytest.mark.parametrize("widths,m", [((4, 8), 1), ((4, 8, 8), 2),
-                                      ((3, 16, 8, 8), 3)])
+# (widths, action dimension) of the layout tests: one, two and three hidden
+# layers, and one, two and three actions
+WIDTH_SETS = [((4, 8), 1), ((4, 8, 8), 2), ((3, 16, 8, 8), 3)]
+
+
+@pytest.mark.parametrize("widths,m", WIDTH_SETS)
 def test_flatten_set_roundtrip(widths, m):
     net = nn.init_network(list(widths), m, 4.0, 21)
     flat = net.params.copy()
@@ -465,6 +469,53 @@ def test_flatten_set_roundtrip(widths, m):
     assert np.array_equal(layer_arrays(net), flat * 2.0)
     net.params[:] = flat
     assert np.array_equal(layer_arrays(net), flat)
+
+
+def offset_in(view, flat):
+    """Where a view starts in a flat vector, in entries."""
+    return (view.ctypes.data - flat.ctypes.data) // flat.itemsize
+
+
+@pytest.mark.parametrize("widths,m", WIDTH_SETS)
+def test_header_layout_is_where_the_layers_lie(widths, m):
+    net = nn.init_network(list(widths), m, 4.0, 21)
+    header = nn._header(net)
+    views = [a for layer in net.layers for a in layer]
+    assert len(header["layout"]) == len(views) == 2 * (len(widths) + 2)
+    end = 0
+    for (name, offset, shape), view in zip(header["layout"], views):
+        assert offset == end == offset_in(view, net.params), name
+        assert list(view.shape) == shape and np.shares_memory(view, net.params)
+        end = offset + view.size
+    assert end == header["param_count"] == net.params.size
+
+
+@pytest.mark.parametrize("widths,m", WIDTH_SETS)
+def test_a_one_hot_head_gradient_lands_in_that_heads_entries(widths, m):
+    # one output unit of one head carries the whole head gradient: of the
+    # heads' entries, only that head's weight row and bias of the unit can
+    # be nonzero (the trunk's entries are free to be)
+    net = nn.init_network(list(widths), m, 4.0, 21)
+    rows = 5
+    trace = nn.forward(net, np.random.default_rng(3).normal(size=(rows, widths[0])))
+    layout, _ = nn.parameter_layout(net)
+    sizes = {"value": 1, "action": m, "scale": m * (m + 1) // 2}
+    for head, size in sizes.items():
+        for unit in range(size):
+            grads = {h: np.zeros((rows, n)) for h, n in sizes.items()}
+            grads[head][:, unit] = 1.0
+            grad = nn.backward(net, trace, (grads["value"][:, 0], grads["action"],
+                                            grads["scale"]))
+            for name, offset, shape in layout:
+                block = grad[offset:offset + int(np.prod(shape))].reshape(shape)
+                owner = name.split(".")[0]
+                if owner.startswith("trunk"):
+                    continue
+                if owner != head:
+                    assert not block.any(), (head, unit, name)
+                    continue
+                assert block[unit].any(), (head, unit, name)
+                assert not np.delete(block, unit, axis=0).any(), (head, unit, name)
 
 
 def test_layout_is_value_independent():
