@@ -7,8 +7,10 @@ times, and the plant is integrated between samples over the
 controller-to-plant channel's arrivals, each applied exactly where it lands.
 
 The loop and the trainer take an `ExperimentConfig` as their one description
-of the closed loop and build the plant, sensor and delay model from it. The
-config is duck-typed: this module imports nothing from `config`.
+of the closed loop and build the plant, delay model and exploration noise
+from it; the sensor and the reward weights are constants of `plant` and
+`reward`. The config is duck-typed: this module imports nothing from
+`config`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
                  forward, init_network, soft_update)
-from .plant import integrate, sense
-from .reward import (RewardWeights, change_penalty, input_steps_penalty,
-                     output_steps_penalty, total_reward)
+from .plant import OUTPUT_DIM, integrate, sense
+from .reward import change_penalty, input_steps_penalty, output_steps_penalty
 
 # Episode score: sum of stepwise rewards from this sampling index onward.
 METRIC_START = 50
@@ -183,9 +184,6 @@ class OrnsteinUhlenbeck:
         self.sigma = sigma
         self.state = np.zeros(dim)
 
-    def reset(self):
-        self.state = np.zeros_like(self.state)
-
     def step(self, dt: float, rng: np.random.Generator) -> np.ndarray:
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -256,31 +254,30 @@ def batch_loss_and_grad(net: MlpNetwork, target_net: MlpNetwork, batch,
 
 
 def transition_reward(w: np.ndarray, u, w_next: np.ndarray,
-                      weights: RewardWeights, output_history_len: int) -> float:
+                      output_history_len: int) -> float:
     """Composite reward, a pure function of (w, u, w').
 
-    The output dimension is the weight matrix's, the input dimension u's.
-    The value is `total_reward` of `change_penalty` on the newest output
-    step (w' against w), `output_steps_penalty` on the steps inside the
-    output block of w and `input_steps_penalty` on the steps of u put
+    The output dimension is the sensor's, the input dimension u's. The
+    value is the sum, in this order, of `change_penalty` on the newest
+    output step (w' against w), `output_steps_penalty` on the steps inside
+    the output block of w and `input_steps_penalty` on the steps of u put
     before the input block of w.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = weights.output_weights.shape[0]
+    p = OUTPUT_DIM
     outputs, inputs = split_extended_state(w, p, u.size, output_history_len)
     y_next = np.asarray(w_next[:p], dtype=float)
     if y_next.shape != (p,):
-        raise DimensionError("output dimensions do not match the weight matrix")
+        raise DimensionError("output dimensions do not match the sensor")
     if outputs.shape[0] < 2 or inputs.shape[0] < 1:
         raise DimensionError("extended state holds too few outputs or inputs")
     # consecutive differences of (u, inputs...): row 0 is u - inputs[0]
     input_steps = np.empty(inputs.shape)
     np.subtract(u, inputs[0], out=input_steps[0])
     np.subtract(inputs[:-1], inputs[1:], out=input_steps[1:])
-    return total_reward(
-        float(change_penalty(y_next - outputs[0], u, weights)),
-        float(output_steps_penalty(outputs[:-1] - outputs[1:], weights)),
-        float(input_steps_penalty(input_steps, weights)))
+    return (float(change_penalty(y_next - outputs[0], u))
+            + float(output_steps_penalty(outputs[:-1] - outputs[1:]))
+            + float(input_steps_penalty(input_steps)))
 
 
 def episode_log_dtype(state_dim: int, output_dim: int, input_dim: int) -> np.dtype:
@@ -311,17 +308,16 @@ class EpisodeResult:
 
 
 def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
-                noise: OrnsteinUhlenbeck | None = None,
-                noise_scale_value: float = 0.0, replay: ReplayMemory | None = None,
-                on_step=None) -> EpisodeResult:
+                noise_scale: float | None = None,
+                replay: ReplayMemory | None = None, on_step=None) -> EpisodeResult:
     """Simulate one episode of the delayed closed loop.
 
     The k-th sensed output y_k reaches the controller at its clamped arrival
     max(t_k + sensor-to-controller delay, previous arrival), which is all of
     that link: the controller always acts on y_k itself. It then extends its
     histories (started at k = 0 from the first output), scores and stores
-    the previous transition, evaluates the policy (plus scaled exploration
-    noise when `noise` is given) and sends the input through the
+    the previous transition, evaluates the policy (plus exploration noise
+    times `noise_scale` when that is given) and sends the input through the
     controller-to-plant channel. Each instant integrates the plant from the
     previous one over the inputs delivered since; `integrate` sees them first
     and rejects decreasing times, and the actuator then holds the last one
@@ -333,22 +329,22 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     self-loop carrying the divergence penalty, and the log stops at the last
     completed instant.
 
-    `cfg` is an `ExperimentConfig`, the loop's one description: the plant,
-    sensor and delay model come from its builders, and the history window
-    is sized from the bounds of the same delay model the delays are drawn
-    from. The reward weights are `RewardWeights()`.
+    `cfg` is an `ExperimentConfig`, the loop's one description: the plant
+    and delay model come from its builders, the sampling period is
+    `cfg.delta`, and the history window is sized from the bounds of the
+    same delay model the delays are drawn from. The exploration noise is an
+    `OrnsteinUhlenbeck` process with `cfg.ou_theta` and `cfg.ou_sigma`,
+    started from zero in every episode.
     """
-    plant, sensor, delays = cfg.plant(), cfg.sensor(), cfg.delay_model()
-    weights = RewardWeights()
-    delta = sensor.period
+    plant, delays, delta = cfg.plant(), cfg.delay_model(), cfg.delta
     cp_channel, ctrl_arrival = DelayedChannel(), -math.inf
     actuator = Actuator(plant.input_dim)
-    if noise is not None:
-        noise.reset()
+    noise = (None if noise_scale is None else
+             OrnsteinUhlenbeck(plant.input_dim, cfg.ou_theta, cfg.ou_sigma))
 
     x = np.asarray(x0, dtype=float).copy()
     log = np.empty(cfg.steps_per_episode + 1,
-                   dtype=episode_log_dtype(plant.state_dim, sensor.output_dim,
+                   dtype=episode_log_dtype(plant.state_dim, OUTPUT_DIM,
                                            plant.input_dim))
     result = EpisodeResult([], log)
 
@@ -371,7 +367,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                 break
         actuator.apply(arrivals)
 
-        y_k = sense(x, sensor)
+        y_k = sense(x)
         sc_delay = sample_delay(delays, SC, rng)
         cp_delay = sample_delay(delays, CP, rng)
         ctrl_arrival = max(t_k + sc_delay, ctrl_arrival)
@@ -384,8 +380,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         w_k = hist.extended_state()
 
         if k >= 1:
-            r = transition_reward(w_prev, u_prev, w_k, weights,
-                                  cfg.output_history_len)
+            r = transition_reward(w_prev, u_prev, w_k, cfg.output_history_len)
             result.rewards.append(r)
             if replay is not None:
                 replay.push(y_prev, u_prev, r, y_k, first=(k == 1))
@@ -393,7 +388,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         # the greedy action is the mu head alone; V and L feed only the TD loss
         mu_k = forward(net, w_k, head="action").mu
         if noise is not None:
-            u_k = mu_k + noise_scale_value * noise.step(delta, rng)
+            u_k = mu_k + noise_scale * noise.step(delta, rng)
         else:
             u_k = mu_k.copy()
         hist.push_input(u_k)
@@ -426,8 +421,9 @@ class TrainRow:
 
 
 class Trainer:
-    """Owns the networks, optimizer, replay memory, all random streams and
-    the update step's buffers.
+    """Holds a run's state and nothing more: the networks, optimizer,
+    replay memory and minibatch stream, plus its config and the update
+    step's buffers. Each episode's stream and noise process are built anew.
 
     `cfg` is the `ExperimentConfig` it is built from, kept as `settings`:
     the networks are sized from its extended_dim, and hidden widths, tanh
@@ -453,10 +449,9 @@ class Trainer:
             "target_trace": ForwardTrace.empty(self.target, cfg.batch_size),
             "grad": np.empty_like(self.net.params),
         }
-        self.replay = ReplayMemory(cfg.replay_capacity, cfg.sensor().output_dim,
-                                   m, cfg.delay_model().total_delay_steps,
+        self.replay = ReplayMemory(cfg.replay_capacity, OUTPUT_DIM, m,
+                                   cfg.delay_model().total_delay_steps,
                                    cfg.output_history_len)
-        self.noise = OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma)
         self._sample_rng = np.random.default_rng(sample_ss)
 
     @property
@@ -490,8 +485,7 @@ class Trainer:
             if k > 0 and k % s.update_period == 0 and len(self.replay) >= s.warmup:
                 losses.extend(self._update_block())
 
-        result = run_episode(self.net, s, x0=x0, rng=ep_rng,
-                             noise=self.noise, noise_scale_value=scale,
+        result = run_episode(self.net, s, x0=x0, rng=ep_rng, noise_scale=scale,
                              replay=self.replay, on_step=on_step)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         row = TrainRow(episode, result.reward_sum_from(), mean_loss, scale, 0.0)

@@ -6,8 +6,8 @@ reproducible. Every run directory gets a resolved snapshot that parses
 back to the identical configuration.
 
 The config is the closed loop's one description: `run_episode(net, cfg)` and
-`Trainer(cfg)` take it alone and build the plant, sensor and delay model
-from its builders.
+`Trainer(cfg)` take it alone and build the plant and delay model from its
+builders.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from .agent import Trainer, extended_state_dim
 from .delays import UNIFORM, DelayModel
 from .errors import ConfigError
-from .plant import ChuaCircuit, chua_sensor
+from .plant import OUTPUT_DIM, ChuaCircuit
 
 
 def _setting(section: str, default, key: str | None = None):
@@ -90,8 +90,6 @@ class ExperimentConfig:
         steps = self.horizon / self.delta
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ConfigError("horizon must be a whole number of sampling periods")
-        if self.output_history_len < 1:
-            raise ConfigError("output history length must be >= 1")
         if not self.hidden or any(w < 1 for w in self.hidden):
             raise ConfigError("hidden widths must be positive")
         if self.tanh_weight <= 0:
@@ -104,9 +102,8 @@ class ExperimentConfig:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        try:
-            self.plant()
-            self.delay_model()
+        try:  # the plant's, delay model's and history layout's own checks
+            self.extended_dim
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.gamma < 1.0:
@@ -134,8 +131,7 @@ class ExperimentConfig:
 
     @property
     def extended_dim(self) -> int:
-        return extended_state_dim(self.sensor().output_dim,
-                                  self.plant().input_dim,
+        return extended_state_dim(OUTPUT_DIM, self.plant().input_dim,
                                   self.delay_model().total_delay_steps,
                                   self.output_history_len)
 
@@ -143,9 +139,6 @@ class ExperimentConfig:
 
     def plant(self) -> ChuaCircuit:
         return ChuaCircuit(self.p1, self.p2)
-
-    def sensor(self):
-        return chua_sensor(self.delta)
 
     def delay_model(self) -> DelayModel:
         return DelayModel(self.delta, (self.sc_min, self.sc_max),

@@ -58,36 +58,18 @@ class ChuaCircuit:
         return np.array([[0.0, 0.0, 0.0], [s, 0.0, -s], [-s, 0.0, s]])
 
 
-@dataclass(frozen=True)
-class SensorMap:
-    """Linear sampled sensor y = C x, read every `period` seconds."""
-
-    matrix: np.ndarray
-    period: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        if self.matrix.ndim != 2:
-            raise DimensionError("output matrix must be 2-D")
-        if self.period <= 0:
-            raise ValueError("sampling period must be positive")
-
-    @property
-    def output_dim(self) -> int:
-        return self.matrix.shape[0]
+# The one sensor, y = C x: the controller sees only the first two of the
+# three states, sampled every `delta` seconds of the configuration.
+OUTPUT_MATRIX = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+OUTPUT_DIM = OUTPUT_MATRIX.shape[0]
 
 
-def chua_sensor(period: float) -> SensorMap:
-    """Default partial observation: first two states only."""
-    return SensorMap(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), period)
-
-
-def sense(x: np.ndarray, sensor: SensorMap) -> np.ndarray:
+def sense(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (sensor.matrix.shape[1],):
+    if x.shape != (OUTPUT_MATRIX.shape[1],):
         raise DimensionError(
-            f"state has shape {x.shape}, sensor expects ({sensor.matrix.shape[1]},)")
-    return sensor.matrix @ x
+            f"state has shape {x.shape}, sensor expects ({OUTPUT_MATRIX.shape[1]},)")
+    return OUTPUT_MATRIX @ x
 
 
 def _rk4_step(model, x, u, h, t):

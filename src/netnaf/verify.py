@@ -21,12 +21,11 @@ import numpy as np
 
 from . import naf, nn
 from .agent import (HistoryBuffer, batch_loss_and_grad, extended_state_dim,
-                    run_episode)
+                    run_episode, transition_reward)
 from .config import ExperimentConfig
 from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
 from .plant import ChuaCircuit, integrate, sense
-from .reward import (RewardWeights, change_penalty, input_steps_penalty,
-                     output_steps_penalty, total_reward)
+from .reward import change_penalty, input_steps_penalty, output_steps_penalty
 
 DELTA = 2.0 ** -4
 
@@ -62,17 +61,16 @@ def classical_sampled_loop(net, cfg, x0):
     hold the input, integrate to the next sample. No channels anywhere; the
     history starts from the first sensed output, and the config's delay
     bounds size it only."""
-    plant, sensor = cfg.plant(), cfg.sensor()
-    delta = sensor.period
+    plant, delta = cfg.plant(), cfg.delta
     x = np.asarray(x0, dtype=float).copy()
-    hist = HistoryBuffer(sense(x, sensor), plant.input_dim,
+    hist = HistoryBuffer(sense(x), plant.input_dim,
                          cfg.delay_model().total_delay_steps,
                          cfg.output_history_len)
     states, inputs = [], []
     for k in range(cfg.steps_per_episode + 1):
         if k > 0:
             x = integrate(plant, x, u, (k - 1) * delta, k * delta, cfg.substep)
-            hist.push_output(sense(x, sensor))
+            hist.push_output(sense(x))
         u = nn.forward(net, hist.extended_state(), head="action").mu.copy()
         hist.push_input(u)
         states.append(x.copy())
@@ -256,26 +254,31 @@ def _steps(history):
 
 
 def generate_reward_suite(change_draws=100_000, history_draws=10_000):
-    """Hand-computed reward cases and the worst component over random draws."""
-    w = RewardWeights()
+    """Hand-computed reward cases and the worst component over random draws.
+
+    `total` is the loop's own reward of a window built to hold the three
+    component cases: history length 2, no delay steps, u = 1 and a newest
+    output (2, 1) in w'."""
     outputs = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
     inputs = np.array([[2.0], [0.0], [0.0]])
+    w = np.concatenate([outputs.ravel(), [-1.0, -1.0]])
+    w_next = np.concatenate([[2.0, 1.0], outputs[:2].ravel(), [1.0, -1.0]])
     hand = {
-        "r_change": float(change_penalty(np.ones(2), np.ones(1), w)),
-        "r_outputs": float(output_steps_penalty(_steps(outputs), w)),
-        "r_inputs": float(input_steps_penalty(_steps(inputs), w)),
-        "total": total_reward(-2.6, -1.6, -0.6),
+        "r_change": float(change_penalty(np.ones(2), np.ones(1))),
+        "r_outputs": float(output_steps_penalty(_steps(outputs))),
+        "r_inputs": float(input_steps_penalty(_steps(inputs))),
+        "total": transition_reward(w, [1.0], w_next, 2),
     }
     rng = np.random.default_rng(1007)
     worst = -np.inf
     for _ in range(change_draws):
         d = rng.normal(size=2) - rng.normal(size=2)  # y' - y
-        worst = max(worst, float(change_penalty(d, rng.normal(size=1), w)))
+        worst = max(worst, float(change_penalty(d, rng.normal(size=1))))
     for _ in range(history_draws):
         d_out = _steps(rng.normal(size=(5, 2)))
         d_in = _steps(rng.normal(size=(13, 1)))
-        worst = max(worst, float(output_steps_penalty(d_out, w)),
-                    float(input_steps_penalty(d_in, w)))
+        worst = max(worst, float(output_steps_penalty(d_out)),
+                    float(input_steps_penalty(d_in)))
     return {"hand": hand, "worst_component": float(worst)}
 
 

@@ -12,8 +12,7 @@ from netnaf.agent import (HistoryBuffer, METRIC_START, OrnsteinUhlenbeck,
 from netnaf.config import ExperimentConfig
 from netnaf.errors import DimensionError, NumericsError
 from netnaf.plant import integrate
-from netnaf.reward import (RewardWeights, change_penalty, input_steps_penalty,
-                           output_steps_penalty, total_reward)
+from netnaf.reward import change_penalty, input_steps_penalty, output_steps_penalty
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
                            rel_err)
 
@@ -562,8 +561,7 @@ def test_transition_alignment():
     mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([0.2, -0.2, 0.1]),
                          rng=np.random.default_rng(3),
-                         noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=1.0,
-                         replay=mem)
+                         noise_scale=1.0, replay=mem)
     assert len(mem) == 20
     ws, us, rs, w_nexts = held(mem)
     assert np.array_equal(rs, result.rewards)
@@ -574,8 +572,7 @@ def test_transition_alignment():
         if i < 19:
             assert np.array_equal(w_next, ws[i + 1])
         # reward recomputes exactly from (w, u, w')
-        assert r == transition_reward(w, u, w_next, RewardWeights(),
-                                      settings.output_history_len)
+        assert r == transition_reward(w, u, w_next, settings.output_history_len)
 
 
 def test_each_extended_state_holds_that_instants_sensed_output():
@@ -608,8 +605,7 @@ def test_logged_input_is_the_last_delivered_one():
     mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([0.3, -0.2, 0.1]),
                          rng=np.random.default_rng(7), replay=mem,
-                         noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2),
-                         noise_scale_value=3.5)
+                         noise_scale=3.5)
     log = result.samples
     assert len(log) == 61
     assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
@@ -632,8 +628,7 @@ def test_episode_rewards_nonpositive():
     dim = extended_state_dim(2, 1, 4, 4)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 6)
     result = run_episode(net, settings, x0=np.array([1.0, 1.0, -1.0]),
-                         rng=np.random.default_rng(4),
-                         noise=OrnsteinUhlenbeck(1, theta=0.15, sigma=0.2), noise_scale_value=3.5)
+                         rng=np.random.default_rng(4), noise_scale=3.5)
     assert all(r <= 0.0 for r in result.rewards)
 
 
@@ -697,17 +692,15 @@ def test_early_divergence_scores_its_penalty():
     assert len(mem) == len(result.rewards)
 
 
-def composed_transition_reward(w, u, w_next, weights, output_history_len):
+def composed_transition_reward(w, u, w_next, output_history_len):
     """The three penalty kernels over differences of the history blocks,
-    with u stacked onto a copy of the input history."""
+    with u stacked onto a copy of the input history, summed in that order."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = weights.output_weights.shape[0]
-    outputs, inputs = split_extended_state(w, p, u.size, output_history_len)
+    outputs, inputs = split_extended_state(w, 2, u.size, output_history_len)
     inputs = np.vstack([u[None, :], inputs])
-    return total_reward(
-        float(change_penalty(w_next[:p] - outputs[0], u, weights)),
-        float(output_steps_penalty(outputs[:-1] - outputs[1:], weights)),
-        float(input_steps_penalty(inputs[:-1] - inputs[1:], weights)))
+    return (float(change_penalty(w_next[:2] - outputs[0], u))
+            + float(output_steps_penalty(outputs[:-1] - outputs[1:]))
+            + float(input_steps_penalty(inputs[:-1] - inputs[1:])))
 
 
 def test_transition_reward_equals_the_term_composition_bit_for_bit():
@@ -717,30 +710,27 @@ def test_transition_reward_equals_the_term_composition_bit_for_bit():
         # either sign, magnitudes spread from about 1e-3 to 1e3 entry by entry
         return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
 
-    cases = [(m, p, tau_o) for m in (1, 2) for p in (2, 3) for tau_o in (1, 4)]
+    cases = [(m, tau_o) for m in (1, 2) for tau_o in (1, 4)]
     draws = 0
-    for m, p, tau_o in cases:
-        for _ in range(2500):
-            a = draw(p, p)
-            weights = RewardWeights(a @ a.T, abs(draw()[()]), abs(draw()[()]))
+    for m, tau_o in cases:
+        for _ in range(5000):
             delay_steps = int(rng.integers(0, 5))
-            dim = extended_state_dim(p, m, delay_steps, tau_o)
+            dim = extended_state_dim(2, m, delay_steps, tau_o)
             w, w_next, u = draw(dim), draw(dim), draw(m)
-            r = transition_reward(w, u, w_next, weights, tau_o)
-            want = composed_transition_reward(w, u, w_next, weights, tau_o)
+            r = transition_reward(w, u, w_next, tau_o)
+            want = composed_transition_reward(w, u, w_next, tau_o)
             assert type(r) is float
             assert np.float64(r).tobytes() == np.float64(want).tobytes(), (
-                m, p, tau_o, delay_steps)
+                m, tau_o, delay_steps)
             draws += 1
     assert draws >= 20_000
 
 
 def test_transition_reward_rejects_a_short_next_state():
-    weights = RewardWeights()
     w = np.zeros(extended_state_dim(2, 1, 4, 4))
     for w_next in (np.zeros(1), np.zeros(0)):
         with pytest.raises(DimensionError):
-            transition_reward(w, [0.0], w_next, weights, 4)
+            transition_reward(w, [0.0], w_next, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +814,8 @@ def test_training_continues_from_the_state_a_snapshot_would_hold(stop):
     # a trainer that gets only the networks, Adam, the replay's filled
     # slots of rows, starts and loops with its push count, and the minibatch
     # stream of another, after `stop` episodes, continues that run exactly:
-    # the OU state is reset every episode, each episode's stream comes from
-    # its index, and the update count is Adam's step
+    # the OU process is built anew every episode, each episode's stream
+    # comes from its index, and the update count is Adam's step
     kw = dict(seed=6, episodes=12, steps_per_episode=16, warmup=20,
               replay_capacity=40)
     straight = tiny_trainer(**kw)
@@ -877,12 +867,17 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     assert tr.replay.capacity == 50
     for name in ("trace", "target_trace"):
         assert tr.update_buffers[name].x.shape[0] == 3
-    assert (tr.noise.theta, tr.noise.sigma) == (0.3, 0.05)
     assert noise_scale(cfg, 2) == 2.0
     assert noise_scale(cfg, 4) == 2.0 + (0.5 - 2.0) * (2 / 3)
     assert noise_scale(cfg, 5) == 0.5
 
     seen = {"gamma": set(), "rate": set()}
+    built = []
+
+    class RecordingOrnsteinUhlenbeck(OrnsteinUhlenbeck):
+        def __init__(self, dim, theta, sigma):
+            built.append((dim, theta, sigma))
+            super().__init__(dim, theta, sigma)
 
     def recording_loss(net, target, batch, gamma, **buffers):
         seen["gamma"].add(gamma)
@@ -895,8 +890,11 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
 
     monkeypatch.setattr(agent, "batch_loss_and_grad", recording_loss)
     monkeypatch.setattr(agent, "soft_update", recording_soft_update)
+    monkeypatch.setattr(agent, "OrnsteinUhlenbeck", RecordingOrnsteinUhlenbeck)
     rows = list(tr.episodes())
     assert seen == {"gamma": {0.9}, "rate": {0.01}}
+    # each episode's noise process is built from the config's OU values
+    assert built == [(1, 0.3, 0.05)] * 5
     assert len(rows) == 5
     for episode, (row, result) in enumerate(rows, start=1):
         assert len(result.samples) == 13
@@ -909,3 +907,9 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     losses = tr._update_block()
     assert len(losses) == 5 and tr.update_count - before == 5
     assert tr.update_count == tr.adam.step
+
+
+def test_the_trainer_holds_only_a_snapshots_state():
+    # what a snapshot of the run holds, then the config and the update scratch
+    snapshot = {"net", "target", "adam", "replay", "_sample_rng"}
+    assert set(vars(tiny_trainer())) == snapshot | {"settings", "update_buffers"}

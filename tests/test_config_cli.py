@@ -296,6 +296,32 @@ def test_train_identical_across_blas_threads(tmp_path):
     assert (a / "final.nnc").read_bytes() == (b / "final.nnc").read_bytes()
 
 
+def test_train_and_eval_outputs_are_pinned(tmp_path):
+    """A refactor keeps every output byte: the curve minus its wall clock,
+    the final checkpoint, and an eval's trajectory and delay trace. Like
+    test_checkpoint_bytes_are_pinned, the hashes hold for IEEE doubles under
+    numpy's own kernels; another libm or BLAS may move the last bits."""
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(SMALL_CONFIG)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                 "--out", str(run)]) == 0
+    traj, trace = tmp_path / "traj.csv", tmp_path / "trace.csv"
+    assert main(["eval", "--checkpoint", str(run / "final.nnc"),
+                 "--init=0.5,-0.2,0.1", "--delay-seed", "3", "--out", str(traj),
+                 "--delay-trace", str(trace)]) == 0
+    curve = "\n".join(",".join(row) for row in
+                      rows_without_wall_clock(run / "learning_curve.csv"))
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        curve.encode(), (run / "final.nnc").read_bytes(), traj.read_bytes(),
+        trace.read_bytes())]
+    assert digests == [
+        "b887ea4cde53d75778eea621cb66907189cee83ae470a738308e456cd37bd69c",
+        "5b65ee1bb6420d617f789a2ad5d8da1ae6acb38eba2220260ed90ef426083b00",
+        "c6cb85c76f0110afb383d132a357417b909fb0df2ba187426bd914bb56228681",
+        "daf5ff5cbd22cca375d6e197f60a0b17c71876240f26321da328abdc1a16d4be"]
+
+
 def test_train_episode_override_changes_row_count(tmp_path):
     cfg_path = tmp_path / "exp.txt"
     cfg_path.write_text(SMALL_CONFIG)

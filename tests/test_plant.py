@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from netnaf.errors import DimensionError, DivergenceError
-from netnaf.plant import (DIVERGENCE_LIMIT, ChuaCircuit, SensorMap,
-                          _rk4_step, chua_sensor, integrate, sense)
+from netnaf.plant import DIVERGENCE_LIMIT, ChuaCircuit, _rk4_step, integrate, sense
 from support import generic_rk4_step, integrate_trajectory
 
 DELTA = 2.0 ** -4
@@ -361,23 +360,14 @@ def test_uncontrolled_chua_second_start_near_periodic():
 
 
 def test_sense_partial_observation():
-    sensor = chua_sensor(2.0 ** -4)
-    y = sense(np.array([1.5, -2.0, 7.0]), sensor)
+    y = sense(np.array([1.5, -2.0, 7.0]))
     assert np.array_equal(y, np.array([1.5, -2.0]))
 
 
 def test_sense_zero():
-    sensor = chua_sensor(2.0 ** -4)
-    assert np.array_equal(sense(np.zeros(3), sensor), np.zeros(2))
-
-
-def test_sense_identity_map():
-    sensor = SensorMap(np.eye(3), 1.0)
-    x = np.array([0.1, 0.2, 0.3])
-    assert np.array_equal(sense(x, sensor), x)
+    assert np.array_equal(sense(np.zeros(3)), np.zeros(2))
 
 
 def test_sense_dimension_mismatch():
-    sensor = chua_sensor(2.0 ** -4)
     with pytest.raises(DimensionError):
-        sense(np.zeros(4), sensor)
+        sense(np.zeros(4))
