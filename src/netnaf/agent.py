@@ -441,7 +441,7 @@ class Trainer:
         self.net = init_network([dim, *cfg.hidden], m, cfg.tanh_weight, net_seed)
         self.net.run_config = cfg.field_texts()
         self.target = self.net.copy()
-        self.adam = AdamState.fresh(self.net.params.size, lr=cfg.learning_rate)
+        self.adam = AdamState.fresh(self.net.params.size)
         # written by every update, so one update allocates no batch trace or
         # gradient vector; a batch is always batch_size rows
         self.update_buffers = {
@@ -467,7 +467,7 @@ class Trainer:
             batch = self.replay.sample(self._sample_rng, s.batch_size)
             loss, grad = batch_loss_and_grad(self.net, self.target, batch,
                                              s.gamma, **self.update_buffers)
-            adam_step(self.net.params, grad, self.adam)
+            adam_step(self.net.params, grad, self.adam, s.learning_rate)
             soft_update(self.target.params, self.net.params, s.soft_update_rate)
             losses.append(loss)
         return losses

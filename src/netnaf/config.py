@@ -158,9 +158,6 @@ class ExperimentConfig:
             texts[section][key] = _FORMATS.get(f.type, str)(getattr(self, f.name))
         return texts
 
-    def to_text(self) -> str:
-        return format_field_texts(self.field_texts())
-
 
 # (section, key) -> field, in declaration order
 _BY_KEY = {(f.metadata["section"], f.metadata["key"] or f.name): f

@@ -18,7 +18,6 @@ import contextlib
 import json
 import os
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +25,13 @@ import numpy as np
 from .errors import CheckpointFormatError, DimensionError, NumericsError
 
 _MAGIC = b"NNAFCKP1"
-_VERSION = 2
+_VERSION = 3
+# why an older checkpoint version cannot be read; no converter is shipped
+_OLD_VERSIONS = {1: " (it predates the stored run configuration)",
+                 2: " (its header restates the layout and Adam's settings)"}
 _F8 = np.dtype("<f8")
-# the checkpoint header's Adam entry: these AdamState fields, no others
-_ADAM_KEYS = ("step", "lr", "beta1", "beta2", "eps")
+# Adam's decay rates and denominator guard; no run sets them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _layer_views(table, flat: np.ndarray):
@@ -61,18 +63,18 @@ class MlpNetwork:
         if min(self.widths) <= 0:
             raise DimensionError(
                 f"layer widths must be positive, got {list(self.widths)}")
-        if action_dim < 1:
+        self.action_dim = int(action_dim)
+        if self.action_dim < 1:
             raise DimensionError("action dimension must be >= 1")
-        if not tanh_weight > 0:
+        self.tanh_weight = float(tanh_weight)
+        if not self.tanh_weight > 0:
             raise ValueError("scaled tanh weight must be positive")
-        self.action_dim = action_dim
         self.layout, count = parameter_layout(self)
         self.params = np.zeros(count) if params is None else params
         if self.params.shape != (count,):
             raise DimensionError(f"flat vector has {self.params.size} entries, "
                                  f"expected {count}")
         self.layers = _layer_views(self.layout, self.params)
-        self.tanh_weight = tanh_weight
         self.run_config = run_config
 
     @property
@@ -276,32 +278,20 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # comparisons, not math.isfinite: they reject NaN and an int too
-        # large for a float; a value that is not a number raises TypeError
-        big = sys.float_info.max
-        if not (type(self.step) is int and self.step >= 0
-                and 0 < self.lr <= big and 0 < self.eps <= big
-                and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError(
-                "Adam needs an int step >= 0, finite lr and eps > 0 and betas "
-                f"in [0, 1); got step {self.step!r}, lr {self.lr!r}, beta1 "
-                f"{self.beta1!r}, beta2 {self.beta2!r}, eps {self.eps!r}")
+        if not (type(self.step) is int and self.step >= 0):
+            raise ValueError(f"Adam needs an int step >= 0, got {self.step!r}")
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float) -> "AdamState":
-        return cls(np.zeros(n_params), np.zeros(n_params), 0, lr)
+    def fresh(cls, n_params: int) -> "AdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params), 0)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
-    """One Adam update of params and state, in place.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
+    """One Adam update of params and state, in place, at learning rate lr.
 
     The operations and their order are those of the out-of-place formulas,
     run through the two scratch vectors, so the results are bit-identical
@@ -315,16 +305,16 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     state.step += 1
     t = state.step
     a, b = state.scratch
-    state.m *= state.beta1
-    state.m += np.multiply(1.0 - state.beta1, grads, out=a)
-    state.v *= state.beta2
-    np.multiply(1.0 - state.beta2, grads, out=b)
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(1.0 - ADAM_BETA1, grads, out=a)
+    state.v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grads, out=b)
     state.v += np.multiply(b, grads, out=b)
-    np.divide(state.m, 1.0 - state.beta1 ** t, out=a)   # m_hat
-    a *= state.lr
-    np.divide(state.v, 1.0 - state.beta2 ** t, out=b)   # v_hat
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** t, out=a)   # m_hat
+    a *= lr
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** t, out=b)   # v_hat
     np.sqrt(b, out=b)
-    b += state.eps
+    b += ADAM_EPS
     params -= np.divide(a, b, out=a)
     if not np.isfinite(params).all():
         raise NumericsError("Adam step produced non-finite parameters")
@@ -344,43 +334,26 @@ def soft_update(target: np.ndarray, main: np.ndarray, rate: float):
 # Checkpoints
 
 
-def _header(net: MlpNetwork) -> dict:
-    """The checkpoint header of `net`, without the Adam entry. The
-    activation tags are fixed by position: ReLU trunk, scaled-tanh action
-    head, linear value and scale heads."""
-    def spec(layer, activation):
-        n_out, n_in = layer[0].shape
-        return {"out": n_out, "in": n_in, "activation": activation}
-
-    *trunk, value, action, scale = net.layers
-    return {
-        "action_dim": net.action_dim,
-        "trunk": [spec(layer, "relu") for layer in trunk],
-        "heads": {
-            "value": spec(value, "linear"),
-            "action": {**spec(action, "scaled_tanh"), "tanh_weight": net.tanh_weight},
-            "scale": spec(scale, "linear"),
-        },
-        "layout": [[name, off, list(shape)] for name, off, shape in net.layout],
-        "param_count": net.params.size,
-        "run_config": net.run_config,
-    }
+def _header(net: MlpNetwork, step: int) -> bytes:
+    """The checkpoint header's bytes: what builds `net`, its `run_config`
+    and Adam's step, as one JSON object with sorted keys."""
+    return json.dumps({"widths": net.widths, "action_dim": net.action_dim,
+                       "tanh_weight": net.tanh_weight, "run_config": net.run_config,
+                       "adam_step": step}, sort_keys=True).encode("utf-8")
 
 
 def save_checkpoint(path, net: MlpNetwork, adam: AdamState):
-    """Write a JSON header (layers, Adam's settings and step, `run_config`),
-    then `net.params` and Adam's moments as little-endian float64 blocks.
+    """Write the JSON header (see `_header`), then `net.params` and Adam's
+    moments as little-endian float64 blocks.
 
     The write is atomic: the bytes go to a temporary file in the same
     directory, which is flushed, synced to disk and then renamed over
     `path`. A write that fails leaves any previous file at `path` as it was
     and removes the temporary file.
     """
-    header = _header(net)
-    header["adam"] = {key: getattr(adam, key) for key in _ADAM_KEYS}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     if adam.m.shape != net.params.shape:
         raise DimensionError("optimizer state does not match network size")
+    blob = _header(net, adam.step)
     data = b"".join([_MAGIC, struct.pack("<IQ", _VERSION, len(blob)), blob,
                      *(a.astype(_F8).tobytes() for a in (net.params, adam.m, adam.v))])
     path = os.fspath(path)
@@ -401,10 +374,13 @@ def load_checkpoint(path):
     """Read a checkpoint back; returns (network, adam state), bit-exact.
 
     The network is built from the header's widths, action dimension, tanh
-    weight and `run_config` (a JSON object or null); a version-1 file, and
-    any header other than the one `save_checkpoint` writes for that network,
-    are rejected. The float64 blocks are read straight into one array;
-    `net.params` and the Adam moments are views into it, so nothing is copied.
+    weight and `run_config` (a JSON object or null) over the file's three
+    equal float64 blocks, so their length must be the one the widths and
+    action dimension give. The file is rejected unless its header bytes are
+    the ones `save_checkpoint` writes for that network and Adam step, and
+    version 1 and 2 files are rejected by name. The blocks are read straight
+    into one array; `net.params` and the Adam moments are views into it, so
+    nothing is copied.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -413,40 +389,33 @@ def load_checkpoint(path):
             raise CheckpointFormatError("bad magic bytes, not a checkpoint file")
         version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
         if version != _VERSION:
-            why = " (it predates the stored run configuration)" if version == 1 else ""
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}{why}")
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}"
+                                        f"{_OLD_VERSIONS.get(version, '')}")
         pos = len(prefix) + header_len
         if size < pos:
             raise CheckpointFormatError("truncated header")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"unreadable header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise CheckpointFormatError("header is not a JSON object")
-        total = header.get("param_count")
-        if not isinstance(total, int) or size != pos + 3 * total * 8:
+        blob = fh.read(header_len)
+        total, rest = divmod(size - pos, 3 * _F8.itemsize)
+        if rest:
             raise CheckpointFormatError(
-                f"file has {size} bytes, not a header and 3 blocks of {total} floats")
+                f"file has {size} bytes, not a header and 3 equal float64 blocks")
         block = np.empty(3 * total, dtype=_F8)
         if fh.readinto(block) != block.nbytes:
             raise CheckpointFormatError("file ended inside the parameter block")
 
     try:
-        trunk = header["trunk"]
-        widths = [trunk[0]["in"], *(layer["out"] for layer in trunk)]
+        header = json.loads(blob.decode("utf-8"))
         if not isinstance(header["run_config"], (dict, type(None))):
             raise ValueError("run_config is neither an object nor null")
-        net = MlpNetwork(widths, header["action_dim"],
-                         header["heads"]["action"]["tanh_weight"], block[:total],
-                         header["run_config"])
-        a = header.pop("adam")
-        if set(a) != set(_ADAM_KEYS):
-            raise ValueError(f"Adam entry {a!r} does not hold {_ADAM_KEYS}")
-        adam = AdamState(block[total:2 * total], block[2 * total:], **a)
-    except (LookupError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
+        net = MlpNetwork(header["widths"], header["action_dim"], header["tanh_weight"],
+                         block[:total], header["run_config"])
+        adam = AdamState(block[total:2 * total], block[2 * total:], header["adam_step"])
+    # a JSON or Unicode error and DimensionError are ValueErrors; int() and
+    # float() of an infinite or huge number raise OverflowError, and JSON
+    # nested too deep a RecursionError
+    except (LookupError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
         raise CheckpointFormatError(f"malformed header: {exc!r}") from exc
-    if header != _header(net):
+    if _header(net, adam.step) != blob:
         raise CheckpointFormatError("not a header this program writes")
     if not np.isfinite(block).all():
         raise CheckpointFormatError("non-finite value in the parameter or Adam blocks")

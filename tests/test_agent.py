@@ -863,7 +863,6 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     assert tr.net.input_dim == extended_state_dim(2, 1, 2, 2)
     assert [w.shape[0] for w, _ in tr.net.layers[:-3]] == [5, 6]
     assert tr.net.tanh_weight == 2.5
-    assert tr.adam.lr == 7e-4
     assert tr.replay.capacity == 50
     for name in ("trace", "target_trace"):
         assert tr.update_buffers[name].x.shape[0] == 3
@@ -872,6 +871,7 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
     assert noise_scale(cfg, 5) == 0.5
 
     seen = {"gamma": set(), "rate": set()}
+    rates = []
     built = []
 
     class RecordingOrnsteinUhlenbeck(OrnsteinUhlenbeck):
@@ -884,15 +884,22 @@ def test_every_training_and_noise_value_reaches_the_trainer(monkeypatch):
         assert len(batch[2]) == 3
         return batch_loss_and_grad(net, target, batch, gamma, **buffers)
 
+    def recording_adam_step(params, grads, state, lr):
+        rates.append(lr)
+        nn.adam_step(params, grads, state, lr)
+
     def recording_soft_update(target, source, rate):
         seen["rate"].add(rate)
         nn.soft_update(target, source, rate)
 
     monkeypatch.setattr(agent, "batch_loss_and_grad", recording_loss)
+    monkeypatch.setattr(agent, "adam_step", recording_adam_step)
     monkeypatch.setattr(agent, "soft_update", recording_soft_update)
     monkeypatch.setattr(agent, "OrnsteinUhlenbeck", RecordingOrnsteinUhlenbeck)
     rows = list(tr.episodes())
     assert seen == {"gamma": {0.9}, "rate": {0.01}}
+    # every Adam step runs at the config's learning rate
+    assert rates == [7e-4] * tr.update_count
     # each episode's noise process is built from the config's OU values
     assert built == [(1, 0.3, 0.05)] * 5
     assert len(rows) == 5

@@ -13,8 +13,8 @@ import pytest
 from netnaf import cli, nn
 from netnaf.agent import Trainer
 from netnaf.cli import main
-from netnaf.config import (ExperimentConfig, apply_overrides, from_field_texts,
-                           load_config, parse_config)
+from netnaf.config import (ExperimentConfig, apply_overrides, format_field_texts,
+                           from_field_texts, load_config, parse_config)
 from netnaf.errors import ConfigError
 from netnaf.plant import ChuaCircuit, integrate
 
@@ -46,6 +46,11 @@ def rows_without_wall_clock(path):
     return [row[:-1] for row in read_csv(path)]
 
 
+def config_text(cfg):
+    """The text form of a config, as `config.txt` holds it."""
+    return format_field_texts(cfg.field_texts())
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -75,13 +80,13 @@ def test_defaults_match_reference_experiment():
 
 def test_config_text_roundtrip():
     cfg = ExperimentConfig()
-    again = parse_config(cfg.to_text())
+    again = parse_config(config_text(cfg))
     assert again == cfg
-    assert again.to_text() == cfg.to_text()
+    assert config_text(again) == config_text(cfg)
 
 
 def test_default_snapshot_bytes_are_pinned():
-    text = ExperimentConfig().to_text().encode()
+    text = config_text(ExperimentConfig()).encode()
     assert len(text) == 623
     assert hashlib.sha256(text).hexdigest() == (
         "eafc731ab5e1177c21c2c8d62782fcd8e3e964a2306e6692c2ee5af8408cbb5d")
@@ -104,7 +109,7 @@ def test_every_setting_roundtrips_under_its_own_key():
     changed = [f.name for f in dataclasses.fields(cfg)
                if getattr(cfg, f.name) != getattr(default, f.name)]
     assert len(changed) == len(dataclasses.fields(cfg)) - 1 == 33
-    text = cfg.to_text()
+    text = config_text(cfg)
     assert parse_config(text) == cfg
     assert from_field_texts(cfg.field_texts()) == cfg
     pairs, section = [], None
@@ -317,7 +322,7 @@ def test_train_and_eval_outputs_are_pinned(tmp_path):
         trace.read_bytes())]
     assert digests == [
         "b887ea4cde53d75778eea621cb66907189cee83ae470a738308e456cd37bd69c",
-        "5b65ee1bb6420d617f789a2ad5d8da1ae6acb38eba2220260ed90ef426083b00",
+        "419a431f84290cff8dca545b03c5039423486b89102e68c9c79669b912fbd6f9",
         "c6cb85c76f0110afb383d132a357417b909fb0df2ba187426bd914bb56228681",
         "daf5ff5cbd22cca375d6e197f60a0b17c71876240f26321da328abdc1a16d4be"]
 
@@ -632,8 +637,8 @@ def test_eval_second_initial_state(small_run, tmp_path):
 def test_eval_config_under_another_delay_law(small_run, tmp_path):
     # the grid law keeps the run's delay bounds, so its checkpoint still fits
     grid_cfg = tmp_path / "grid.txt"
-    grid_cfg.write_text(apply_overrides(load_config(small_run / "config.txt"),
-                                        delay_distribution="grid").to_text())
+    grid_cfg.write_text(config_text(apply_overrides(
+        load_config(small_run / "config.txt"), delay_distribution="grid")))
     rollouts = {}
     for law, extra in (("uniform", []), ("grid", ["--config", str(grid_cfg)])):
         out_csv, trace_csv = tmp_path / f"{law}.csv", tmp_path / f"{law}-d.csv"
@@ -665,7 +670,7 @@ def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
     run = tmp_path / "zero"
     run.mkdir()
     nn.save_checkpoint(run / "zero.nnc", net,
-                       nn.AdamState.fresh(net.params.size, cfg.learning_rate))
+                       nn.AdamState.fresh(net.params.size))
     out_csv = tmp_path / "traj.csv"
     code = main(["eval", "--checkpoint", str(run / "zero.nnc"),
                  "--init", "2.0,-1.0,1.0", "--out", str(out_csv)])
@@ -680,7 +685,7 @@ def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
 def test_eval_dimension_mismatch_fails(small_run, tmp_path, capsys):
     other = ExperimentConfig(output_history_len=6)
     bad_cfg = tmp_path / "bad.txt"
-    bad_cfg.write_text(other.to_text())
+    bad_cfg.write_text(config_text(other))
     code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
                  "--init", "0,0,0", "--config", str(bad_cfg)])
     assert code == 1
@@ -695,7 +700,7 @@ def test_eval_rejects_a_config_of_another_layout(small_run, tmp_path, capsys):
                             cp_bound_steps=2, cp_max=0.125)
     assert other.extended_dim == 22
     other_cfg = tmp_path / "other.txt"
-    other_cfg.write_text(other.to_text())
+    other_cfg.write_text(config_text(other))
     out_csv, trace_csv = tmp_path / "traj.csv", tmp_path / "trace.csv"
     args = ["--init", "0.5,-0.2,0.1", "--config", str(other_cfg),
             "--out", str(out_csv), "--delay-trace", str(trace_csv)]
@@ -758,7 +763,7 @@ def test_eval_rejects_a_malformed_stored_config(tmp_path, capsys, stored,
     net = nn.init_network([ExperimentConfig().extended_dim, 8, 8], 1, 4.0, 0)
     net.run_config = stored
     path = tmp_path / "bad.nnc"
-    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size, 1e-3))
+    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size))
     out_csv = tmp_path / "traj.csv"
     code = main(["eval", "--checkpoint", str(path), "--init", "0,0,0",
                  "--out", str(out_csv)])
@@ -788,7 +793,7 @@ def test_eval_missing_config_reports_error(small_run, tmp_path, capsys):
     cfg = load_config(small_run / "config.txt")
     net = nn.init_network([cfg.extended_dim, *cfg.hidden], 1, cfg.tanh_weight, 0)
     bare = tmp_path / "bare.nnc"
-    nn.save_checkpoint(bare, net, nn.AdamState.fresh(net.params.size, 1e-3))
+    nn.save_checkpoint(bare, net, nn.AdamState.fresh(net.params.size))
     code = main(["eval", "--checkpoint", str(bare), "--init", "0,0,0"])
     assert code == 1
     captured = capsys.readouterr()

@@ -313,20 +313,20 @@ def test_backward_rejects_mismatched_trace():
 
 
 def test_adam_zero_gradient_is_noop():
-    state = nn.AdamState.fresh(5, lr=1e-3)
+    state = nn.AdamState.fresh(5)
     params = np.arange(5.0)
-    nn.adam_step(params, np.zeros(5), state)
+    nn.adam_step(params, np.zeros(5), state, 1e-3)
     assert np.array_equal(params, np.arange(5.0))
     assert state.step == 1
 
 
 def test_adam_first_step_moves_by_lr_sign():
     lr = 1e-3
-    state = nn.AdamState.fresh(3, lr=lr)
+    state = nn.AdamState.fresh(3)
     params = np.zeros(3)
     g = np.array([0.5, -2.0, 1e-3])
-    nn.adam_step(params, g, state)
-    expected = -lr * g / (np.abs(g) + state.eps)
+    nn.adam_step(params, g, state, lr)
+    expected = -lr * g / (np.abs(g) + nn.ADAM_EPS)
     assert np.allclose(params, expected, rtol=1e-12, atol=0.0)
     assert np.allclose(params, -lr * np.sign(g), rtol=1e-4)
 
@@ -334,20 +334,20 @@ def test_adam_first_step_moves_by_lr_sign():
 def test_adam_in_place_matches_reference():
     """The in-place step equals the out-of-place formulas bit for bit."""
     rng = np.random.default_rng(31)
-    n = 5000
-    state = nn.AdamState.fresh(n, lr=2.5e-4)
+    n, lr = 5000, 2.5e-4
+    state = nn.AdamState.fresh(n)
     params = rng.normal(size=n)
     ref_params, ref_m, ref_v = params.copy(), state.m.copy(), state.v.copy()
     moments = state.m, state.v
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
     for t in range(1, 6):
         g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n)
-        nn.adam_step(params, g, state)
+        nn.adam_step(params, g, state, lr)
         ref_m = b1 * ref_m + (1.0 - b1) * g
         ref_v = b2 * ref_v + (1.0 - b2) * g * g
         m_hat = ref_m / (1.0 - b1 ** t)
         v_hat = ref_v / (1.0 - b2 ** t)
-        ref_params = ref_params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        ref_params = ref_params - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
         assert state.step == t
         assert np.array_equal(params, ref_params)
         assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
@@ -356,13 +356,13 @@ def test_adam_in_place_matches_reference():
 
 def test_adam_step_allocates_no_parameter_sized_temporary():
     n = 5000
-    state = nn.AdamState.fresh(n, lr=1e-3)
+    state = nn.AdamState.fresh(n)
     params = np.ones(n)
     g = np.random.default_rng(2).normal(size=n)
-    nn.adam_step(params, g, state)
+    nn.adam_step(params, g, state, 1e-3)
     tracemalloc.start()
     try:
-        nn.adam_step(params, g, state)
+        nn.adam_step(params, g, state, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -370,19 +370,19 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    state = nn.AdamState.fresh(2, lr=1e-3)
+    state = nn.AdamState.fresh(2)
     params = np.ones(2)
     with pytest.raises(NumericsError):
-        nn.adam_step(params, np.array([1.0, np.nan]), state)
+        nn.adam_step(params, np.array([1.0, np.nan]), state, 1e-3)
     # rejected before anything is written
     assert np.array_equal(params, np.ones(2)) and state.step == 0
     assert not state.m.any() and not state.v.any()
 
 
 def test_adam_shape_mismatch():
-    state = nn.AdamState.fresh(2, lr=1e-3)
+    state = nn.AdamState.fresh(2)
     with pytest.raises(DimensionError):
-        nn.adam_step(np.zeros(3), np.zeros(3), state)
+        nn.adam_step(np.zeros(3), np.zeros(3), state, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +479,14 @@ def offset_in(view, flat):
 @pytest.mark.parametrize("widths,m", WIDTH_SETS)
 def test_header_layout_is_where_the_layers_lie(widths, m):
     net = nn.init_network(list(widths), m, 4.0, 21)
-    header = nn._header(net)
     views = [a for layer in net.layers for a in layer]
-    assert len(header["layout"]) == len(views) == 2 * (len(widths) + 2)
+    assert len(net.layout) == len(views) == 2 * (len(widths) + 2)
     end = 0
-    for (name, offset, shape), view in zip(header["layout"], views):
+    for (name, offset, shape), view in zip(net.layout, views):
         assert offset == end == offset_in(view, net.params), name
-        assert list(view.shape) == shape and np.shares_memory(view, net.params)
+        assert view.shape == shape and np.shares_memory(view, net.params)
         end = offset + view.size
-    assert end == header["param_count"] == net.params.size
+    assert end == net.params.size
 
 
 @pytest.mark.parametrize("widths,m", WIDTH_SETS)
@@ -557,9 +556,9 @@ def test_copy_shares_no_memory():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     net = nn.init_network([5, 8, 8], 2, 3.0, 33)
-    adam = nn.AdamState.fresh(net.params.size, lr=2e-4)
+    adam = nn.AdamState.fresh(net.params.size)
     g = np.random.default_rng(1).normal(size=adam.m.size)
-    nn.adam_step(net.params, g, adam)
+    nn.adam_step(net.params, g, adam, 2e-4)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     net2, adam2 = nn.load_checkpoint(path)
@@ -569,16 +568,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert adam2.m.base is not None and net2.params.base is adam2.m.base
     assert np.array_equal(adam.m, adam2.m)
     assert np.array_equal(adam.v, adam2.v)
-    assert adam2.step == adam.step and adam2.lr == adam.lr
-    assert nn._header(net2)["heads"]["action"]["activation"] == "scaled_tanh"
+    assert adam2.step == adam.step == 1
     assert net2.tanh_weight == 3.0
+    # what builds the network, its run's configuration and Adam's step
+    assert json.loads(nn._header(net2, adam2.step)) == {
+        "widths": [5, 8, 8], "action_dim": 2, "tanh_weight": 3.0,
+        "run_config": None, "adam_step": 1}
 
 
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(
         tmp_path, monkeypatch):
     path = tmp_path / "final.nnc"
     net = small_net()
-    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size, lr=1e-3))
+    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size))
     before = path.read_bytes()
 
     class FailingWrite:
@@ -604,19 +606,19 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(
     monkeypatch.setattr(nn, "open", failing_open, raising=False)
     other = small_net(seed=8)
     with pytest.raises(OSError):
-        nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size, lr=1e-3))
+        nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size))
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["final.nnc"]
     # a write that succeeds replaces the file and leaves no temporary file
-    nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size, lr=1e-3))
+    nn.save_checkpoint(path, other, nn.AdamState.fresh(other.params.size))
     assert np.array_equal(nn.load_checkpoint(path)[0].params, other.params)
     assert [p.name for p in tmp_path.iterdir()] == ["final.nnc"]
 
 
 def test_checkpoint_forward_equality_after_load(tmp_path):
     net = nn.init_network([6, 8, 8], 1, 4.0, 3)
-    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     net2, _ = nn.load_checkpoint(path)
@@ -629,7 +631,7 @@ def test_checkpoint_forward_equality_after_load(tmp_path):
 
 def test_checkpoint_corrupt_magic(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
@@ -641,7 +643,7 @@ def test_checkpoint_corrupt_magic(tmp_path):
 
 def test_checkpoint_truncated(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     path.write_bytes(path.read_bytes()[:-16])
@@ -651,12 +653,13 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_bad_version(tmp_path):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
     for version, message in ((99, "unsupported checkpoint version 99"),
-                             (1, r"version 1 \(it predates the stored run configuration\)")):
+                             (1, r"version 1 \(it predates the stored run configuration\)"),
+                             (2, r"version 2 \(its header restates the layout and Adam")):
         raw[8] = version
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match=message):
@@ -664,15 +667,18 @@ def test_checkpoint_bad_version(tmp_path):
 
 
 def checkpoint_with_header(tmp_path, edit):
-    """Save a small checkpoint, then replace its JSON header by edit(header)."""
-    net = small_net()
-    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
+    """Save a checkpoint, then replace its header by edit(header): bytes, or
+    a value to write as JSON with sorted keys. The network's input width,
+    action dimension and tanh weight are 1, so `true` and `1.0` equal them
+    in Python, and Adam's step is 0, which `false` and `0.0` equal."""
+    net = small_net(widths=(1, 8), tanh_weight=1.0)
     path = tmp_path / "net.nnc"
-    nn.save_checkpoint(path, net, adam)
+    nn.save_checkpoint(path, net, nn.AdamState.fresh(net.params.size))
     raw = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, 12)
-    header = edit(json.loads(raw[20:20 + hlen]))
-    blob = json.dumps(header, sort_keys=True).encode()
+    blob = edit(json.loads(raw[20:20 + hlen]))
+    if not isinstance(blob, bytes):
+        blob = json.dumps(blob, sort_keys=True).encode()
     path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob
                      + raw[20 + hlen:])
     return path
@@ -680,10 +686,10 @@ def checkpoint_with_header(tmp_path, edit):
 
 def test_checkpoint_inconsistent_header(tmp_path):
     def edit(header):
-        header["param_count"] += 7
+        header["widths"][-1] += 1
         return header
 
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="flat vector"):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
 
 
@@ -702,87 +708,83 @@ def _set(*keys, value):
     return edit
 
 
-def _adam(**entry):
-    """A header edit that replaces the Adam entry's values given."""
-    def edit(header):
-        header["adam"].update(entry)
-        return header
-    return edit
-
-
-# five headers this program would not write for any network, then Adam
-# entries no AdamState holds
+# Each header differs from the one save_checkpoint writes; the values of
+# the bool, float and int cases equal the written ones in Python
 @pytest.mark.parametrize("edit", [
-    _set("trunk", 0, "in", value=None),
-    _set("heads", "value", "activation", value=None),
+    _set("widths", 0, value=None),
+    _set("widths", 0, value=True),
+    _set("widths", 1, value=8.0),
+    _set("widths", 1, value=float("inf")),
+    _set("action_dim", value=True),
+    _set("action_dim", value=1.0),
+    _set("tanh_weight", value=None),
+    _set("tanh_weight", value=0),
+    _set("tanh_weight", value=1),
+    _set("tanh_weight", value=True),
+    _set("adam_step", value=-7),
+    _set("adam_step", value=False),
+    _set("adam_step", value=0.0),
+    _set("adam_step", value=[1, 2]),
+    _set("adam_lr", value=1e-3),
     lambda header: [header],
-    _set("trunk", 0, "activation", value="linear"),
-    _set("heads", "action", "activation", value="relu"),
-    _set("layout", 2, 1, value=47),
-    _set("heads", "action", "tanh_weight", value=None),
-    _set("heads", "action", "tanh_weight", value=0),
-    _adam(step=-7, lr="fast", beta1=None, beta2=5, eps=-1),
-    _adam(step=-7),
-    _adam(step=True),
-    _adam(step=2.0),
-    _adam(lr="fast"),
-    _adam(lr=0.0),
-    _adam(lr=float("nan")),
-    _adam(lr=float("inf")),
-    _adam(lr=10 ** 400),
-    _adam(eps=-1),
-    _adam(beta1=None),
-    _adam(beta1=1.0),
-    _adam(beta2=5),
-    _adam(beta2=-0.1),
-    _set("adam", "eps", value=None),
-    _adam(momentum=0.5),
-    _set("adam", value=[1, 2]),
     _set("run_config", value=None),
     _set("run_config", value=[{"run": {"seed": "3"}}]),
     _set("run_config", value="[run]\nseed = 3\n"),
-], ids=["missing_in", "missing_activation", "list", "linear_trunk",
-        "relu_action_head", "layout_offset", "no_tanh_weight", "zero_tanh_weight",
-        "adam_all_bad", "adam_negative_step", "adam_bool_step", "adam_float_step",
-        "adam_text_lr", "adam_zero_lr", "adam_nan_lr", "adam_inf_lr",
-        "adam_huge_lr", "adam_negative_eps", "adam_null_beta1", "adam_beta1_one",
-        "adam_beta2_five", "adam_negative_beta2", "adam_no_eps",
-        "adam_extra_key", "adam_list", "no_run_config", "run_config_list",
+], ids=["missing_in", "bool_width", "float_width", "infinite_width",
+        "bool_action_dim", "float_action_dim", "no_tanh_weight",
+        "zero_tanh_weight", "int_tanh_weight", "bool_tanh_weight",
+        "adam_negative_step", "adam_bool_step", "adam_float_step", "adam_list",
+        "adam_extra_key", "list", "no_run_config", "run_config_list",
         "run_config_text"])
 def test_checkpoint_malformed_header(tmp_path, edit):
     with pytest.raises(CheckpointFormatError):
         nn.load_checkpoint(checkpoint_with_header(tmp_path, edit))
 
 
+@pytest.mark.parametrize("blob", [b"\xff", b"{", b"[" * 100_000],
+                         ids=["not_utf8", "not_json", "nested_too_deep"])
+def test_checkpoint_unreadable_header(tmp_path, blob):
+    with pytest.raises(CheckpointFormatError, match="malformed header"):
+        nn.load_checkpoint(checkpoint_with_header(tmp_path, lambda header: blob))
+
+
+def test_checkpoint_header_is_checked_byte_for_byte(tmp_path):
+    # the same values, spaced out: json.loads reads them alike
+    def spaced(header):
+        return json.dumps(header, sort_keys=True, indent=1).encode()
+
+    assert nn.load_checkpoint(checkpoint_with_header(tmp_path, lambda header: header))
+    with pytest.raises(CheckpointFormatError, match="not a header this program writes"):
+        nn.load_checkpoint(checkpoint_with_header(tmp_path, spaced))
+
+
+# a numpy integer too: a header could not store it (json.dumps raises)
 @pytest.mark.parametrize("kw", [
-    dict(step=-1), dict(step=True), dict(lr=0.0), dict(lr=float("nan")),
-    dict(eps=0.0), dict(beta1=1.0), dict(beta2=-0.5)])
+    dict(step=-1), dict(step=True), dict(step=2.0), dict(step=None),
+    dict(step="3"), dict(step=np.int64(3))])
 def test_adam_state_rejects_bad_hyperparameters(kw):
     with pytest.raises(ValueError, match="Adam needs"):
-        nn.AdamState(np.zeros(3), np.zeros(3), **{"step": 0, "lr": 1e-3, **kw})
-
-
-def test_fresh_adam_state_checks_its_lr():
-    with pytest.raises(ValueError, match="Adam needs"):
-        nn.AdamState.fresh(3, lr=-1e-3)
+        nn.AdamState(np.zeros(3), np.zeros(3), **kw)
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
     net = nn.init_network([5, 8, 8], 2, 3.0, 33)
-    adam = nn.AdamState.fresh(net.params.size, lr=2e-4)
-    nn.adam_step(net.params, np.random.default_rng(1).normal(size=adam.m.size), adam)
+    adam = nn.AdamState.fresh(net.params.size)
+    nn.adam_step(net.params, np.random.default_rng(1).normal(size=adam.m.size), adam,
+                 2e-4)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "26db224c1fe116a5c5f4ba8b52dc6490dbecc5b3d3f31ee6539d9041f559c5aa")
+        "5977a173a5d3fa5ae7d61f59f22f53cbc93d10ed74ccb5b7e3868c055df9f4ce")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("hidden", [(8,), (8, 6), (8, 6, 4), (8, 6, 4, 4)])
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path, m, hidden):
     net = nn.init_network([5, *hidden], m, 2.5, 40 + m)
-    adam = nn.AdamState.fresh(net.params.size, lr=3e-4)
-    nn.adam_step(net.params, np.random.default_rng(m).normal(size=adam.m.size), adam)
+    adam = nn.AdamState.fresh(net.params.size)
+    nn.adam_step(net.params, np.random.default_rng(m).normal(size=adam.m.size), adam,
+                 3e-4)
     first, second = tmp_path / "a.nnc", tmp_path / "b.nnc"
     # a bare network, then one that stores its run's configuration
     for run_config in (None, {"network": {"hidden": ",".join(map(str, hidden))},
@@ -798,7 +800,7 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path, m, hidden):
 @pytest.mark.parametrize("block", [0, 1, 2], ids=["params", "adam_m", "adam_v"])
 def test_checkpoint_nonfinite_block(tmp_path, block):
     net = small_net()
-    adam = nn.AdamState.fresh(net.params.size, lr=1e-3)
+    adam = nn.AdamState.fresh(net.params.size)
     path = tmp_path / "net.nnc"
     nn.save_checkpoint(path, net, adam)
     raw = bytearray(path.read_bytes())
