@@ -1,7 +1,9 @@
 """The learning controller and its closed-loop episode simulator.
 
 The controller never sees the plant state. It works on an extended state
-of its newest outputs and inputs (`extended_state_blocks`). Episodes run on
+of its newest outputs and inputs (`extended_state_blocks`): one window of
+an episode's per-instant rows, found by `window_index`, which the replay
+reads the same way from its slots. Episodes run on
 the sensor's sampling grid; outputs reach the controller at clamped arrival
 times, and the plant is integrated between samples over the
 controller-to-plant channel's arrivals, each applied exactly where it lands.
@@ -61,44 +63,20 @@ def split_extended_state(w: np.ndarray, output_dim: int, input_dim: int,
     return w[:n].reshape(-1, output_dim), w[n:].reshape(-1, input_dim)
 
 
-class HistoryBuffer:
-    """Past outputs and inputs, held as one vector in the extended-state layout.
-
-    It starts from the first observed output y0: every output row reads y0
-    and every input reads zero, so the first extended state carries no
-    fictitious jumps. The output dimension is y0's size.
-    """
-
-    def __init__(self, y0, input_dim: int, delay_steps: int,
-                 output_history_len: int):
-        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        if y0.ndim != 1 or y0.size == 0:
-            raise DimensionError(f"first output has shape {y0.shape}, expected "
-                                 f"a nonempty vector")
-        p, h = y0.size, output_history_len
-        self._vec = np.zeros(extended_state_dim(p, input_dim, delay_steps, h))
-        self._outputs, self._inputs = split_extended_state(self._vec, p, input_dim, h)
-        self._outputs[:] = y0
-
-    @staticmethod
-    def _shift_in(block, value, what):
-        """Drop the oldest row of a block and put value first."""
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        if value.shape != block.shape[1:]:
-            raise DimensionError(f"{what} has shape {value.shape}, expected "
-                                 f"{block.shape[1:]}")
-        block[1:] = block[:-1]
-        block[0] = value
-
-    def push_output(self, y):
-        self._shift_in(self._outputs, y, "output")
-
-    def push_input(self, u):
-        self._shift_in(self._inputs, u, "input")
-
-    def extended_state(self) -> np.ndarray:
-        """A copy: later pushes shift the buffer in place."""
-        return self._vec.copy()
+def window_index(output_dim: int, input_dim: int, delay_steps: int,
+                 output_history_len: int) -> np.ndarray:
+    """Where each entry of an extended state lies in a table of per-instant
+    rows that begin [y | u]: (rows back from the newest instant, column),
+    written once through split_extended_state's views. Output j is y of the
+    row j back, input j is u of the row j + 1 back."""
+    p, m, h = output_dim, input_dim, output_history_len
+    index = np.empty((2, extended_state_dim(p, m, delay_steps, h)), np.int64)
+    (back_y, back_u), (col_y, col_u) = (split_extended_state(a, p, m, h)
+                                        for a in index)
+    back_y[:] = np.arange(len(back_y))[:, None]
+    back_u[:] = np.arange(1, len(back_u) + 1)[:, None]
+    col_y[:], col_u[:] = np.arange(p), np.arange(p, p + m)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +103,11 @@ class ReplayMemory:
         self.starts, self.loops = np.zeros(1, np.int64), np.zeros(1, bool)
         self.pushes = 0
         # w and w' as entries (slots back * slot width + column) of the window
-        # of slots a transition reaches back, through split_extended_state's
-        # views; w' is w one slot nearer, its newest output the slot's y_next
-        entries = np.empty((2, extended_state_dim(p, m, delay_steps, h)), np.int64)
-        ys, us = split_extended_state(entries[0], p, m, h)
-        col = np.arange(ends[-1])
-        ys[:] = np.arange(len(ys))[:, None] * ends[-1] + col[self.cols["y"]]
-        us[:] = np.arange(1, len(us) + 1)[:, None] * ends[-1] + col[self.cols["u"]]
-        np.subtract(entries[0], ends[-1], out=entries[1])
-        split_extended_state(entries[1], p, m, h)[0][0] = col[self.cols["y_next"]]
+        # of slots a transition reaches back; w' is w one slot nearer, its
+        # newest output the slot's y_next
+        back, col = window_index(p, m, delay_steps, h)
+        entries = np.stack([back, back - 1]) * ends[-1] + col
+        split_extended_state(entries[1], p, m, h)[0][0] = np.arange(*ends[2:])
         # fixed by the arguments, so no part of the state a snapshot holds
         self.layout = np.arange(self.window + 1), entries
 
@@ -314,16 +288,19 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
 
     The k-th sensed output y_k reaches the controller at its clamped arrival
     max(t_k + sensor-to-controller delay, previous arrival), which is all of
-    that link: the controller always acts on y_k itself. It then extends its
-    histories (started at k = 0 from the first output), scores and stores
-    the previous transition, evaluates the policy (plus exploration noise
-    times `noise_scale` when that is given) and sends the input through the
-    controller-to-plant channel. Each instant integrates the plant from the
-    previous one over the inputs delivered since; `integrate` sees them first
-    and rejects decreasing times, and the actuator then holds the last one
-    delivered. Transitions go to `replay` when one is given. on_step(k)
-    fires after the k-th input is issued and the instant is logged; the
-    result's `samples` are the logged rows, 0 to k.
+    that link: the controller always acts on y_k itself. It writes y_k into
+    instant k's row of the episode's [y | u] table and reads w_k from the
+    table as one gather by `window_index`; the pad rows ahead of instant 0
+    read y_0 and zero input. It then scores and stores the previous
+    transition, evaluates the policy (plus exploration noise times
+    `noise_scale` when that is given), writes the input into its row and
+    sends it through the controller-to-plant channel. Each instant
+    integrates the plant from the previous one over the inputs delivered
+    since; `integrate` sees them first and rejects decreasing times, and the
+    actuator then holds the last one delivered. Transitions go to `replay`
+    when one is given. on_step(k) fires after the k-th input is issued
+    and the instant is logged; the result's `samples` are the logged
+    rows, 0 to k.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
@@ -337,15 +314,20 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     started from zero in every episode.
     """
     plant, delays, delta = cfg.plant(), cfg.delay_model(), cfg.delta
+    p, m = OUTPUT_DIM, plant.input_dim
     cp_channel, ctrl_arrival = DelayedChannel(), -math.inf
-    actuator = Actuator(plant.input_dim)
+    actuator = Actuator(m)
     noise = (None if noise_scale is None else
-             OrnsteinUhlenbeck(plant.input_dim, cfg.ou_theta, cfg.ou_sigma))
+             OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma))
+    back, col = window_index(p, m, delays.total_delay_steps, cfg.output_history_len)
+    # instant k's row is pad + k; w_k's entries lie at offsets + k * width
+    pad, width = int(back.max()), p + m
+    table = np.zeros((pad + cfg.steps_per_episode + 1, width))
+    offsets = (pad - back) * width + col
 
     x = np.asarray(x0, dtype=float).copy()
     log = np.empty(cfg.steps_per_episode + 1,
-                   dtype=episode_log_dtype(plant.state_dim, OUTPUT_DIM,
-                                           plant.input_dim))
+                   dtype=episode_log_dtype(plant.state_dim, p, m))
     result = EpisodeResult([], log)
 
     for k in range(cfg.steps_per_episode + 1):
@@ -372,12 +354,10 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         cp_delay = sample_delay(delays, CP, rng)
         ctrl_arrival = max(t_k + sc_delay, ctrl_arrival)
 
-        if k == 0:
-            hist = HistoryBuffer(y_k, plant.input_dim,
-                                 delays.total_delay_steps, cfg.output_history_len)
-        else:
-            hist.push_output(y_k)
-        w_k = hist.extended_state()
+        table[pad + k, :p] = y_k
+        if k == 0:  # the pad rows read y_0 and zero input
+            table[:pad, :p] = y_k
+        w_k = table.take(offsets + k * width)
 
         if k >= 1:
             r = transition_reward(w_prev, u_prev, w_k, cfg.output_history_len)
@@ -391,7 +371,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
             u_k = mu_k + noise_scale * noise.step(delta, rng)
         else:
             u_k = mu_k.copy()
-        hist.push_input(u_k)
+        table[pad + k, p:] = u_k
         plant_arrival = cp_channel.send(ctrl_arrival, u_k, cp_delay)
 
         log[k] = (k, t_k, x, y_k, actuator.held, sc_delay, cp_delay,

@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import naf, nn
-from .agent import (HistoryBuffer, batch_loss_and_grad, extended_state_dim,
-                    run_episode, transition_reward)
+from .agent import (batch_loss_and_grad, extended_state_dim, run_episode,
+                    transition_reward, window_index)
 from .config import ExperimentConfig
 from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
 from .plant import ChuaCircuit, integrate, sense
@@ -58,24 +58,30 @@ def rel_err(a, b):
 
 def classical_sampled_loop(net, cfg, x0):
     """Undelayed sampled-data reference: sense at each period, act at once,
-    hold the input, integrate to the next sample. No channels anywhere; the
-    history starts from the first sensed output, and the config's delay
-    bounds size it only."""
+    hold the input, integrate to the next sample. No channels anywhere. Its
+    extended states are gathered as `run_episode` gathers them, from a
+    [y | u] table whose pad rows read the first sensed output and zero
+    input; the config's delay bounds size the window only. Returns the
+    states and the inputs, one row an instant."""
     plant, delta = cfg.plant(), cfg.delta
     x = np.asarray(x0, dtype=float).copy()
-    hist = HistoryBuffer(sense(x), plant.input_dim,
-                         cfg.delay_model().total_delay_steps,
-                         cfg.output_history_len)
-    states, inputs = [], []
+    y = sense(x)
+    p, m = y.size, plant.input_dim
+    back, col = window_index(p, m, cfg.delay_model().total_delay_steps,
+                             cfg.output_history_len)
+    pad, width = int(back.max()), p + m
+    table = np.zeros((pad + cfg.steps_per_episode + 1, width))
+    table[:pad + 1, :p] = y
+    states = []
     for k in range(cfg.steps_per_episode + 1):
         if k > 0:
-            x = integrate(plant, x, u, (k - 1) * delta, k * delta, cfg.substep)
-            hist.push_output(sense(x))
-        u = nn.forward(net, hist.extended_state(), head="action").mu.copy()
-        hist.push_input(u)
+            x = integrate(plant, x, table[pad + k - 1, p:], (k - 1) * delta,
+                          k * delta, cfg.substep)
+            table[pad + k, :p] = sense(x)
+        w = table.take((pad - back + k) * width + col)
+        table[pad + k, p:] = nn.forward(net, w, head="action").mu
         states.append(x.copy())
-        inputs.append(u.copy())
-    return np.array(states), np.array(inputs)
+    return np.array(states), table[pad:, p:].copy()
 
 
 # ---------------------------------------------------------------------------

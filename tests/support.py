@@ -1,11 +1,13 @@
 """Test-only helpers: a trajectory recorder over `integrate`, the generic
-tuple RK4 step the plant's step is held to, and a delay model whose
-channels deliver instantly."""
+tuple RK4 step the plant's step is held to, a delay model whose channels
+deliver instantly, and the extended state by its definition next to the
+loop's gather of it."""
 
 import math
 
 import numpy as np
 
+from netnaf.agent import window_index
 from netnaf.delays import DelayModel
 from netnaf.errors import DivergenceError
 from netnaf.plant import DIVERGENCE_LIMIT, PlantModel, integrate
@@ -51,3 +53,34 @@ def generic_rk4_step(model, x, u, h, t):
 def no_delay_model(delta: float) -> DelayModel:
     """Degenerate model: both channels deliver instantly."""
     return DelayModel(delta, (0.0, 0.0), (0.0, 0.0), 0, 0)
+
+
+def defined_extended_state(ys, us, k, delay_steps, output_history_len):
+    """w_k from its definition, in plain Python: y_k back to y_{k-h}, where
+    an instant before 0 reads y_0, then u_{k-1} back to u_{k-d-h}, where an
+    instant before 0 reads zeros; ys and us hold one output or input a row."""
+    outputs = [list(ys[max(k - j, 0)]) for j in range(output_history_len + 1)]
+    inputs = [list(us[k - j]) if k - j >= 0 else [0.0] * len(us[0])
+              for j in range(1, delay_steps + output_history_len + 1)]
+    return np.array([float(v) for row in outputs + inputs for v in row])
+
+
+def gathered_extended_states(ys, us, delay_steps, output_history_len):
+    """(table, every w_k) of a scripted episode, gathered as `run_episode`
+    gathers them: y_k and u_k are written once into instant k's row of a
+    [y | u] table, after pad rows that read y_0 and zero input, and w_k is
+    one take at `window_index`'s offsets, made before u_k is written."""
+    ys, us = np.asarray(ys, dtype=float), np.asarray(us, dtype=float)
+    p, m = ys.shape[1], us.shape[1]
+    back, col = window_index(p, m, delay_steps, output_history_len)
+    pad, width = int(back.max()), p + m
+    table = np.zeros((pad + len(ys), width))
+    table[:pad, :p] = ys[0]
+    offsets = (pad - back) * width + col
+    states = []
+    for k in range(len(ys)):
+        table[pad + k, :p] = ys[k]
+        states.append(table.take(offsets + k * width))
+        if k < len(us):
+            table[pad + k, p:] = us[k]
+    return table, states

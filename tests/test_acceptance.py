@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netnaf.agent import HistoryBuffer, extended_state_dim, split_extended_state
+from netnaf.agent import extended_state_dim, split_extended_state
 from netnaf.config import ExperimentConfig
 from netnaf.plant import ChuaCircuit
 from netnaf.verify import (DELTA, check_channels, check_gradient,
@@ -23,7 +23,7 @@ from netnaf.verify import (DELTA, check_channels, check_gradient,
                            generate_channel_suite, generate_gradient_check,
                            generate_naf_algebra, generate_reward_suite,
                            generate_rk4_order)
-from support import integrate_trajectory
+from support import gathered_extended_states, integrate_trajectory
 
 # artifacts of this session, keyed by criterion number; criterion 10
 # regenerates and byte-compares them
@@ -146,31 +146,26 @@ def test_criterion_5_delay_channels():
 
 
 def generate_extended_state_suite():
+    # w_k is gathered from the episode's [y | u] table as the loop gathers it
     dim = extended_state_dim(2, 1, 8, 4)
-
-    def blocks(hist):
-        return split_extended_state(hist.extended_state(), 2, 1, 4)
-
-    outputs, inputs = blocks(HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4))
+    _, (w,) = gathered_extended_states([[1.0, 2.0]], [[0.5]], 8, 4)
+    outputs, inputs = split_extended_state(w, 2, 1, 4)
     padding_ok = (np.array_equal(outputs, np.tile([1.0, 2.0], (5, 1)))
                   and np.array_equal(inputs, np.zeros((12, 1))))
 
     shift_ok = True
     rng = np.random.default_rng(1006)
-    for _ in range(5):  # scripted 20-step episodes, one buffer each
-        hist = HistoryBuffer(rng.normal(size=2), 1, 8, 4)
-        prev_outputs, prev_inputs = blocks(hist)
-        for _ in range(20):
-            u = rng.normal(size=1)
-            y = rng.normal(size=2)
-            hist.push_input(u)
-            hist.push_output(y)
-            outputs, inputs = blocks(hist)
+    for _ in range(5):  # scripted 20-step episodes, one table each
+        ys, us = rng.normal(size=(21, 2)), rng.normal(size=(21, 1))
+        _, states = gathered_extended_states(ys, us, 8, 4)
+        prev_outputs, prev_inputs = split_extended_state(states[0], 2, 1, 4)
+        for k in range(1, 21):
+            outputs, inputs = split_extended_state(states[k], 2, 1, 4)
             shift_ok = shift_ok and np.array_equal(outputs[1:], prev_outputs[:-1])
-            shift_ok = shift_ok and np.array_equal(outputs[0], y)
+            shift_ok = shift_ok and np.array_equal(outputs[0], ys[k])
             shift_ok = shift_ok and np.array_equal(inputs[1:], prev_inputs[:-1])
-            shift_ok = shift_ok and np.array_equal(inputs[0], u)
-            shift_ok = shift_ok and hist.extended_state().size == dim
+            shift_ok = shift_ok and np.array_equal(inputs[0], us[k - 1])
+            shift_ok = shift_ok and states[k].size == dim
             prev_outputs, prev_inputs = outputs, inputs
     return {"dim": dim, "padding_ok": padding_ok, "shift_ok": shift_ok}
 

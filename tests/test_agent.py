@@ -5,16 +5,17 @@ import pytest
 from scipy import stats
 
 from netnaf import agent, nn
-from netnaf.agent import (HistoryBuffer, METRIC_START, OrnsteinUhlenbeck,
-                          ReplayMemory, Trainer, batch_loss_and_grad,
-                          batch_targets, extended_state_dim, noise_scale,
-                          run_episode, split_extended_state, transition_reward)
+from netnaf.agent import (METRIC_START, OrnsteinUhlenbeck, ReplayMemory,
+                          Trainer, batch_loss_and_grad, batch_targets,
+                          extended_state_dim, noise_scale, run_episode,
+                          split_extended_state, transition_reward, window_index)
 from netnaf.config import ExperimentConfig
 from netnaf.errors import DimensionError, NumericsError
 from netnaf.plant import integrate
 from netnaf.reward import change_penalty, input_steps_penalty, output_steps_penalty
 from netnaf.verify import (classical_sampled_loop, fd_gradient, random_batch,
                            rel_err)
+from support import defined_extended_state, gathered_extended_states
 
 DELTA = 2.0 ** -4
 
@@ -54,14 +55,56 @@ def test_every_extended_state_reader_rejects_an_empty_history_or_a_negative_dela
     with pytest.raises(ValueError):
         extended_state_dim(2, 1, delay_steps, history)
     with pytest.raises(ValueError):
-        HistoryBuffer(np.zeros(2), 1, delay_steps, history)
+        window_index(2, 1, delay_steps, history)
     with pytest.raises(ValueError):
         ReplayMemory(10, 2, 1, delay_steps, history)
 
 
+@pytest.mark.parametrize("p, m, delay_steps, history",
+                         [(2, 1, 8, 4), (3, 2, 2, 2), (2, 1, 0, 1), (1, 2, 3, 2)])
+def test_the_gathered_extended_state_is_its_definition(p, m, delay_steps, history):
+    # episodes shorter and longer than the window, so every w_k of the
+    # first ones reaches into the pad rows
+    rng = np.random.default_rng(7)
+    for length in (1, 3, delay_steps + history + 6):
+        ys, us = rng.normal(size=(length, p)), rng.normal(size=(length, m))
+        _, states = gathered_extended_states(ys, us, delay_steps, history)
+        assert len(states) == length
+        for k, w in enumerate(states):
+            want = defined_extended_state(ys, us, k, delay_steps, history)
+            assert w.shape == (extended_state_dim(p, m, delay_steps, history),)
+            assert w.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_delay_steps, history", [(8, 4), (0, 1), (3, 2)])
+def test_the_loops_extended_states_are_their_definition(
+        monkeypatch, max_delay_steps, history):
+    # the w_k the policy reads, against the logged outputs and the issued
+    # inputs, under wide delays and exploration noise
+    settings = make_settings(steps_per_episode=40, max_delay_steps=max_delay_steps,
+                             delay_range=(0.0, max_delay_steps // 2 * DELTA),
+                             output_history_len=history)
+    read, forward = [], agent.forward
+
+    def recording_forward(net, x, *args, **kw):
+        read.append(x.copy())
+        return forward(net, x, *args, **kw)
+
+    monkeypatch.setattr(agent, "forward", recording_forward)
+    net = nn.init_network([settings.extended_dim, 8, 8], 1, 4.0, 3)
+    mem = loop_memory(settings)
+    result = run_episode(net, settings, x0=np.array([0.4, -0.1, 0.2]),
+                         rng=np.random.default_rng(11), noise_scale=2.0,
+                         replay=mem)
+    ys, issued = result.samples["y"], held(mem)[1]
+    assert len(read) == len(ys) == 41 and len(issued) == 40
+    for k, w in enumerate(read):
+        want = defined_extended_state(ys, issued, k, max_delay_steps, history)
+        assert w.tobytes() == want.tobytes()
+
+
 def test_initial_extended_state_padding():
-    hist = HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4)
-    w = hist.extended_state()
+    _, (w,) = gathered_extended_states([[1.0, 2.0]], [[5.0]], 8, 4)
     assert w.shape == (22,)
     outputs, inputs = blocks(w)
     assert np.array_equal(outputs, np.tile([1.0, 2.0], (5, 1)))
@@ -69,33 +112,30 @@ def test_initial_extended_state_padding():
 
 
 def test_extended_state_shift_property():
-    hist = HistoryBuffer(np.array([0.0, 0.0]), 1, 8, 4)
-    ys = [np.array([float(k), -float(k)]) for k in range(1, 21)]
-    us = [np.array([10.0 + k]) for k in range(20)]
-    prev = None
-    for k in range(20):
-        hist.push_input(us[k])
-        hist.push_output(ys[k])
-        outputs, inputs = blocks(hist.extended_state())
-        if prev is not None:
-            # output block drops the oldest entry and prepends the new one
-            assert np.array_equal(outputs[1:], prev[0][:-1])
-            assert np.array_equal(outputs[0], ys[k])
-            assert np.array_equal(inputs[1:], prev[1][:-1])
-            assert np.array_equal(inputs[0], us[k])
-        prev = outputs, inputs
+    ys = [np.array([float(k), -float(k)]) for k in range(21)]
+    us = [np.array([10.0 + k]) for k in range(21)]
+    _, states = gathered_extended_states(ys, us, 8, 4)
+    for k in range(1, 21):
+        outputs, inputs = blocks(states[k])
+        prev = blocks(states[k - 1])
+        # each block drops its oldest entry and puts the new one first
+        assert np.array_equal(outputs[1:], prev[0][:-1])
+        assert np.array_equal(outputs[0], ys[k])
+        assert np.array_equal(inputs[1:], prev[1][:-1])
+        assert np.array_equal(inputs[0], us[k - 1])
 
 
 def test_extended_state_is_a_copy():
-    # the buffer shifts one vector in place; earlier states must not move
-    hist = HistoryBuffer(np.array([1.0, 2.0]), 1, 8, 4)
-    w = hist.extended_state()
-    kept = w.copy()
-    for k in range(3):
-        hist.push_input(np.array([5.0 + k]))
-        hist.push_output(np.array([3.0, 4.0 + k]))
-    assert np.array_equal(w, kept)
-    assert not np.array_equal(hist.extended_state(), kept)
+    # each gather is a fresh array: w_0, taken before any later row was
+    # written, still reads the padding, and no state shares the table
+    ys = [np.array([3.0, 4.0 + k]) for k in range(4)]
+    us = [np.array([5.0 + k]) for k in range(4)]
+    table, states = gathered_extended_states(ys, us, 8, 4)
+    outputs, inputs = blocks(states[0])
+    assert np.array_equal(outputs, np.tile(ys[0], (5, 1)))
+    assert not inputs.any()
+    assert not any(np.shares_memory(w, table) for w in states)
+    assert not np.array_equal(states[-1], states[0])
 
 
 def test_split_extended_state_blocks():
@@ -105,19 +145,6 @@ def test_split_extended_state_blocks():
     assert np.array_equal(inputs, np.arange(10.0, 22.0).reshape(12, 1))
     # blocks are views of the vector, not copies
     assert np.shares_memory(outputs, w) and np.shares_memory(inputs, w)
-
-
-def test_history_buffer_starts_from_a_vector_first_output():
-    # a scalar is a one-output history; its first state is y0 and zeros
-    outputs, inputs = split_extended_state(
-        HistoryBuffer(0.7, 2, 3, 2).extended_state(), 1, 2, 2)
-    assert np.array_equal(outputs, np.full((3, 1), 0.7))
-    assert np.array_equal(inputs, np.zeros((5, 2)))
-    for y0 in (np.ones((2, 2)), np.array([])):
-        with pytest.raises(DimensionError):
-            HistoryBuffer(y0, 1, 8, 4)
-    with pytest.raises(DimensionError):
-        HistoryBuffer(np.ones(2), 1, 8, 4).push_output(np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +467,21 @@ EPISODES = [(3, False), (1, True), (25, False), (2, False), (12, True),
 def test_replay_returns_the_transitions_a_window_table_holds(
         p, m, delay_steps, history, capacity):
     # every (w, u, r, w') equals the row a [w | u | r | w'] table of
-    # `capacity` rows, overwritten from row 0 on, holds for the same
-    # HistoryBuffer-driven pushes; the small capacities evict the start of
-    # episodes whose later transitions are still held
+    # `capacity` rows, overwritten from row 0 on, holds for the same pushes,
+    # w and w' built by their definition; the small capacities evict the
+    # start of episodes whose later transitions are still held
     rng = np.random.default_rng(capacity)
     mem = ReplayMemory(capacity, p, m, delay_steps, history)
     dim = extended_state_dim(p, m, delay_steps, history)
     reference, starts_evicted = [], 0
     for length, diverges in EPISODES:
-        hist = HistoryBuffer(rng.normal(size=p), m, delay_steps, history)
+        ys, us = rng.normal(size=(length + 1, p)), rng.normal(size=(length, m))
         for k in range(length):
-            w, u, r = hist.extended_state(), rng.normal(size=m), rng.normal()
-            hist.push_input(u)
+            w = defined_extended_state(ys, us, k, delay_steps, history)
+            u, r = us[k], rng.normal()
             loop = diverges and k == length - 1
-            if loop:
-                w_next = w
-            else:
-                hist.push_output(rng.normal(size=p))
-                w_next = hist.extended_state()
+            w_next = w if loop else defined_extended_state(ys, us, k + 1,
+                                                           delay_steps, history)
             mem.push(w[:p], u, r, w_next[:p], first=k == 0, loop=loop)
             row = np.concatenate([w, u, [r], w_next])
             if len(reference) < capacity:
@@ -476,6 +500,26 @@ def test_replay_returns_the_transitions_a_window_table_holds(
     rows = table[np.random.default_rng(3).choice(len(mem), size=len(batch[2]),
                                                  replace=False)]
     assert np.array_equal(np.column_stack(batch), rows)
+
+
+def test_the_replay_rebuilds_the_loops_transitions_after_it_wraps():
+    # training pushes what the loop's own w_k gave; the replay's windows,
+    # rebuilt from the slots, must score to the stored rewards bit for bit.
+    # A wide initial box makes some episodes diverge into self-loops.
+    tr = tiny_trainer(episodes=12, steps_per_episode=48, replay_capacity=150,
+                      init_box=20.0)
+    diverged = sum(result.diverged for _, result in tr.episodes())
+    mem, penalty = tr.replay, tr.settings.divergence_penalty
+    assert mem.pushes > mem.capacity + mem.window and diverged > 0
+    loops = 0
+    for w, u, r, w_next in zip(*held(mem)):
+        if r == penalty:
+            assert np.array_equal(w_next, w)
+            loops += 1
+        else:
+            want = transition_reward(w, u, w_next, tr.settings.output_history_len)
+            assert np.float64(r).tobytes() == np.float64(want).tobytes()
+    assert 0 < loops <= diverged
 
 
 def test_replay_slot_fits_in_64_bytes_at_the_default_config():
