@@ -327,6 +327,50 @@ def test_train_and_eval_outputs_are_pinned(tmp_path):
         "daf5ff5cbd22cca375d6e197f60a0b17c71876240f26321da328abdc1a16d4be"]
 
 
+GRID_LAW_CONFIG = SMALL_CONFIG.replace("episodes = 3\n", "").replace(
+    "warmup = 4\n", "").replace("checkpoint_every = 2\n", "") + """\
+episodes = 30
+warmup = 8
+replay = 40
+checkpoint_every = 10
+
+[delays]
+distribution = grid
+sc_min = 0.0
+sc_max = 0.125
+cp_min = 0.0625
+cp_max = 0.1875
+sc_bound_steps = 2
+cp_bound_steps = 3
+"""
+
+
+def test_grid_law_train_and_eval_outputs_are_pinned(tmp_path):
+    """The same pin under the grid law, whose replay wraps: every arrival
+    lands on a sampling instant and many clamp onto the one before, so the
+    hashes hold the closed delivery boundary and the tie rule."""
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(GRID_LAW_CONFIG)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                 "--out", str(run)]) == 0
+    traj, trace = tmp_path / "traj.csv", tmp_path / "trace.csv"
+    assert main(["eval", "--checkpoint", str(run / "final.nnc"),
+                 "--init=0.5,-0.2,0.1", "--delay-seed", "3", "--out", str(traj),
+                 "--delay-trace", str(trace)]) == 0
+    curve = "\n".join(",".join(row) for row in
+                      rows_without_wall_clock(run / "learning_curve.csv"))
+    assert len(curve.splitlines()) == 1 + 30
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        curve.encode(), (run / "final.nnc").read_bytes(), traj.read_bytes(),
+        trace.read_bytes())]
+    assert digests == [
+        "64c0756667dbeb2e241625aa585265ef56f69bac295be17239bbd6e3ed301fdf",
+        "14386dc78fe85cceb4c6ee6259ef105ba5c3de1814e7d902df1c85818e45065d",
+        "7e468c2fa5d3690b695da1dccd44b93720300caad418bc1a75af9c9c67b96514",
+        "7848488752504366ce1c9fe0e9b8dbac5e914b731cb16c2aec336a064cfde3c7"]
+
+
 def test_train_episode_override_changes_row_count(tmp_path):
     cfg_path = tmp_path / "exp.txt"
     cfg_path.write_text(SMALL_CONFIG)
