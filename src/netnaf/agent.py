@@ -4,9 +4,9 @@ The controller never sees the plant state. It works on an extended state
 of its newest outputs and inputs (`extended_state_blocks`): one window of
 an episode's per-instant rows, found by `window_index`, which the replay
 reads the same way from its slots. Episodes run on
-the sensor's sampling grid; outputs reach the controller at clamped arrival
-times, and the plant is integrated between samples over the
-controller-to-plant channel's arrivals, each applied exactly where it lands.
+the sensor's sampling grid; outputs reach the controller, and inputs the
+plant, at clamped arrival times, and the plant is integrated between
+samples over the inputs' arrivals, each applied exactly where it lands.
 
 The loop and the trainer take an `ExperimentConfig` as their one description
 of the closed loop and build the plant, delay model and exploration noise
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import CP, SC, Actuator, DelayedChannel, sample_delay
+from .delays import CP, SC, sample_delay
 from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
@@ -293,14 +293,16 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     table as one gather by `window_index`; the pad rows ahead of instant 0
     read y_0 and zero input. It then scores and stores the previous
     transition, evaluates the policy (plus exploration noise times
-    `noise_scale` when that is given), writes the input into its row and
-    sends it through the controller-to-plant channel. Each instant
-    integrates the plant from the previous one over the inputs delivered
-    since; `integrate` sees them first and rejects decreasing times, and the
-    actuator then holds the last one delivered. Transitions go to `replay`
-    when one is given. on_step(k) fires after the k-th input is issued
-    and the instant is logged; the result's `samples` are the logged
-    rows, 0 to k.
+    `noise_scale` when that is given) and writes the input into its row.
+    The input reaches the plant at its own clamped arrival, max(controller
+    arrival + controller-to-plant delay, previous arrival), which the log's
+    nondecreasing `plant_arrival` column holds. Each instant integrates the
+    plant from the previous one over the inputs that have arrived since,
+    t_k included, each as (arrival, its table row) in issue order; the
+    plant holds the last delivered input, read from the table, and a pad
+    row's zero before any. Transitions go to `replay` when one is given.
+    on_step(k) fires after the k-th input is issued and the instant is
+    logged; the result's `samples` are the logged rows, 0 to k.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
@@ -315,8 +317,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     """
     plant, delays, delta = cfg.plant(), cfg.delay_model(), cfg.delta
     p, m = OUTPUT_DIM, plant.input_dim
-    cp_channel, ctrl_arrival = DelayedChannel(), -math.inf
-    actuator = Actuator(m)
+    ctrl_arrival = plant_arrival = -math.inf
     noise = (None if noise_scale is None else
              OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma))
     back, col = window_index(p, m, delays.total_delay_steps, cfg.output_history_len)
@@ -328,18 +329,23 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     x = np.asarray(x0, dtype=float).copy()
     log = np.empty(cfg.steps_per_episode + 1,
                    dtype=episode_log_dtype(plant.state_dim, p, m))
+    arrived = log["plant_arrival"]
+    delivered = 0  # inputs 0 .. delivered - 1 have reached the plant
     result = EpisodeResult([], log)
 
     for k in range(cfg.steps_per_episode + 1):
         t_k = k * delta
 
-        arrivals = cp_channel.poll(t_k)
+        # the inputs that have reached the plant by t_k, t_k itself included
+        due = delivered + int(arrived[delivered:k].searchsorted(t_k, side="right"))
         if k > 0:
             # instant k - 1 computed the same float as its t_k, and set
-            # w_prev, u_prev and y_prev
+            # w_prev, u_prev and y_prev; rows[0] is the held input
+            rows = table[pad + delivered - 1:pad + due, p:]
+            switches = list(zip(arrived[delivered:due].tolist(), rows[1:]))
             try:
-                x = integrate(plant, x, actuator.held, (k - 1) * delta, t_k,
-                              cfg.substep, arrivals)
+                x = integrate(plant, x, rows[0], (k - 1) * delta, t_k,
+                              cfg.substep, switches)
             except DivergenceError as err:
                 result.diverged_at = err.time
                 r = cfg.divergence_penalty
@@ -347,7 +353,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                 if replay is not None:
                     replay.push(y_prev, u_prev, r, y_prev, first=(k == 1), loop=True)
                 break
-        actuator.apply(arrivals)
+        delivered = due
 
         y_k = sense(x)
         sc_delay = sample_delay(delays, SC, rng)
@@ -372,10 +378,10 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         else:
             u_k = mu_k.copy()
         table[pad + k, p:] = u_k
-        plant_arrival = cp_channel.send(ctrl_arrival, u_k, cp_delay)
+        plant_arrival = max(ctrl_arrival + cp_delay, plant_arrival)
 
-        log[k] = (k, t_k, x, y_k, actuator.held, sc_delay, cp_delay,
-                  ctrl_arrival, plant_arrival)
+        log[k] = (k, t_k, x, y_k, table[pad + delivered - 1, p:], sc_delay,
+                  cp_delay, ctrl_arrival, plant_arrival)
         w_prev, u_prev, y_prev = w_k, u_k, y_k
         if on_step is not None:
             on_step(k)

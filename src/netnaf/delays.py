@@ -1,17 +1,18 @@
-"""Random transmission delays between sensor, controller and actuator.
+"""Random transmission delays between sensor, controller and plant.
 
-Two independent channels (sensor -> controller, controller -> plant) with
+Two independent links (sensor -> controller, controller -> plant) with
 bounded random delays. Physical networks can deliver out of order when iid
-delays overlap; here arrival times are clamped to be nondecreasing, which
-realizes in-order delivery as an explicit mechanism instead of an unchecked
-assumption. The worst-case end-to-end delay, in sampling periods, is the
-pair of known bounds a + b. The actuator holds the last input delivered;
-`plant.integrate`, given the same arrivals, resolves ties between them.
+delays overlap; here each link's arrival times are clamped to be
+nondecreasing, arrival = max(send + delay, previous arrival), which realizes
+in-order delivery as an explicit rule instead of an unchecked assumption.
+`run_episode` applies that one clamp on both links and keeps the arrivals in
+its episode log; this module holds the delay law and its known bounds. The
+worst-case end-to-end delay, in sampling periods, is the pair of bounds
+a + b.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,55 +86,3 @@ def sample_delay(model: DelayModel, channel: str, rng: np.random.Generator) -> f
     steps = model._grid_steps(lo, hi)
     return float(steps[rng.integers(steps.size)] * model.delta)
 
-
-class DelayedChannel:
-    """FIFO link: send stamps an arrival time, poll releases due payloads.
-
-    Arrival clamp: arrival = max(send + delay, previous arrival), so polled
-    order always equals send order. Send and poll times must each be
-    nondecreasing.
-    """
-
-    def __init__(self):
-        self._queue = deque()
-        self.last_send = -np.inf
-        self.last_arrival = -np.inf
-        self._last_poll = -np.inf
-
-    def send(self, t_send: float, payload, delay: float) -> float:
-        """Enqueue a payload; returns its (clamped) arrival time."""
-        if t_send < self.last_send:
-            raise ValueError(
-                f"send time {t_send} precedes previous send {self.last_send}")
-        if delay < 0:
-            raise ValueError("delay must be nonnegative")
-        arrival = max(t_send + delay, self.last_arrival)
-        self._queue.append((arrival, payload))
-        self.last_send = t_send
-        self.last_arrival = arrival
-        return arrival
-
-    def poll(self, t: float) -> list:
-        """All (arrival, payload) pairs with arrival <= t, in arrival order."""
-        if t < self._last_poll:
-            raise ValueError(f"poll time {t} precedes previous poll {self._last_poll}")
-        self._last_poll = t
-        out = []
-        while self._queue and self._queue[0][0] <= t:
-            out.append(self._queue.popleft())
-        return out
-
-
-class Actuator:
-    """Digital-to-analog side: holds the last delivered input (zero before
-    any arrival), which the episode log records. The channel's clamp alone
-    orders arrivals."""
-
-    def __init__(self, input_dim: int):
-        self.held = np.zeros(input_dim)
-
-    def apply(self, arrivals) -> None:
-        """Hold the last of a list of (time, input) arrivals, in arrival
-        order; no arrival keeps the held input."""
-        if arrivals:
-            self.held = np.atleast_1d(np.asarray(arrivals[-1][1], dtype=float))

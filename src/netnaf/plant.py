@@ -2,9 +2,9 @@
 
 The integrator is classical fixed-step RK4 with exact event splitting:
 integration segments never straddle an input switch time, so hold semantics
-are preserved to the bit. The switches are the delayed inputs exactly as
-the controller-to-plant channel releases them; `integrate` alone decides
-which of them holds when. The plant has three states, like the Chua circuit
+are preserved to the bit. The switches are the delayed inputs at their
+clamped arrival times, in issue order; `integrate` alone decides which of
+them holds when. The plant has three states, like the Chua circuit
 (cubic nonlinearity) that is the paper's plant; states and inputs are tuples
 of Python floats, and the one RK4 step writes each stage out per
 component. The circuit's parameters are known only to the simulator, never
@@ -120,8 +120,9 @@ def integrate(model: PlantModel, x0, u, t0: float, t1: float,
     """State at t1, starting from x0 at t0 with input u held at t0.
 
     `switches` are (time, input) pairs with nondecreasing times, as
-    DelayedChannel.poll returns arrivals; each input holds from its time
-    until the next switch. A switch at or before t0 holds from t0; of
+    `run_episode` passes the inputs that arrive in the window at their
+    clamped arrival times; each input holds from its time until the next
+    switch. A switch at or before t0 holds from t0; of
     simultaneous switches, the later one holds; switches after t1 are
     ignored.
 

@@ -20,10 +20,10 @@ import time
 import numpy as np
 
 from . import naf, nn
-from .agent import (batch_loss_and_grad, extended_state_dim, run_episode,
-                    transition_reward, window_index)
+from .agent import (ReplayMemory, batch_loss_and_grad, extended_state_dim,
+                    run_episode, transition_reward, window_index)
 from .config import ExperimentConfig
-from .delays import CP, SC, DelayedChannel, DelayModel, sample_delay
+from .delays import GRID, UNIFORM
 from .plant import ChuaCircuit, integrate, sense
 from .reward import change_penalty, input_steps_penalty, output_steps_penalty
 
@@ -202,32 +202,50 @@ def check_rk4_order(art):
 
 
 # ---------------------------------------------------------------------------
-# 5. delay channels
+# 5. delay links
 
 
-def generate_channel_suite(sequences=400, sends=250):
-    """In-order delivery and the end-to-end bound under random delays, and
-    the zero-delay loop against the undelayed sampled-data oracle."""
-    model = DelayModel(DELTA, (DELTA, 3 * DELTA), (DELTA, 3 * DELTA), 4, 4)
-    bound = model.total_delay_steps * DELTA
-    rng = np.random.default_rng(1005)
-    total = 0
+def generate_channel_suite(seeds=40, steps=250):
+    """The loop's own log under random delays, one noisy episode of `steps`
+    periods a delay seed, the seeds alternating between the uniform and the
+    grid law of one delay model: each arrival column is the running maximum
+    of its raw arrivals (in-order delivery), the end-to-end delay keeps its
+    bound, and the held input is the issued input of the last instant whose
+    input has arrived, zero before any. Then the zero-delay loop against the
+    undelayed sampled-data oracle."""
+    links = dict(sc_min=DELTA, sc_max=3 * DELTA, cp_min=DELTA, cp_max=3 * DELTA,
+                 sc_bound_steps=4, cp_bound_steps=4)
+    laws = [ExperimentConfig(horizon=steps * DELTA, hidden=(8, 8),
+                             delay_distribution=law, **links)
+            for law in (UNIFORM, GRID)]
+    bound = laws[0].delay_model().total_delay_steps * DELTA
+    instants = boundary = 0
+    clamped = {"sc": 0, "cp": 0}
     worst = 0.0
-    in_order = True
-    for _ in range(sequences):
-        sc, cp = DelayedChannel(), DelayedChannel()
-        got = []
-        for k in range(sends):
-            t = k * DELTA
-            c = sc.send(t, k, sample_delay(model, SC, rng))
-            a = cp.send(c, k, sample_delay(model, CP, rng))
-            worst = max(worst, a - t)
-            got.extend(p for _, p in sc.poll(c))
-            total += 1
-        got.extend(p for _, p in sc.poll(np.inf))
-        cp_order = [p for _, p in cp.poll(np.inf)]
-        in_order = in_order and got == list(range(sends)) \
-            and cp_order == list(range(sends))
+    in_order = held_ok = True
+    for seed in range(seeds):
+        cfg = laws[seed % 2]
+        rng = np.random.default_rng(1005 + seed)
+        net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, seed)
+        replay = ReplayMemory(steps, 2, 1, cfg.delay_model().total_delay_steps,
+                              cfg.output_history_len)
+        log = run_episode(net, cfg, x0=rng.uniform(-1.0, 1.0, 3), rng=rng,
+                          noise_scale=1.0, replay=replay).samples
+        t, ctrl, plant = log["t"], log["ctrl_arrival"], log["plant_arrival"]
+        raw_sc, raw_cp = t + log["tau_sc"], ctrl + log["tau_cp"]
+        in_order = (in_order and np.array_equal(ctrl, np.maximum.accumulate(raw_sc))
+                    and np.array_equal(plant, np.maximum.accumulate(raw_cp)))
+        clamped["sc"] += int((ctrl > raw_sc).sum())
+        clamped["cp"] += int((plant > raw_cp).sum())
+        worst = max(worst, float((plant - t).max()))
+        # [k, j]: input j, issued before instant k, has arrived by t_k
+        landed = (plant[None, :] <= t[:, None]) & np.tri(len(log), k=-1, dtype=bool)
+        boundary += int((landed & (plant[None, :] == t[:, None])).sum())
+        last = np.where(landed, np.arange(len(log)), -1).max(axis=1)
+        issued = replay.rows[:replay.pushes, replay.cols["u"]]
+        want = np.vstack([np.zeros((1, 1)), issued])[last + 1]
+        held_ok = held_ok and np.array_equal(log["u"], want)
+        instants += len(log)
 
     cfg = ExperimentConfig(sc_min=0.0, sc_max=0.0, cp_min=0.0, cp_max=0.0,
                            sc_bound_steps=0, cp_bound_steps=0, hidden=(8, 8),
@@ -237,17 +255,27 @@ def generate_channel_suite(sequences=400, sends=250):
     result = run_episode(net, cfg, x0=x0, rng=np.random.default_rng(0))
     ref_states, _ = classical_sampled_loop(net, cfg, x0)
     mismatch = float(np.abs(result.samples["x"] - ref_states).max())
-    return {"sends": total, "in_order": in_order, "worst_end_to_end": worst,
-            "bound": bound, "zero_delay_mismatch": mismatch}
+    return {"instants": instants, "in_order": in_order, "clamped": clamped,
+            "boundary_arrivals": boundary, "held_ok": held_ok,
+            "worst_end_to_end": worst, "bound": bound,
+            "zero_delay_mismatch": mismatch}
 
 
 def check_channels(art):
-    ok = (art["in_order"] and art["worst_end_to_end"] <= art["bound"] + 1e-12
+    # a run with no clamp or no arrival on an instant would not exercise
+    # the tie rule or the closed delivery boundary
+    exercised = min(*art["clamped"].values(), art["boundary_arrivals"]) > 0
+    ok = (art["in_order"] and art["held_ok"] and exercised
+          and art["worst_end_to_end"] <= art["bound"] + 1e-12
           and art["zero_delay_mismatch"] <= 1e-12)
-    return ok, (f"{art['sends']} sends in order: {art['in_order']}, "
-                f"end-to-end delay {art['worst_end_to_end']:.4f}s vs bound "
-                f"{art['bound']:.4f}s, zero-delay loop matches the undelayed "
-                f"oracle to {art['zero_delay_mismatch']:.1e}")
+    return ok, (f"{art['instants']} logged instants: both links in order "
+                f"{art['in_order']} ({art['clamped']['sc']} sc and "
+                f"{art['clamped']['cp']} cp arrivals clamped), held input the "
+                f"last arrived {art['held_ok']} ({art['boundary_arrivals']} "
+                f"arrivals on an instant), end-to-end delay "
+                f"{art['worst_end_to_end']:.4f}s vs bound {art['bound']:.4f}s, "
+                f"zero-delay loop matches the undelayed oracle to "
+                f"{art['zero_delay_mismatch']:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +345,7 @@ def suite_mutation_guard():
 ALL_SUITES = [
     ("naf_algebra", lambda: check_naf_algebra(generate_naf_algebra(240, 200))),
     ("gradients", lambda: check_gradient(generate_gradient_check())),
-    ("channels", lambda: check_channels(generate_channel_suite(400, 250))),
+    ("channels", lambda: check_channels(generate_channel_suite(16, 250))),
     ("rk4_order", lambda: check_rk4_order(generate_rk4_order())),
     ("reward_values", lambda: check_reward(generate_reward_suite(2000, 2000))),
     ("mutation_guard", suite_mutation_guard),

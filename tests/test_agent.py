@@ -584,17 +584,22 @@ def test_full_horizon_step_count():
 
 
 def test_max_delay_first_effect_time():
-    # both channels pinned at their bounds: input k lands at (k + tau) periods
+    # both links pinned at their bounds: input k lands at (k + tau) periods
     settings = make_settings(steps_per_episode=24, max_delay_steps=8,
                              delay_range=(4 * DELTA, 4 * DELTA))
     dim = extended_state_dim(2, 1, 8, settings.output_history_len)
     net = nn.init_network([dim, 8, 8], 1, 4.0, 4)
+    mem = loop_memory(settings)
     result = run_episode(net, settings, x0=np.array([0.5, 0.5, 0.5]),
-                         rng=np.random.default_rng(2))
+                         rng=np.random.default_rng(2), replay=mem)
     log = result.samples
     assert np.allclose(log["plant_arrival"] - log["t"], 8 * DELTA, atol=1e-12)
     # before t = tau * delta the plant runs uncontrolled
     assert not log["u"][log["t"] < 8 * DELTA].any()
+    # input 0 lands exactly on t_8 and is the input held at instant 8
+    assert log["plant_arrival"][0] == log["t"][8]
+    u_0 = held(mem)[1][0]
+    assert u_0.any() and np.array_equal(log["u"][8], u_0)
 
 
 def test_transition_alignment():
@@ -620,9 +625,9 @@ def test_transition_alignment():
 
 
 def test_each_extended_state_holds_that_instants_sensed_output():
-    # wide delays clamp arrivals onto each other on both channels; the
-    # controller still polls its channel at the output's own arrival, so
-    # exactly that output is released and is the newest in w_k
+    # wide delays clamp arrivals onto each other on both links; the
+    # controller still acts on each output at that output's own arrival,
+    # so it is the newest in w_k
     settings = make_settings(steps_per_episode=60, max_delay_steps=8,
                              delay_range=(0.0, 4 * DELTA))
     dim = extended_state_dim(2, 1, 8, settings.output_history_len)
@@ -640,7 +645,7 @@ def test_each_extended_state_holds_that_instants_sensed_output():
 
 
 def test_logged_input_is_the_last_delivered_one():
-    # a noisy run under wide delays: both channels clamp arrivals onto each
+    # a noisy run under wide delays: both links clamp arrivals onto each
     # other, some instants take in several inputs and some take in none
     settings = make_settings(steps_per_episode=60, max_delay_steps=8,
                              delay_range=(0.0, 4 * DELTA))
@@ -655,7 +660,7 @@ def test_logged_input_is_the_last_delivered_one():
     assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
     assert (np.diff(log["plant_arrival"]) == 0.0).any()
     issued = held(mem)[1]
-    # instant k's own input is sent after the actuator takes its arrivals
+    # instant k's own input is issued after instant k's delivery
     delivered = [np.flatnonzero(log["plant_arrival"][:k] <= t)
                  for k, t in enumerate(log["t"])]
     new_per_instant = np.diff([d.size for d in delivered])

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netnaf.delays import (CP, GRID, SC, UNIFORM, Actuator, DelayModel,
-                           DelayedChannel, sample_delay)
+from netnaf import agent, nn
+from netnaf.agent import ReplayMemory, run_episode
+from netnaf.config import ExperimentConfig
+from netnaf.delays import CP, GRID, SC, UNIFORM, DelayModel, sample_delay
+from netnaf.plant import integrate
 from support import no_delay_model
 
 DELTA = 2.0 ** -4
@@ -102,108 +105,178 @@ def test_total_delay_steps():
 
 
 # ---------------------------------------------------------------------------
-# channel send/poll
+# the loop's links: one clamp each, and the plant's cursor over its arrivals
 
 
-def test_clamp_enforces_order():
-    ch = DelayedChannel()
-    a1 = ch.send(0.0, "a", 3 * DELTA)
-    a2 = ch.send(DELTA, "b", DELTA)  # raw arrival 2*DELTA, before a1
-    assert a1 == 3 * DELTA
-    assert a2 == 3 * DELTA
-    got = ch.poll(3 * DELTA)
-    assert [p for _, p in got] == ["a", "b"]
+def scripted_episode(monkeypatch, cp, sc=None):
+    """run_episode over len(cp) instants with its delays scripted: instant k
+    draws sc[k] (zero by default), then cp[k]. Returns the log, the issued
+    inputs u_0 .. u_{n-2}, and for each instant k >= 1 the (arrival, input)
+    switches `integrate` got."""
+    sc = [0.0] * len(cp) if sc is None else sc
+    draws = iter([d for pair in zip(sc, cp) for d in pair])
+    monkeypatch.setattr(agent, "sample_delay", lambda model, link, rng: next(draws))
+    windows = []
+
+    def spy(model, x0, u, t0, t1, substep, switches=()):
+        windows.append(list(switches))
+        return integrate(model, x0, u, t0, t1, substep, switches)
+
+    monkeypatch.setattr(agent, "integrate", spy)
+    cfg = ExperimentConfig(horizon=(len(cp) - 1) * DELTA, hidden=(8, 8))
+    net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 0)
+    replay = ReplayMemory(len(cp), 2, 1, cfg.delay_model().total_delay_steps,
+                          cfg.output_history_len)
+    log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
+                      rng=np.random.default_rng(0), noise_scale=1.0,
+                      replay=replay).samples
+    assert len(log) == len(cp)
+    return log, replay.rows[:replay.pushes, replay.cols["u"]], windows
 
 
-def test_zero_delay_is_identity_channel():
-    ch = DelayedChannel()
-    for k in range(5):
-        assert ch.send(float(k), k, 0.0) == float(k)
+def delivered(switches):
+    """The arrival times and the inputs of a list of switches."""
+    return [when for when, _ in switches], np.array([u for _, u in switches])
 
 
-def test_monotone_arrivals_unchanged_by_clamp():
-    ch = DelayedChannel()
-    arrivals = [ch.send(k * DELTA, k, DELTA * (1 + 0.1 * k)) for k in range(5)]
+def test_clamp_enforces_order(monkeypatch):
+    # input 1's raw arrival, 2 periods, comes before input 0's at 3
+    log, issued, windows = scripted_episode(
+        monkeypatch, [3 * DELTA, DELTA, 9 * DELTA, 9 * DELTA])
+    assert log["plant_arrival"][:2].tolist() == [3 * DELTA, 3 * DELTA]
+    times, inputs = delivered(windows[2])  # instant 3
+    assert times == [3 * DELTA, 3 * DELTA]
+    assert np.array_equal(inputs, issued[:2])
+
+
+def test_zero_delay_is_identity_channel(monkeypatch):
+    log, issued, windows = scripted_episode(monkeypatch, [0.0] * 5)
+    assert log["ctrl_arrival"].tolist() == log["t"].tolist()
+    assert log["plant_arrival"].tolist() == log["t"].tolist()
+    # input k arrives at t_k, after instant k's delivery, and so holds from
+    # the start of the next window
+    for k, switches in enumerate(windows):
+        times, inputs = delivered(switches)
+        assert times == [k * DELTA] and np.array_equal(inputs, issued[k:k + 1])
+
+
+def test_monotone_arrivals_unchanged_by_clamp(monkeypatch):
+    log, _, _ = scripted_episode(
+        monkeypatch, [DELTA * (1 + 0.1 * k) for k in range(5)])
     raw = [k * DELTA + DELTA * (1 + 0.1 * k) for k in range(5)]
-    assert arrivals == raw
+    assert log["plant_arrival"].tolist() == raw
 
 
-def test_poll_before_arrival_empty():
-    ch = DelayedChannel()
-    ch.send(0.0, "x", 1.0)
-    assert ch.poll(0.5) == []
+def test_poll_before_arrival_empty(monkeypatch):
+    log, _, windows = scripted_episode(monkeypatch, [4 * DELTA] + [9 * DELTA] * 4)
+    assert windows[:3] == [[], [], []]
 
 
-def test_poll_boundary_is_closed():
-    ch = DelayedChannel()
-    ch.send(0.0, "x", 1.0)
-    got = ch.poll(1.0)
-    assert [p for _, p in got] == ["x"]
+def test_poll_boundary_is_closed(monkeypatch):
+    # input 0 lands exactly on t_4 and is taken at instant 4
+    log, issued, windows = scripted_episode(monkeypatch,
+                                            [4 * DELTA] + [9 * DELTA] * 4)
+    assert log["plant_arrival"][0] == log["t"][4]
+    times, inputs = delivered(windows[3])
+    assert times == [4 * DELTA] and np.array_equal(inputs, issued[:1])
 
 
-def test_two_payloads_in_one_period_kept_in_send_order():
-    ch = DelayedChannel()
-    ch.send(0.0, "first", 2 * DELTA)
-    ch.send(DELTA, "second", 0.5 * DELTA)  # clamped onto the first
-    got = ch.poll(10.0)
-    assert [p for _, p in got] == ["first", "second"]
-    assert got[0][0] == got[1][0] == 2 * DELTA
-
-
-def test_send_time_regression_rejected():
-    ch = DelayedChannel()
-    ch.send(1.0, "x", 0.0)
-    with pytest.raises(ValueError):
-        ch.send(0.5, "y", 0.0)
-
-
-def test_poll_time_regression_rejected():
-    ch = DelayedChannel()
-    ch.poll(2.0)
-    with pytest.raises(ValueError):
-        ch.poll(1.0)
+def test_two_payloads_in_one_period_kept_in_send_order(monkeypatch):
+    # input 1, sent a period later with half a period's delay, clamps onto
+    # input 0's arrival
+    log, issued, windows = scripted_episode(
+        monkeypatch, [2 * DELTA, 0.5 * DELTA, 9 * DELTA])
+    times, inputs = delivered(windows[1])
+    assert times == [2 * DELTA, 2 * DELTA]
+    assert np.array_equal(inputs, issued[:2])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 3 * DELTA), min_size=1, max_size=40))
 def test_in_order_delivery_for_any_delays(delays):
-    ch = DelayedChannel()
-    for k, d in enumerate(delays):
-        ch.send(k * DELTA, k, d)
-    got = [p for _, p in ch.poll(1e9)]
-    assert got == list(range(len(delays)))
+    # four more instants without delay: every scripted input arrives by the
+    # last one, which is 3 periods after the last scripted send or later
+    with pytest.MonkeyPatch.context() as mp:
+        log, issued, windows = scripted_episode(mp, delays + [0.0] * 4)
+    times, inputs = delivered([s for switches in windows for s in switches])
+    assert len(times) >= len(delays)
+    assert times == log["plant_arrival"][:len(times)].tolist()
+    assert np.array_equal(inputs, issued[:len(times)])
 
 
 def test_end_to_end_bound_under_clamping():
     model = typical_model()
     bound = model.total_delay_steps * DELTA
-    rng = np.random.default_rng(13)
-    sc, cp = DelayedChannel(), DelayedChannel()
-    for k in range(5000):
-        t = k * DELTA
-        c = sc.send(t, k, sample_delay(model, SC, rng))
-        a = cp.send(c, k, sample_delay(model, CP, rng))
-        assert a - t <= bound + 1e-12
+    cfg = ExperimentConfig(horizon=249 * DELTA, hidden=(8, 8))
+    assert cfg.delay_model() == model
+    net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 13)
+    for seed in range(20):  # 5,000 sends
+        log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
+                          rng=np.random.default_rng(seed)).samples
+        assert len(log) == 250
+        assert (log["plant_arrival"] - log["t"]).max() <= bound + 1e-12
+
+
+def test_the_plant_takes_each_input_where_it_lands(monkeypatch):
+    # every grid arrival lands on a sampling instant and many tie, so this
+    # holds the closed delivery boundary and the tie rule; each input's
+    # total delay is at least two periods, so it arrives after t_{k-1}
+    cfg = ExperimentConfig(horizon=60 * DELTA, hidden=(8, 8), delay_distribution=GRID,
+                           sc_min=DELTA, sc_max=4 * DELTA, cp_min=DELTA,
+                           cp_max=4 * DELTA)
+    net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 6)
+    replay = ReplayMemory(100, 2, 1, cfg.delay_model().total_delay_steps,
+                          cfg.output_history_len)
+    calls = []
+
+    def spy(model, x0, u, t0, t1, substep, switches=()):
+        calls.append((t0, t1, list(switches)))
+        return integrate(model, x0, u, t0, t1, substep, switches)
+
+    monkeypatch.setattr(agent, "integrate", spy)
+    log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
+                      rng=np.random.default_rng(7), noise_scale=3.5,
+                      replay=replay).samples
+    assert len(log) == len(calls) + 1 == 61
+    issued = replay.rows[:replay.pushes, replay.cols["u"]]
+    times, inputs = delivered([s for _, _, switches in calls for s in switches])
+    # concatenated, the switches are the issued inputs in issue order, each
+    # at its logged arrival
+    assert np.array_equal(inputs, issued[:len(times)])
+    assert times == log["plant_arrival"][:len(times)].tolist()
+    ties = on_instant = 0
+    for k, (t0, t1, switches) in enumerate(calls, start=1):
+        assert (t0, t1) == (log["t"][k - 1], log["t"][k])
+        assert all(t0 < when <= t1 for when, _ in switches)
+        on_instant += sum(when == t1 for when, _ in switches)
+        # every arrival at or before t_k of an input issued before k
+        assert len(switches) == np.count_nonzero(
+            (log["plant_arrival"][:k] > t0) & (log["plant_arrival"][:k] <= t1))
+        if switches:  # the later of tied arrivals is the one held
+            assert np.array_equal(log["u"][k], switches[-1][1])
+            ties += len(switches) > 1
+        else:
+            assert np.array_equal(log["u"][k], log["u"][k - 1])
+    # on the grid every input is taken at the instant it lands on
+    assert ties > 0 and on_instant == len(times) > 40
 
 
 # ---------------------------------------------------------------------------
-# actuator
+# the held input
 
 
-def test_actuator_holds_zero_before_any_arrival():
-    act = Actuator(1)
-    assert np.array_equal(act.held, np.zeros(1))
-    act.apply([])
-    assert np.array_equal(act.held, np.zeros(1))
+def test_actuator_holds_zero_before_any_arrival(monkeypatch):
+    log, _, _ = scripted_episode(monkeypatch, [4 * DELTA] + [9 * DELTA] * 4)
+    assert not log["u"][:4].any()
 
 
-def test_actuator_single_arrival_switches():
-    act = Actuator(1)
-    act.apply([(0.5, np.array([2.0]))])
-    assert np.array_equal(act.held, np.array([2.0]))
+def test_actuator_single_arrival_switches(monkeypatch):
+    log, issued, _ = scripted_episode(monkeypatch, [4 * DELTA] + [9 * DELTA] * 4)
+    assert issued[0].any() and np.array_equal(log["u"][4], issued[0])
 
 
-def test_actuator_holds_the_later_of_simultaneous_arrivals():
-    act = Actuator(1)
-    act.apply([(0.5, np.array([1.0])), (0.5, np.array([2.0]))])
-    assert np.array_equal(act.held, np.array([2.0]))
+def test_actuator_holds_the_later_of_simultaneous_arrivals(monkeypatch):
+    log, issued, _ = scripted_episode(
+        monkeypatch, [2 * DELTA, 0.5 * DELTA, 9 * DELTA])
+    assert not np.array_equal(issued[0], issued[1])
+    assert np.array_equal(log["u"][2], issued[1])

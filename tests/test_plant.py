@@ -144,6 +144,13 @@ def test_switch_at_window_start_applies_immediately():
     assert abs(x[0] - 5.0) < 1e-12
 
 
+def test_integrate_rejects_decreasing_switch_times():
+    # the loop's clamp keeps arrivals nondecreasing; a broken one raises here
+    with pytest.raises(ValueError, match="nondecreasing"):
+        integrate(LinearDecay(), np.ones(3), np.zeros(1), 0.0, 1.0, 0.1,
+                  [(0.5, np.array([1.0])), (0.25, np.array([2.0]))])
+
+
 def test_integrate_rejects_reversed_interval():
     with pytest.raises(ValueError):
         integrate(LinearDecay(), np.ones(3), np.zeros(1),
