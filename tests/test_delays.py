@@ -108,21 +108,26 @@ def test_total_delay_steps():
 # the loop's links: one clamp each, and the plant's cursor over its arrivals
 
 
-def scripted_episode(monkeypatch, cp, sc=None):
-    """run_episode over len(cp) instants with its delays scripted: instant k
-    draws sc[k] (zero by default), then cp[k]. Returns the log, the issued
-    inputs u_0 .. u_{n-2}, and for each instant k >= 1 the (arrival, input)
-    switches `integrate` got."""
-    sc = [0.0] * len(cp) if sc is None else sc
-    draws = iter([d for pair in zip(sc, cp) for d in pair])
-    monkeypatch.setattr(agent, "sample_delay", lambda model, link, rng: next(draws))
-    windows = []
+def record_switches(monkeypatch):
+    """Patch the loop's `integrate` to record each call's (t0, t1, switches)."""
+    calls = []
 
     def spy(model, x0, u, t0, t1, substep, switches=()):
-        windows.append(list(switches))
+        calls.append((t0, t1, list(switches)))
         return integrate(model, x0, u, t0, t1, substep, switches)
 
     monkeypatch.setattr(agent, "integrate", spy)
+    return calls
+
+
+def scripted_episode(monkeypatch, cp):
+    """run_episode over len(cp) instants with its delays scripted: instant k
+    draws a zero sensor delay, then cp[k]. Returns the log, the issued
+    inputs u_0 .. u_{n-2}, and for each instant k >= 1 the (arrival, input)
+    switches `integrate` got."""
+    draws = iter([d for delay in cp for d in (0.0, delay)])
+    monkeypatch.setattr(agent, "sample_delay", lambda model, link, rng: next(draws))
+    calls = record_switches(monkeypatch)
     cfg = ExperimentConfig(horizon=(len(cp) - 1) * DELTA, hidden=(8, 8))
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 0)
     replay = ReplayMemory(len(cp), 2, 1, cfg.delay_model().total_delay_steps,
@@ -131,7 +136,8 @@ def scripted_episode(monkeypatch, cp, sc=None):
                       rng=np.random.default_rng(0), noise_scale=1.0,
                       replay=replay).samples
     assert len(log) == len(cp)
-    return log, replay.rows[:replay.pushes, replay.cols["u"]], windows
+    issued = replay.rows[:replay.pushes, replay.cols["u"]]
+    return log, issued, [switches for _, _, switches in calls]
 
 
 def delivered(switches):
@@ -227,13 +233,7 @@ def test_the_plant_takes_each_input_where_it_lands(monkeypatch):
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 6)
     replay = ReplayMemory(100, 2, 1, cfg.delay_model().total_delay_steps,
                           cfg.output_history_len)
-    calls = []
-
-    def spy(model, x0, u, t0, t1, substep, switches=()):
-        calls.append((t0, t1, list(switches)))
-        return integrate(model, x0, u, t0, t1, substep, switches)
-
-    monkeypatch.setattr(agent, "integrate", spy)
+    calls = record_switches(monkeypatch)
     log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
                       rng=np.random.default_rng(7), noise_scale=3.5,
                       replay=replay).samples
