@@ -7,6 +7,7 @@ generators and checks of criteria 1, 2, 3, 5 and 7 live in netnaf.verify,
 which `netnaf verify` runs at smaller sizes.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -207,20 +208,25 @@ def smoke_config(seed: int) -> ExperimentConfig:
 
 
 def run_smoke_seed(seed: int):
+    """(rewards, final parameters) of one smoke run."""
     trainer = smoke_config(seed).trainer()
-    return [row.reward_sum for row, _ in trainer.episodes()]
+    rewards = [row.reward_sum for row, _ in trainer.episodes()]
+    return rewards, trainer.net.params
 
 
 @pytest.fixture(scope="module")
 def smoke_results():
+    """({seed: rewards}, {seed: final parameters}, seconds for 3 seeds)."""
     started = time.perf_counter()
-    results = {seed: run_smoke_seed(seed) for seed in (0, 1, 2)}
-    return results, time.perf_counter() - started
+    runs = {seed: run_smoke_seed(seed) for seed in (0, 1, 2)}
+    elapsed = time.perf_counter() - started
+    return ({seed: r for seed, (r, _) in runs.items()},
+            {seed: params for seed, (_, params) in runs.items()}, elapsed)
 
 
 @pytest.mark.slow
 def test_criterion_8_learning_trend(smoke_results):
-    results, elapsed = smoke_results
+    results, _, elapsed = smoke_results
     first = np.concatenate([np.asarray(r[:20]) for r in results.values()])
     last = np.concatenate([np.asarray(r[-20:]) for r in results.values()])
     _, p = stats.ttest_ind(last, first, equal_var=False, alternative="greater")
@@ -232,6 +238,25 @@ def test_criterion_8_learning_trend(smoke_results):
     report(8, f"mean episode reward {first.mean():.1f} (first 20) -> "
               f"{last.mean():.1f} (last 20) across 3 seeds, one-sided Welch "
               f"p = {p:.2e}, {elapsed:.0f}s for 3 seeds")
+
+
+@pytest.mark.slow
+def test_criterion_8_runs_are_pinned(smoke_results):
+    """Criterion 8's three runs, byte for byte: the SHA-256 of each seed's
+    rewards in canonical form and of its final parameters. Like the pinned
+    train and eval outputs in test_config_cli.py, the hashes hold for the
+    libm and BLAS they were recorded under; another may move the last bits."""
+    results, params, _ = smoke_results
+    digests = {seed: [hashlib.sha256(canonical(results[seed])).hexdigest(),
+                      hashlib.sha256(params[seed].tobytes()).hexdigest()]
+               for seed in (0, 1, 2)}
+    assert digests == {
+        0: ["15a0cd8f66de7de0d252df8f4bbe58ae030147b48912c683bd79ecc811a98a64",
+            "961a4e3581e13b56cc7deb5ab16abde08c386fe8f269ae39a6a205324a90ae9c"],
+        1: ["b71085f03bbb892a02f6610c262fe9c6fea2ec757a2be94f875313c432d611cd",
+            "3ec352508ae589d839195697a8752c4ea2ce8c4c7da12e47f3cc5f64561b18a6"],
+        2: ["1792daa1f5a9f03246e22ebd49da88ae26ee515ab39d55640987c7239eeefbef",
+            "3f71f89b083625e6bed35f68cd9df20af34329c6c6c2cc5e7c3d049476d9c740"]}
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +302,7 @@ def test_criterion_10_determinism(smoke_results):
             f"criterion {criterion} artifact changed between identical runs"
 
     reference = smoke_results[0][0]
-    again = run_smoke_seed(0)
+    again, _ = run_smoke_seed(0)
     assert canonical(again) == canonical(reference), \
         "training artifact changed between identical runs"
     report(10, "criteria 1-7 artifacts byte-identical across re-runs; "
