@@ -9,10 +9,10 @@ plant, at clamped arrival times, and the plant is integrated between
 samples over the inputs' arrivals, each applied exactly where it lands.
 
 The loop and the trainer take an `ExperimentConfig` as their one description
-of the closed loop and build the plant, delay model and exploration noise
-from it; the sensor and the reward weights are constants of `plant` and
-`reward`. The config is duck-typed: this module imports nothing from
-`config`.
+of the closed loop: they build the plant and exploration noise from it and
+draw the delays from its delay law; the sensor and the reward weights are
+constants of `plant` and `reward`. The config is duck-typed: this module
+imports nothing from `config`.
 """
 
 from __future__ import annotations
@@ -267,6 +267,7 @@ def episode_log_dtype(state_dim: int, output_dim: int, input_dim: int) -> np.dty
 class EpisodeResult:
     rewards: list
     samples: np.ndarray  # the filled rows of an episode_log_dtype array
+    inputs: np.ndarray  # the input issued at each of those instants, one a row
     diverged_at: float | None = None
 
     @property
@@ -302,25 +303,27 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     plant holds the last delivered input, read from the table, and a pad
     row's zero before any. Transitions go to `replay` when one is given.
     on_step(k) fires after the k-th input is issued and the instant is
-    logged; the result's `samples` are the logged rows, 0 to k.
+    logged; the result's `samples` are the logged rows, 0 to k, and its
+    `inputs` the table's issued inputs of the same instants.
 
     Plant divergence ends the episode early: the final transition is a
     self-loop carrying the divergence penalty, and the log stops at the last
     completed instant.
 
     `cfg` is an `ExperimentConfig`, the loop's one description: the plant
-    and delay model come from its builders, the sampling period is
-    `cfg.delta`, and the history window is sized from the bounds of the
-    same delay model the delays are drawn from. The exploration noise is an
+    comes from its builder, the delays are drawn from its delay law
+    (`sample_delay(cfg, ...)`), the sampling period is `cfg.delta`, and the
+    history window is sized from the same law's bounds,
+    `cfg.total_delay_steps`. The exploration noise is an
     `OrnsteinUhlenbeck` process with `cfg.ou_theta` and `cfg.ou_sigma`,
     started from zero in every episode.
     """
-    plant, delays, delta = cfg.plant(), cfg.delay_model(), cfg.delta
+    plant, delta = cfg.plant(), cfg.delta
     p, m = OUTPUT_DIM, plant.input_dim
     ctrl_arrival = plant_arrival = -math.inf
     noise = (None if noise_scale is None else
              OrnsteinUhlenbeck(m, cfg.ou_theta, cfg.ou_sigma))
-    back, col = window_index(p, m, delays.total_delay_steps, cfg.output_history_len)
+    back, col = window_index(p, m, cfg.total_delay_steps, cfg.output_history_len)
     # instant k's row is pad + k; w_k's entries lie at offsets + k * width
     pad, width = int(back.max()), p + m
     table = np.zeros((pad + cfg.steps_per_episode + 1, width))
@@ -331,7 +334,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                    dtype=episode_log_dtype(plant.state_dim, p, m))
     arrived = log["plant_arrival"]
     delivered = 0  # inputs 0 .. delivered - 1 have reached the plant
-    result = EpisodeResult([], log)
+    result = EpisodeResult([], log, table[pad:, p:])
 
     for k in range(cfg.steps_per_episode + 1):
         t_k = k * delta
@@ -356,8 +359,8 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         delivered = due
 
         y_k = sense(x)
-        sc_delay = sample_delay(delays, SC, rng)
-        cp_delay = sample_delay(delays, CP, rng)
+        sc_delay = sample_delay(cfg, SC, rng)
+        cp_delay = sample_delay(cfg, CP, rng)
         ctrl_arrival = max(t_k + sc_delay, ctrl_arrival)
 
         table[pad + k, :p] = y_k
@@ -387,7 +390,8 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
             on_step(k)
 
     # a divergence at instant k stops before k is logged
-    result.samples = log[:k if result.diverged else k + 1]
+    logged = k if result.diverged else k + 1
+    result.samples, result.inputs = log[:logged], result.inputs[:logged]
     return result
 
 
@@ -436,8 +440,7 @@ class Trainer:
             "grad": np.empty_like(self.net.params),
         }
         self.replay = ReplayMemory(cfg.replay_capacity, OUTPUT_DIM, m,
-                                   cfg.delay_model().total_delay_steps,
-                                   cfg.output_history_len)
+                                   cfg.total_delay_steps, cfg.output_history_len)
         self._sample_rng = np.random.default_rng(sample_ss)
 
     @property

@@ -195,7 +195,7 @@ def cmd_eval(args) -> int:
             f"implies {cfg.extended_dim}")
     # one width fits several layouts, set by the history length and delay bounds
     if stored is not None:
-        trained, given = ((c.output_history_len, c.delay_model().total_delay_steps)
+        trained, given = ((c.output_history_len, c.total_delay_steps)
                           for c in (stored, cfg))
         if trained != given:
             raise DimensionError(

@@ -6,8 +6,8 @@ reproducible. Every run directory gets a resolved snapshot that parses
 back to the identical configuration.
 
 The config is the closed loop's one description: `run_episode(net, cfg)` and
-`Trainer(cfg)` take it alone and build the plant and delay model from its
-builders.
+`Trainer(cfg)` take it alone, build the plant from its builder and draw the
+delays from its delay law.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .agent import Trainer, extended_state_dim
-from .delays import UNIFORM, DelayModel
+from .delays import GRID, UNIFORM, grid_steps
 from .errors import ConfigError
 from .plant import OUTPUT_DIM, ChuaCircuit
 
@@ -102,7 +102,28 @@ class ExperimentConfig:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        try:  # the plant's, delay model's and history layout's own checks
+        try:  # the plant's own checks
+            self.plant()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        ranges = {"sc": (self.sc_min, self.sc_max), "cp": (self.cp_min, self.cp_max)}
+        for name, (lo, hi) in ranges.items():
+            if not 0.0 <= lo <= hi:
+                raise ConfigError(f"{name} delay range must satisfy 0 <= min <= max")
+        bounds = {"sc": self.sc_bound_steps, "cp": self.cp_bound_steps}
+        if min(bounds.values()) < 0:
+            raise ConfigError("delay bounds must be nonnegative step counts")
+        for name, steps in bounds.items():
+            if ranges[name][1] > steps * self.delta + 1e-9 * self.delta:
+                raise ConfigError(f"{name} delays can exceed the declared bound")
+        if self.delay_distribution not in (UNIFORM, GRID):
+            raise ConfigError(
+                f"unknown delay distribution {self.delay_distribution!r}")
+        if self.delay_distribution == GRID:
+            for name, (lo, hi) in ranges.items():
+                if grid_steps(lo, hi, self.delta).size == 0:
+                    raise ConfigError(f"no multiple of delta lies in the {name} range")
+        try:  # the history layout's own checks
             self.extended_dim
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -130,20 +151,21 @@ class ExperimentConfig:
         return int(round(self.horizon / self.delta))
 
     @property
+    def total_delay_steps(self) -> int:
+        """Worst-case end-to-end delay in sampling periods: the declared
+        bounds a + b, which size the extended state. They may be looser than
+        the delay ranges; they are what the controller knows ahead of time."""
+        return self.sc_bound_steps + self.cp_bound_steps
+
+    @property
     def extended_dim(self) -> int:
         return extended_state_dim(OUTPUT_DIM, self.plant().input_dim,
-                                  self.delay_model().total_delay_steps,
-                                  self.output_history_len)
+                                  self.total_delay_steps, self.output_history_len)
 
     # -- object builders
 
     def plant(self) -> ChuaCircuit:
         return ChuaCircuit(self.p1, self.p2)
-
-    def delay_model(self) -> DelayModel:
-        return DelayModel(self.delta, (self.sc_min, self.sc_max),
-                          (self.cp_min, self.cp_max), self.sc_bound_steps,
-                          self.cp_bound_steps, self.delay_distribution)
 
     def trainer(self) -> Trainer:
         return Trainer(self)

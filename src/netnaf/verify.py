@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import naf, nn
-from .agent import (ReplayMemory, batch_loss_and_grad, extended_state_dim,
-                    run_episode, transition_reward, window_index)
+from .agent import (batch_loss_and_grad, extended_state_dim, run_episode,
+                    transition_reward, window_index)
 from .config import ExperimentConfig
 from .delays import GRID, UNIFORM
 from .plant import ChuaCircuit, integrate, sense
@@ -67,8 +67,7 @@ def classical_sampled_loop(net, cfg, x0):
     x = np.asarray(x0, dtype=float).copy()
     y = sense(x)
     p, m = y.size, plant.input_dim
-    back, col = window_index(p, m, cfg.delay_model().total_delay_steps,
-                             cfg.output_history_len)
+    back, col = window_index(p, m, cfg.total_delay_steps, cfg.output_history_len)
     pad, width = int(back.max()), p + m
     table = np.zeros((pad + cfg.steps_per_episode + 1, width))
     table[:pad + 1, :p] = y
@@ -208,7 +207,7 @@ def check_rk4_order(art):
 def generate_channel_suite(seeds=40, steps=250):
     """The loop's own log under random delays, one noisy episode of `steps`
     periods a delay seed, the seeds alternating between the uniform and the
-    grid law of one delay model: each arrival column is the running maximum
+    grid law over the same ranges and bounds: each arrival column is the running maximum
     of its raw arrivals (in-order delivery), the end-to-end delay keeps its
     bound, and the held input is the issued input of the last instant whose
     input has arrived, zero before any. Then the zero-delay loop against the
@@ -218,7 +217,7 @@ def generate_channel_suite(seeds=40, steps=250):
     laws = [ExperimentConfig(horizon=steps * DELTA, hidden=(8, 8),
                              delay_distribution=law, **links)
             for law in (UNIFORM, GRID)]
-    bound = laws[0].delay_model().total_delay_steps * DELTA
+    bound = laws[0].total_delay_steps * DELTA
     instants = boundary = 0
     clamped = {"sc": 0, "cp": 0}
     worst = 0.0
@@ -227,10 +226,9 @@ def generate_channel_suite(seeds=40, steps=250):
         cfg = laws[seed % 2]
         rng = np.random.default_rng(1005 + seed)
         net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, seed)
-        replay = ReplayMemory(steps, 2, 1, cfg.delay_model().total_delay_steps,
-                              cfg.output_history_len)
-        log = run_episode(net, cfg, x0=rng.uniform(-1.0, 1.0, 3), rng=rng,
-                          noise_scale=1.0, replay=replay).samples
+        result = run_episode(net, cfg, x0=rng.uniform(-1.0, 1.0, 3), rng=rng,
+                             noise_scale=1.0)
+        log = result.samples
         t, ctrl, plant = log["t"], log["ctrl_arrival"], log["plant_arrival"]
         raw_sc, raw_cp = t + log["tau_sc"], ctrl + log["tau_cp"]
         in_order = (in_order and np.array_equal(ctrl, np.maximum.accumulate(raw_sc))
@@ -242,8 +240,7 @@ def generate_channel_suite(seeds=40, steps=250):
         landed = (plant[None, :] <= t[:, None]) & np.tri(len(log), k=-1, dtype=bool)
         boundary += int((landed & (plant[None, :] == t[:, None])).sum())
         last = np.where(landed, np.arange(len(log)), -1).max(axis=1)
-        issued = replay.rows[:replay.pushes, replay.cols["u"]]
-        want = np.vstack([np.zeros((1, 1)), issued])[last + 1]
+        want = np.vstack([np.zeros((1, 1)), result.inputs])[last + 1]
         held_ok = held_ok and np.array_equal(log["u"], want)
         instants += len(log)
 

@@ -1,6 +1,6 @@
 """Test-only helpers: a trajectory recorder over `integrate`, the generic
-tuple RK4 step the plant's step is held to, a delay model whose channels
-deliver instantly, and the extended state by its definition next to the
+tuple RK4 step the plant's step is held to, a config whose delay law
+delivers instantly, and the extended state by its definition next to the
 loop's gather of it."""
 
 import math
@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from netnaf.agent import window_index
-from netnaf.delays import DelayModel
+from netnaf.config import ExperimentConfig
 from netnaf.errors import DivergenceError
 from netnaf.plant import DIVERGENCE_LIMIT, PlantModel, integrate
 
@@ -50,9 +50,10 @@ def generic_rk4_step(model, x, u, h, t):
     return x
 
 
-def no_delay_model(delta: float) -> DelayModel:
-    """Degenerate model: both channels deliver instantly."""
-    return DelayModel(delta, (0.0, 0.0), (0.0, 0.0), 0, 0)
+def no_delay_config(delta: float) -> ExperimentConfig:
+    """Degenerate delay law: both channels deliver instantly."""
+    return ExperimentConfig(delta=delta, sc_min=0.0, sc_max=0.0, cp_min=0.0,
+                            cp_max=0.0, sc_bound_steps=0, cp_bound_steps=0)
 
 
 def defined_extended_state(ys, us, k, delay_steps, output_history_len):

@@ -538,7 +538,7 @@ def test_replay_slot_fits_in_64_bytes_at_the_default_config():
 
 def loop_memory(settings, capacity=100):
     """A replay of the loop tests' layout: 2 outputs, 1 input."""
-    return ReplayMemory(capacity, 2, 1, settings.delay_model().total_delay_steps,
+    return ReplayMemory(capacity, 2, 1, settings.total_delay_steps,
                         settings.output_history_len)
 
 
@@ -660,6 +660,8 @@ def test_logged_input_is_the_last_delivered_one():
     assert (log["ctrl_arrival"] > log["t"] + log["tau_sc"]).any()
     assert (np.diff(log["plant_arrival"]) == 0.0).any()
     issued = held(mem)[1]
+    # the result's inputs are the issued ones, the last instant's included
+    assert np.array_equal(result.inputs[:-1], issued) and len(result.inputs) == 61
     # instant k's own input is issued after instant k's delivery
     delivered = [np.flatnonzero(log["plant_arrival"][:k] <= t)
                  for k, t in enumerate(log["t"])]
@@ -714,6 +716,8 @@ def test_divergence_aborts_episode_with_penalty():
     assert r == -1234.0
     assert np.array_equal(w, w_next)
     assert len(mem) == len(result.rewards)
+    # the inputs are cut like the log: the self-loop's is the last one
+    assert np.array_equal(result.inputs, held(mem)[1])
 
 
 def test_early_divergence_scores_its_penalty():
@@ -739,6 +743,8 @@ def test_early_divergence_scores_its_penalty():
     assert r == -1234.0
     assert np.array_equal(w, w_next)
     assert len(mem) == len(result.rewards)
+    # the inputs are cut like the log: the self-loop's is the last one
+    assert np.array_equal(result.inputs, held(mem)[1])
 
 
 def composed_transition_reward(w, u, w_next, output_history_len):

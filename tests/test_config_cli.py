@@ -64,7 +64,7 @@ def test_defaults_match_reference_experiment():
     assert cfg.update_iters == 10
     assert cfg.update_period == 4
     assert cfg.learning_rate == 1.25e-5
-    assert cfg.delay_model().total_delay_steps == 8
+    assert cfg.total_delay_steps == 8
     assert cfg.output_history_len == 4
     assert cfg.hidden == (128, 128, 128, 128)
     assert cfg.replay_capacity == 10 ** 6

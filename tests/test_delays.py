@@ -1,24 +1,26 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netnaf import agent, nn
-from netnaf.agent import ReplayMemory, run_episode
+from netnaf.agent import run_episode
 from netnaf.config import ExperimentConfig
-from netnaf.delays import CP, GRID, SC, UNIFORM, DelayModel, sample_delay
+from netnaf.delays import CP, GRID, SC, UNIFORM, sample_delay
+from netnaf.errors import ConfigError
 from netnaf.plant import integrate
-from support import no_delay_model
+from support import no_delay_config
 
 DELTA = 2.0 ** -4
 
 
 def typical_model(**kw):
-    args = dict(delta=DELTA, sc_range=(DELTA, 3 * DELTA),
-                cp_range=(DELTA, 3 * DELTA), sc_bound_steps=4,
-                cp_bound_steps=4)
+    args = dict(delta=DELTA, sc_min=DELTA, sc_max=3 * DELTA, cp_min=DELTA,
+                cp_max=3 * DELTA, sc_bound_steps=4, cp_bound_steps=4)
     args.update(kw)
-    return DelayModel(**args)
+    return ExperimentConfig(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +28,7 @@ def typical_model(**kw):
 
 
 def test_degenerate_interval_always_returns_it():
-    model = typical_model(sc_range=(DELTA, DELTA))
+    model = typical_model(sc_max=DELTA)
     rng = np.random.default_rng(0)
     for _ in range(50):
         assert sample_delay(model, SC, rng) == DELTA
@@ -49,7 +51,7 @@ def test_samples_stay_in_range_both_channels():
 
 
 def test_grid_mode_multiples_of_delta():
-    model = typical_model(distribution=GRID)
+    model = typical_model(delay_distribution=GRID)
     rng = np.random.default_rng(3)
     draws = np.array([sample_delay(model, SC, rng) for _ in range(5000)])
     steps = draws / DELTA
@@ -60,9 +62,9 @@ def test_grid_mode_multiples_of_delta():
 @pytest.mark.parametrize("distribution", [UNIFORM, GRID])
 def test_draws_equal_the_generator_calls_bit_for_bit(distribution):
     # the ranges are the smoke config's, and two with no simple binary form
-    model = typical_model(sc_range=(0.0625, 0.125), cp_range=(0.013, 0.2471),
-                          distribution=distribution)
-    ranges = {SC: model.sc_range, CP: model.cp_range}
+    model = typical_model(sc_min=0.0625, sc_max=0.125, cp_min=0.013,
+                          cp_max=0.2471, delay_distribution=distribution)
+    ranges = {SC: (model.sc_min, model.sc_max), CP: (model.cp_min, model.cp_max)}
     grids = {SC: np.array([1, 2]), CP: np.array([1, 2, 3])}
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
     for k in range(50_000):
@@ -89,19 +91,32 @@ def test_sampling_deterministic_under_seed():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        typical_model(sc_range=(-0.1, DELTA))
-    with pytest.raises(ValueError):
-        typical_model(sc_range=(3 * DELTA, DELTA))
-    with pytest.raises(ValueError):
-        typical_model(sc_range=(DELTA, 5 * DELTA))  # beyond declared bound
-    with pytest.raises(ValueError):
-        typical_model(distribution="zipf")
+    for change, message in [
+        (dict(sc_min=-0.1), "sc delay range must satisfy 0 <= min <= max"),
+        (dict(cp_min=3 * DELTA, cp_max=DELTA),
+         "cp delay range must satisfy 0 <= min <= max"),
+        (dict(cp_bound_steps=-1), "delay bounds must be nonnegative step counts"),
+        (dict(sc_max=5 * DELTA), "sc delays can exceed the declared bound"),
+        (dict(cp_max=4 * DELTA + 2e-9 * DELTA),
+         "cp delays can exceed the declared bound"),
+        (dict(delay_distribution="zipf"), "unknown delay distribution 'zipf'"),
+        (dict(delay_distribution=GRID, sc_min=0.07, sc_max=0.12),
+         "no multiple of delta lies in the sc range"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            typical_model(**change)
+
+
+def test_model_validation_accepts_its_edges():
+    # a max on its bound up to 1e-9 periods over, and a grid range holding
+    # one multiple
+    typical_model(cp_max=4 * DELTA + 0.5e-9 * DELTA)
+    typical_model(delay_distribution=GRID, sc_min=0.07, sc_max=0.125)
 
 
 def test_total_delay_steps():
     assert typical_model().total_delay_steps == 8
-    assert no_delay_model(DELTA).total_delay_steps == 0
+    assert no_delay_config(DELTA).total_delay_steps == 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +138,17 @@ def record_switches(monkeypatch):
 def scripted_episode(monkeypatch, cp):
     """run_episode over len(cp) instants with its delays scripted: instant k
     draws a zero sensor delay, then cp[k]. Returns the log, the issued
-    inputs u_0 .. u_{n-2}, and for each instant k >= 1 the (arrival, input)
+    inputs u_0 .. u_{n-1}, and for each instant k >= 1 the (arrival, input)
     switches `integrate` got."""
     draws = iter([d for delay in cp for d in (0.0, delay)])
-    monkeypatch.setattr(agent, "sample_delay", lambda model, link, rng: next(draws))
+    monkeypatch.setattr(agent, "sample_delay", lambda cfg, link, rng: next(draws))
     calls = record_switches(monkeypatch)
     cfg = ExperimentConfig(horizon=(len(cp) - 1) * DELTA, hidden=(8, 8))
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 0)
-    replay = ReplayMemory(len(cp), 2, 1, cfg.delay_model().total_delay_steps,
-                          cfg.output_history_len)
-    log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
-                      rng=np.random.default_rng(0), noise_scale=1.0,
-                      replay=replay).samples
-    assert len(log) == len(cp)
-    issued = replay.rows[:replay.pushes, replay.cols["u"]]
-    return log, issued, [switches for _, _, switches in calls]
+    result = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
+                         rng=np.random.default_rng(0), noise_scale=1.0)
+    assert len(result.samples) == len(result.inputs) == len(cp)
+    return result.samples, result.inputs, [switches for _, _, switches in calls]
 
 
 def delivered(switches):
@@ -211,10 +222,8 @@ def test_in_order_delivery_for_any_delays(delays):
 
 
 def test_end_to_end_bound_under_clamping():
-    model = typical_model()
-    bound = model.total_delay_steps * DELTA
-    cfg = ExperimentConfig(horizon=249 * DELTA, hidden=(8, 8))
-    assert cfg.delay_model() == model
+    cfg = typical_model(horizon=249 * DELTA, hidden=(8, 8))
+    bound = cfg.total_delay_steps * DELTA
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 13)
     for seed in range(20):  # 5,000 sends
         log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
@@ -231,14 +240,11 @@ def test_the_plant_takes_each_input_where_it_lands(monkeypatch):
                            sc_min=DELTA, sc_max=4 * DELTA, cp_min=DELTA,
                            cp_max=4 * DELTA)
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 6)
-    replay = ReplayMemory(100, 2, 1, cfg.delay_model().total_delay_steps,
-                          cfg.output_history_len)
     calls = record_switches(monkeypatch)
-    log = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
-                      rng=np.random.default_rng(7), noise_scale=3.5,
-                      replay=replay).samples
-    assert len(log) == len(calls) + 1 == 61
-    issued = replay.rows[:replay.pushes, replay.cols["u"]]
+    result = run_episode(net, cfg, x0=np.array([0.3, -0.2, 0.1]),
+                         rng=np.random.default_rng(7), noise_scale=3.5)
+    log, issued = result.samples, result.inputs
+    assert len(log) == len(issued) == len(calls) + 1 == 61
     times, inputs = delivered([s for _, _, switches in calls for s in switches])
     # concatenated, the switches are the issued inputs in issue order, each
     # at its logged arrival
