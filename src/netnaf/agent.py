@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import CP, SC, sample_delay
+from .delays import sample_delay
 from .errors import DimensionError, DivergenceError, NumericsError
 from .naf import quadratic_head
 from .nn import (AdamState, ForwardTrace, MlpNetwork, adam_step, backward,
@@ -311,10 +311,10 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
     completed instant.
 
     `cfg` is an `ExperimentConfig`, the loop's one description: the plant
-    comes from its builder, the delays are drawn from its delay law
-    (`sample_delay(cfg, ...)`), the sampling period is `cfg.delta`, and the
-    history window is sized from the same law's bounds,
-    `cfg.total_delay_steps`. The exploration noise is an
+    comes from its builder, each instant's pair of delays is one
+    `sample_delay(cfg, rng)` under its delay law, the sampling period is
+    `cfg.delta`, and the history window is sized from the same law's
+    bounds, `cfg.total_delay_steps`. The exploration noise is an
     `OrnsteinUhlenbeck` process with `cfg.ou_theta` and `cfg.ou_sigma`,
     started from zero in every episode.
     """
@@ -359,8 +359,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
         delivered = due
 
         y_k = sense(x)
-        sc_delay = sample_delay(cfg, SC, rng)
-        cp_delay = sample_delay(cfg, CP, rng)
+        sc_delay, cp_delay = sample_delay(cfg, rng)
         ctrl_arrival = max(t_k + sc_delay, ctrl_arrival)
 
         table[pad + k, :p] = y_k
@@ -375,7 +374,7 @@ def run_episode(net: MlpNetwork, cfg, *, x0, rng: np.random.Generator,
                 replay.push(y_prev, u_prev, r, y_k, first=(k == 1))
 
         # the greedy action is the mu head alone; V and L feed only the TD loss
-        mu_k = forward(net, w_k, head="action").mu
+        mu_k = forward(net, w_k, head="action").action[0]
         if noise is not None:
             u_k = mu_k + noise_scale * noise.step(delta, rng)
         else:

@@ -121,7 +121,7 @@ class ExperimentConfig:
                 f"unknown delay distribution {self.delay_distribution!r}")
         if self.delay_distribution == GRID:
             for name, (lo, hi) in ranges.items():
-                if grid_steps(lo, hi, self.delta).size == 0:
+                if not grid_steps(lo, hi, self.delta):
                     raise ConfigError(f"no multiple of delta lies in the {name} range")
         try:  # the history layout's own checks
             self.extended_dim

@@ -110,7 +110,8 @@ def init_network(layer_widths, action_dim: int, tanh_weight: float,
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, kept batched internally.
+    """Everything the backward pass needs, one row a sample: a 1-D input
+    is a batch of one.
 
     A trace is also a set of output buffers: `forward(..., out=trace)`
     writes a new batch of the same number of rows into its arrays.
@@ -121,7 +122,6 @@ class ForwardTrace:
     value: np.ndarray | None      # (B,); None from an action-only pass
     action: np.ndarray | None     # (B, m); None from a value-only pass
     scale_entries: np.ndarray | None  # (B, m(m+1)/2); None unless all heads ran
-    batched: bool
 
     @classmethod
     def empty(cls, net: MlpNetwork, rows: int) -> ForwardTrace:
@@ -129,11 +129,7 @@ class ForwardTrace:
         *post, value, action, scale = (np.empty((rows, w.shape[0]))
                                        for w, _ in net.layers)
         return cls(np.empty((rows, net.input_dim)), post, value[:, 0], action,
-                   scale, True)
-
-    @property
-    def mu(self):
-        return self.action if self.batched else self.action[0]
+                   scale)
 
 
 def apply_layer(layer, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -147,7 +143,7 @@ def apply_layer(layer, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
             head: str | None = None) -> ForwardTrace:
-    """Run the network on one vector or a batch of rows.
+    """Run the network on a batch of rows, or on one vector as a batch of one.
 
     Without `out`, every output array is allocated anew. With `out`, a
     trace the caller owns (from `ForwardTrace.empty` with as many rows as
@@ -160,20 +156,19 @@ def forward(net: MlpNetwork, x, out: ForwardTrace | None = None,
     if head not in (None, "value", "action"):
         raise ValueError(f"unknown head {head!r}")
     arr = np.asarray(x, dtype=float)
-    batched = arr.ndim == 2
-    if not batched:
-        if arr.ndim != 1:
-            raise DimensionError("input must be 1-D or 2-D")
+    if arr.ndim == 1:
         arr = arr[None, :]
+    elif arr.ndim != 2:
+        raise DimensionError("input must be 1-D or 2-D")
     if arr.shape[1] != net.input_dim:
         raise DimensionError(
             f"input width {arr.shape[1]}, network expects {net.input_dim}")
     *trunk, value, action, scale = net.layers
     if out is None:
-        out = ForwardTrace(arr, [None] * len(trunk), None, None, None, batched)
+        out = ForwardTrace(arr, [None] * len(trunk), None, None, None)
     elif out.x.shape[0] != arr.shape[0] or len(out.trunk_post) != len(trunk):
         raise DimensionError("output trace does not match this input and network")
-    out.x, out.batched = arr, batched
+    out.x = arr
 
     # each layer writes into its buffer when there is one, and returns it
     a = arr

@@ -78,7 +78,7 @@ def classical_sampled_loop(net, cfg, x0):
                           k * delta, cfg.substep)
             table[pad + k, :p] = sense(x)
         w = table.take((pad - back + k) * width + col)
-        table[pad + k, p:] = nn.forward(net, w, head="action").mu
+        table[pad + k, p:] = nn.forward(net, w, head="action").action[0]
         states.append(x.copy())
     return np.array(states), table[pad:, p:].copy()
 

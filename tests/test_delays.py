@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from netnaf import agent, nn
 from netnaf.agent import run_episode
 from netnaf.config import ExperimentConfig
-from netnaf.delays import CP, GRID, SC, UNIFORM, sample_delay
+from netnaf.delays import GRID, UNIFORM, sample_delay
 from netnaf.errors import ConfigError
 from netnaf.plant import integrate
 from support import no_delay_config
@@ -31,48 +31,51 @@ def test_degenerate_interval_always_returns_it():
     model = typical_model(sc_max=DELTA)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert sample_delay(model, SC, rng) == DELTA
+        assert sample_delay(model, rng)[0] == DELTA
 
 
 def test_uniform_mean_on_interval():
     model = typical_model()
     rng = np.random.default_rng(1)
-    draws = np.array([sample_delay(model, SC, rng) for _ in range(100_000)])
+    draws = np.array([sample_delay(model, rng)[0] for _ in range(100_000)])
     assert abs(draws.mean() - 2 * DELTA) < 0.01 * 2 * DELTA
 
 
 def test_samples_stay_in_range_both_channels():
     model = typical_model()
     rng = np.random.default_rng(2)
-    for channel in (SC, CP):
-        draws = np.array([sample_delay(model, channel, rng)
-                          for _ in range(10_000)])
-        assert draws.min() >= DELTA and draws.max() <= 3 * DELTA
+    draws = np.array([sample_delay(model, rng) for _ in range(10_000)])
+    for link in draws.T:
+        assert link.min() >= DELTA and link.max() <= 3 * DELTA
 
 
 def test_grid_mode_multiples_of_delta():
     model = typical_model(delay_distribution=GRID)
     rng = np.random.default_rng(3)
-    draws = np.array([sample_delay(model, SC, rng) for _ in range(5000)])
+    draws = np.array([sample_delay(model, rng)[0] for _ in range(5000)])
     steps = draws / DELTA
     assert np.allclose(steps, np.round(steps))
     assert set(np.round(steps)) == {1.0, 2.0, 3.0}
 
 
-@pytest.mark.parametrize("distribution", [UNIFORM, GRID])
-def test_draws_equal_the_generator_calls_bit_for_bit(distribution):
-    # the ranges are the smoke config's, and two with no simple binary form
-    model = typical_model(sc_min=0.0625, sc_max=0.125, cp_min=0.013,
+@pytest.mark.parametrize("distribution, sc_min",
+                         [(UNIFORM, 0.0625), (GRID, 0.0625), (GRID, 0.0)],
+                         ids=["uniform", "grid", "grid_from_zero"])
+def test_draws_equal_the_generator_calls_bit_for_bit(distribution, sc_min):
+    # the ranges are the smoke config's, and two with no simple binary form;
+    # the last input's sensor grid starts at 0
+    model = typical_model(sc_min=sc_min, sc_max=0.125, cp_min=0.013,
                           cp_max=0.2471, delay_distribution=distribution)
-    ranges = {SC: (model.sc_min, model.sc_max), CP: (model.cp_min, model.cp_max)}
-    grids = {SC: np.array([1, 2]), CP: np.array([1, 2, 3])}
+    sc_steps = {0.0625: np.array([1, 2]), 0.0: np.array([0, 1, 2])}[sc_min]
+    links = [(model.sc_min, model.sc_max, sc_steps),
+             (model.cp_min, model.cp_max, np.array([1, 2, 3]))]
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
     for k in range(50_000):
-        for channel in (SC, CP):
-            got = sample_delay(model, channel, rng)
-            lo, hi = ranges[channel]
+        pair = sample_delay(model, rng)
+        assert type(pair) is tuple and len(pair) == 2
+        # the sensor-to-controller delay is drawn first
+        for got, (lo, hi, steps) in zip(pair, links):
             if distribution == GRID:
-                steps = grids[channel]
                 want = float(steps[ref.integers(steps.size)] * DELTA)
             else:
                 want = float(ref.uniform(lo, hi))
@@ -85,8 +88,8 @@ def test_draws_equal_the_generator_calls_bit_for_bit(distribution):
 
 def test_sampling_deterministic_under_seed():
     model = typical_model()
-    a = [sample_delay(model, SC, np.random.default_rng(9)) for _ in range(5)]
-    b = [sample_delay(model, SC, np.random.default_rng(9)) for _ in range(5)]
+    a = [sample_delay(model, np.random.default_rng(9))[0] for _ in range(5)]
+    b = [sample_delay(model, np.random.default_rng(9))[0] for _ in range(5)]
     assert a == b
 
 
@@ -112,6 +115,12 @@ def test_model_validation_accepts_its_edges():
     # one multiple
     typical_model(cp_max=4 * DELTA + 0.5e-9 * DELTA)
     typical_model(delay_distribution=GRID, sc_min=0.07, sc_max=0.125)
+    # a grid max 1e-12 under 2 DELTA holds 2 DELTA within the 1e-9-period
+    # tolerance, so every draw is 2 DELTA, just over the max
+    model = typical_model(delay_distribution=GRID, sc_min=0.07,
+                          sc_max=2 * DELTA - 1e-12)
+    rng = np.random.default_rng(4)
+    assert {sample_delay(model, rng)[0] for _ in range(20)} == {2 * DELTA}
 
 
 def test_total_delay_steps():
@@ -137,11 +146,11 @@ def record_switches(monkeypatch):
 
 def scripted_episode(monkeypatch, cp):
     """run_episode over len(cp) instants with its delays scripted: instant k
-    draws a zero sensor delay, then cp[k]. Returns the log, the issued
-    inputs u_0 .. u_{n-1}, and for each instant k >= 1 the (arrival, input)
-    switches `integrate` got."""
-    draws = iter([d for delay in cp for d in (0.0, delay)])
-    monkeypatch.setattr(agent, "sample_delay", lambda cfg, link, rng: next(draws))
+    draws the pair (0, cp[k]). Returns the log, the issued inputs u_0 ..
+    u_{n-1}, and for each instant k >= 1 the (arrival, input) switches
+    `integrate` got."""
+    draws = iter([(0.0, delay) for delay in cp])
+    monkeypatch.setattr(agent, "sample_delay", lambda cfg, rng: next(draws))
     calls = record_switches(monkeypatch)
     cfg = ExperimentConfig(horizon=(len(cp) - 1) * DELTA, hidden=(8, 8))
     net = nn.init_network([cfg.extended_dim, 8, 8], 1, cfg.tanh_weight, 0)

@@ -65,7 +65,7 @@ def test_forward_zero_network_gives_zero_heads():
     tr = nn.forward(net, np.ones(4))
     assert tr.value[0] == 0.0
     assert np.array_equal(tr.scale_entries[0], np.zeros(1))
-    assert np.array_equal(tr.mu, np.zeros(1))
+    assert np.array_equal(tr.action[0], np.zeros(1))
 
 
 def test_single_linear_layer_is_identity():
@@ -97,7 +97,7 @@ def test_forward_batch_matches_single():
     for i, x in enumerate(xs):
         one = nn.forward(net, x)
         assert np.isclose(one.value[0], batch.value[i], rtol=1e-12, atol=0.0)
-        assert np.allclose(one.mu, batch.action[i], rtol=1e-12, atol=1e-300)
+        assert np.allclose(one.action[0], batch.action[i], rtol=1e-12, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +277,8 @@ def test_one_head_forward_equals_the_full_pass_bit_for_bit(m, head, batched,
             assert all(getattr(trace, name) is None for name in other)
         picked = "value" if head == "value" else "action"
         assert np.array_equal(getattr(trace, picked), getattr(full, picked))
-        if head == "action":
-            assert np.array_equal(trace.mu, full.mu)
+        if head == "action":  # a 1-D input is a batch of one row
+            assert trace.action.shape == full.action.shape == (5 if batched else 1, m)
         assert all(np.array_equal(a, b)
                    for a, b in zip(trace.trunk_post, full.trunk_post))
 
