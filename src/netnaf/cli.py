@@ -10,7 +10,6 @@ finishes writes final.nnc.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import json
@@ -31,8 +30,6 @@ from .verify import run_suites
 
 LEARNING_CURVE_COLUMNS = ["episode", "reward_sum_from_50th", "mean_loss",
                           "noise_scale", "seconds_elapsed"]
-DELAY_TRACE_FIELDS = ("k", "t", "tau_sc", "tau_cp", "ctrl_arrival",
-                      "plant_arrival")
 
 
 def _write_csv(fh, header, rows):
@@ -45,40 +42,18 @@ def _write_csv(fh, header, rows):
     writer.writerows(rows)
 
 
-@contextlib.contextmanager
-def _open_outputs(*paths):
-    """Open every path for writing before anything is written to any; a
-    None path gives a None handle.
-
-    If an open or the writing fails, the files opened so far are removed,
-    so a command that fails leaves none of its outputs behind.
-    """
-    handles = []
-    try:
-        for path in paths:
-            handles.append(None if path is None else open(path, "w", newline=""))
-        yield handles
-    except BaseException:
-        for fh in filter(None, handles):
-            fh.close()
-            os.remove(fh.name)
-        raise
-    finally:
-        for fh in filter(None, handles):
-            fh.close()
-
-
 def write_learning_curve(fh, rows, header=True):
     """One row per episode, to an open text file, after the column header
     unless `header` is False."""
     _write_csv(fh, header and LEARNING_CURVE_COLUMNS, map(astuple, rows))
 
 
-def _write_log(fh, samples, fields, header=None):
-    """Fields of an episode log, one row per sampling instant; a vector
-    field spreads over numbered columns (x1, x2, ...)."""
+def write_trajectory(fh, samples):
+    """Every field of the episode log, one row per sampling instant, to an
+    open text file; a vector field spreads over numbered columns (x1, x2,
+    ...)."""
     names, columns = [], []
-    for name in fields:
+    for name in samples.dtype.names:
         col = samples[name]
         if col.ndim == 1:
             names.append(name)
@@ -86,18 +61,7 @@ def _write_log(fh, samples, fields, header=None):
         else:
             names += [f"{name}{i + 1}" for i in range(col.shape[1])]
             columns += col.T.tolist()
-    _write_csv(fh, header or names, zip(*columns))
-
-
-def write_trajectory(fh, samples):
-    """Every field of the episode log, to an open text file."""
-    _write_log(fh, samples, samples.dtype.names)
-
-
-def write_delay_trace(fh, samples):
-    """Realized delays and clamped arrivals, one row per sampling instant."""
-    _write_log(fh, samples, DELAY_TRACE_FIELDS,
-               ["k", "t_sent", *DELAY_TRACE_FIELDS[2:]])
+    _write_csv(fh, names, zip(*columns))
 
 
 def cmd_train(args) -> int:
@@ -143,27 +107,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _file_identity(path):
-    """What two names of one file share: its device and inode, or, for a
-    file not created yet, its directory's and its name. This follows
-    symlinks, `..` and hard links, at one or two stat calls per path."""
-    try:
-        st = os.stat(path)
-        return st.st_dev, st.st_ino
-    except FileNotFoundError:
-        head, name = os.path.split(path)
-        st = os.stat(head or ".")
-        return st.st_dev, st.st_ino, name
-
-
 def _check_distinct_paths(*named):
-    """Reject two (flag, path) pairs that name one file, so no output is
-    written over an input or over another output."""
+    """Reject two (flag, path) pairs that name one file, so the output is
+    not written over an input. Files are keyed by device and inode, which
+    follows symlinks, `..` and hard links; a path that does not exist yet
+    names no input and is skipped."""
     seen = {}
     for flag, path in named:
-        if path is None:
+        if not path:
             continue
-        key = _file_identity(path)
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            continue
+        key = st.st_dev, st.st_ino
         if key in seen:
             raise ConfigError(f"{flag} and {seen[key]} name the same file {path}")
         seen[key] = flag
@@ -180,8 +137,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else (
         ckpt_path.parent / f"eval-seed{args.delay_seed}.csv")
     net, _ = load_checkpoint(ckpt_path)
-    _check_distinct_paths(("--checkpoint", ckpt_path), ("--config", args.config or None),
-                          ("--out", out), ("--delay-trace", args.delay_trace or None))
+    _check_distinct_paths(("--checkpoint", ckpt_path), ("--config", args.config),
+                          ("--out", out))
     try:
         stored = None if net.run_config is None else from_field_texts(net.run_config)
     except ConfigError as exc:
@@ -213,11 +170,14 @@ def cmd_eval(args) -> int:
 
     rng = np.random.default_rng(args.delay_seed)
     result = run_episode(net, cfg, x0=x0, rng=rng)
-    # both files are written, or neither is left behind
-    with _open_outputs(out, args.delay_trace or None) as (traj_fh, trace_fh):
-        write_trajectory(traj_fh, result.samples)
-        if trace_fh is not None:
-            write_delay_trace(trace_fh, result.samples)
+    # the trajectory is written whole, or no file is left behind
+    fh = open(out, "w", newline="")
+    try:
+        with fh:
+            write_trajectory(fh, result.samples)
+    except BaseException:
+        os.remove(out)
+        raise
     status = "diverged" if result.diverged else "ok"
     print(f"eval {status}: {len(result.samples)} samples, "
           f"reward sum {result.reward_sum_from(0):.3f}, wrote {out}")
@@ -257,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--delay-seed", type=int, default=0, dest="delay_seed")
     p_eval.add_argument("--config", help="config file (default: the checkpoint's own)")
     p_eval.add_argument("--out", help="trajectory CSV path")
-    p_eval.add_argument("--delay-trace", dest="delay_trace",
-                        help="also dump realized delays to this CSV")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the fast invariant suites")

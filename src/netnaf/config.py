@@ -145,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("bad update cadence")
         if self.ou_theta < 0 or self.ou_sigma < 0:
             raise ConfigError("noise theta and sigma must be nonnegative")
+        if self.noise_scale < 0 or self.noise_scale_final < 0:
+            raise ConfigError("noise scale and scale_final must be nonnegative")
 
     @property
     def steps_per_episode(self) -> int:

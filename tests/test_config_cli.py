@@ -133,6 +133,17 @@ def test_readme_config_example_parses():
     assert cfg.learning_rate == 0.00025
 
 
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("netnaf ")]
+    assert [argv[1] for argv in commands] == ["train", "eval", "verify"]
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])  # exits 2 on an unknown flag
+
+
 def test_partial_config_overrides_defaults():
     cfg = parse_config(SMALL_CONFIG)
     assert cfg.horizon == 1.0
@@ -201,6 +212,10 @@ def test_invalid_combinations_rejected():
         ExperimentConfig(update_period=0)
     with pytest.raises(ConfigError, match="update cadence"):
         ExperimentConfig(update_iters=-1)
+    for name in ("noise_scale", "noise_scale_final"):  # the noise's sign flips
+        with pytest.raises(ConfigError, match="noise scale"):
+            ExperimentConfig(**{name: -0.5})
+    ExperimentConfig(noise_scale=0.0, noise_scale_final=0.0)  # no noise
     for lr in (-1.0, 0.0, float("nan")):  # Adam would climb the loss
         with pytest.raises(ConfigError, match="learning"):
             ExperimentConfig(learning_rate=lr)
@@ -303,7 +318,7 @@ def test_train_identical_across_blas_threads(tmp_path):
 
 def test_train_and_eval_outputs_are_pinned(tmp_path):
     """A refactor keeps every output byte: the curve minus its wall clock,
-    the final checkpoint, and an eval's trajectory and delay trace. Like
+    the final checkpoint, and an eval's trajectory. Like
     test_checkpoint_bytes_are_pinned, the hashes hold for IEEE doubles under
     numpy's own kernels; another libm or BLAS may move the last bits."""
     cfg_path = tmp_path / "exp.txt"
@@ -311,20 +326,18 @@ def test_train_and_eval_outputs_are_pinned(tmp_path):
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--seed", "3",
                  "--out", str(run)]) == 0
-    traj, trace = tmp_path / "traj.csv", tmp_path / "trace.csv"
+    traj = tmp_path / "traj.csv"
     assert main(["eval", "--checkpoint", str(run / "final.nnc"),
-                 "--init=0.5,-0.2,0.1", "--delay-seed", "3", "--out", str(traj),
-                 "--delay-trace", str(trace)]) == 0
+                 "--init=0.5,-0.2,0.1", "--delay-seed", "3",
+                 "--out", str(traj)]) == 0
     curve = "\n".join(",".join(row) for row in
                       rows_without_wall_clock(run / "learning_curve.csv"))
     digests = [hashlib.sha256(data).hexdigest() for data in (
-        curve.encode(), (run / "final.nnc").read_bytes(), traj.read_bytes(),
-        trace.read_bytes())]
+        curve.encode(), (run / "final.nnc").read_bytes(), traj.read_bytes())]
     assert digests == [
         "b887ea4cde53d75778eea621cb66907189cee83ae470a738308e456cd37bd69c",
         "419a431f84290cff8dca545b03c5039423486b89102e68c9c79669b912fbd6f9",
-        "c6cb85c76f0110afb383d132a357417b909fb0df2ba187426bd914bb56228681",
-        "daf5ff5cbd22cca375d6e197f60a0b17c71876240f26321da328abdc1a16d4be"]
+        "c6cb85c76f0110afb383d132a357417b909fb0df2ba187426bd914bb56228681"]
 
 
 GRID_LAW_CONFIG = SMALL_CONFIG.replace("episodes = 3\n", "").replace(
@@ -354,21 +367,19 @@ def test_grid_law_train_and_eval_outputs_are_pinned(tmp_path):
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--seed", "3",
                  "--out", str(run)]) == 0
-    traj, trace = tmp_path / "traj.csv", tmp_path / "trace.csv"
+    traj = tmp_path / "traj.csv"
     assert main(["eval", "--checkpoint", str(run / "final.nnc"),
-                 "--init=0.5,-0.2,0.1", "--delay-seed", "3", "--out", str(traj),
-                 "--delay-trace", str(trace)]) == 0
+                 "--init=0.5,-0.2,0.1", "--delay-seed", "3",
+                 "--out", str(traj)]) == 0
     curve = "\n".join(",".join(row) for row in
                       rows_without_wall_clock(run / "learning_curve.csv"))
     assert len(curve.splitlines()) == 1 + 30
     digests = [hashlib.sha256(data).hexdigest() for data in (
-        curve.encode(), (run / "final.nnc").read_bytes(), traj.read_bytes(),
-        trace.read_bytes())]
+        curve.encode(), (run / "final.nnc").read_bytes(), traj.read_bytes())]
     assert digests == [
         "64c0756667dbeb2e241625aa585265ef56f69bac295be17239bbd6e3ed301fdf",
         "14386dc78fe85cceb4c6ee6259ef105ba5c3de1814e7d902df1c85818e45065d",
-        "7e468c2fa5d3690b695da1dccd44b93720300caad418bc1a75af9c9c67b96514",
-        "7848488752504366ce1c9fe0e9b8dbac5e914b731cb16c2aec336a064cfde3c7"]
+        "7e468c2fa5d3690b695da1dccd44b93720300caad418bc1a75af9c9c67b96514"]
 
 
 def test_train_episode_override_changes_row_count(tmp_path):
@@ -401,11 +412,14 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     ("[run]\nseed = -1", [], "seed"),
     ("lr = -1.0", [], "learning rate"),
     ("[noise]\nscale = nan", [], "noise_scale must be finite"),
+    ("[noise]\nscale = -1.0", [], "noise scale"),
+    ("[noise]\nscale_final = -0.5", [], "noise scale"),
     ("divergence_penalty = 1000.0", [], "divergence penalty must be <= 0"),
 ], ids=["gamma", "replay_zero", "replay_below_warmup", "zero_episodes",
         "negative_checkpoint_every", "negative_noise_theta",
         "negative_noise_sigma", "negative_seed_flag", "negative_seed_key",
-        "negative_learning_rate", "nan_noise_scale",
+        "negative_learning_rate", "nan_noise_scale", "negative_noise_scale",
+        "negative_noise_scale_final",
         "positive_divergence_penalty"])
 def test_train_rejects_bad_training_settings(tmp_path, capsys, line, extra,
                                              reason):
@@ -635,38 +649,28 @@ def test_train_numerics_failure_keeps_the_completed_curve(tmp_path, capsys):
 
 def test_eval_logs_requested_initial_state(small_run, tmp_path):
     out_csv = tmp_path / "traj.csv"
-    trace_csv = tmp_path / "delays.csv"
     code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
                  "--init=-0.2,0.1,-0.1", "--delay-seed", "3",
-                 "--out", str(out_csv), "--delay-trace", str(trace_csv)])
+                 "--out", str(out_csv)])
     assert code == 0
     rows = read_csv(out_csv)
-    assert rows[0][:5] == ["k", "t", "x1", "x2", "x3"]
+    # the trajectory is also the rollout's delay record
+    assert rows[0] == ["k", "t", "x1", "x2", "x3", "y1", "y2", "u1", "tau_sc",
+                       "tau_cp", "ctrl_arrival", "plant_arrival"]
     assert [float(v) for v in rows[1][2:5]] == [-0.2, 0.1, -0.1]
     assert len(rows) == 1 + 17  # horizon 1.0 at delta 2^-4
-    trace = read_csv(trace_csv)
-    assert trace[0] == ["k", "t_sent", "tau_sc", "tau_cp", "ctrl_arrival",
-                        "plant_arrival"]
-    assert len(trace) == 1 + 17
-    # the delay trace is the trajectory's k, t and delay columns, verbatim
-    cols = [rows[0].index(name) for name in
-            ("k", "t", "tau_sc", "tau_cp", "ctrl_arrival", "plant_arrival")]
-    assert trace[1:] == [[row[i] for i in cols] for row in rows[1:]]
 
 
 def test_eval_diverged_rollout_logs_completed_instants_only(small_run, tmp_path,
                                                            capsys):
     out_csv = tmp_path / "traj.csv"
-    trace_csv = tmp_path / "delays.csv"
     code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
-                 "--init=1e5,0,0", "--out", str(out_csv),
-                 "--delay-trace", str(trace_csv)])
+                 "--init=1e5,0,0", "--out", str(out_csv)])
     assert code == 0
     assert "eval diverged: 1 samples" in capsys.readouterr().out
-    for path in (out_csv, trace_csv):
-        rows = read_csv(path)
-        assert len(rows) == 1 + 1  # header and instant 0; t = delta diverged
-        assert all(np.isfinite(float(v)) for v in rows[1])
+    rows = read_csv(out_csv)
+    assert len(rows) == 1 + 1  # header and instant 0; t = delta diverged
+    assert all(np.isfinite(float(v)) for v in rows[1])
 
 
 def test_eval_second_initial_state(small_run, tmp_path):
@@ -685,20 +689,19 @@ def test_eval_config_under_another_delay_law(small_run, tmp_path):
         load_config(small_run / "config.txt"), delay_distribution="grid")))
     rollouts = {}
     for law, extra in (("uniform", []), ("grid", ["--config", str(grid_cfg)])):
-        out_csv, trace_csv = tmp_path / f"{law}.csv", tmp_path / f"{law}-d.csv"
+        out_csv = tmp_path / f"{law}.csv"
         code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
                      "--init", "0.5,-0.2,0.1", "--delay-seed", "3",
-                     "--out", str(out_csv), "--delay-trace", str(trace_csv),
-                     *extra])
+                     "--out", str(out_csv), *extra])
         assert code == 0
-        rollouts[law] = read_csv(out_csv), read_csv(trace_csv)
-    rows, trace = rollouts["grid"]
+        rollouts[law] = read_csv(out_csv)
+    rows = rollouts["grid"]
     delta = load_config(grid_cfg).delta
-    taus = [float(v) / delta for row in trace[1:]
-            for v in row[trace[0].index("tau_sc"):trace[0].index("tau_cp") + 1]]
+    taus = [float(v) / delta for row in rows[1:]
+            for v in row[rows[0].index("tau_sc"):rows[0].index("tau_cp") + 1]]
     assert len(taus) == 2 * 17 and taus == [round(v) for v in taus]
-    assert rows[0] == rollouts["uniform"][0][0]
-    assert rows[1:] != rollouts["uniform"][0][1:]
+    assert rows[0] == rollouts["uniform"][0]
+    assert rows[1:] != rollouts["uniform"][1:]
 
 
 def test_eval_zero_weight_checkpoint_matches_uncontrolled(tmp_path):
@@ -745,9 +748,9 @@ def test_eval_rejects_a_config_of_another_layout(small_run, tmp_path, capsys):
     assert other.extended_dim == 22
     other_cfg = tmp_path / "other.txt"
     other_cfg.write_text(config_text(other))
-    out_csv, trace_csv = tmp_path / "traj.csv", tmp_path / "trace.csv"
+    out_csv = tmp_path / "traj.csv"
     args = ["--init", "0.5,-0.2,0.1", "--config", str(other_cfg),
-            "--out", str(out_csv), "--delay-trace", str(trace_csv)]
+            "--out", str(out_csv)]
     # the checkpoint's stored configuration is checked, wherever it lies
     lonely = tmp_path / "lonely.nnc"
     lonely.write_bytes((small_run / "final.nnc").read_bytes())
@@ -756,7 +759,7 @@ def test_eval_rejects_a_config_of_another_layout(small_run, tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "(4, 8)" in err and "(5, 5)" in err
-        assert not out_csv.exists() and not trace_csv.exists()
+        assert not out_csv.exists()
 
 
 def test_eval_works_on_a_checkpoint_copied_away_from_its_run(small_run,
@@ -766,15 +769,13 @@ def test_eval_works_on_a_checkpoint_copied_away_from_its_run(small_run,
     (away / "final.nnc").write_bytes((small_run / "final.nnc").read_bytes())
     outputs = []
     for ckpt in (small_run / "final.nnc", away / "final.nnc"):
-        out_csv, trace_csv = ckpt.with_suffix(".csv"), ckpt.with_suffix(".d.csv")
+        out_csv = ckpt.with_suffix(".csv")
         code = main(["eval", "--checkpoint", str(ckpt), "--init", "0.5,-0.2,0.1",
-                     "--delay-seed", "3", "--out", str(out_csv),
-                     "--delay-trace", str(trace_csv)])
+                     "--delay-seed", "3", "--out", str(out_csv)])
         assert code == 0
-        outputs.append((out_csv.read_bytes(), trace_csv.read_bytes()))
+        outputs.append(out_csv.read_bytes())
     assert outputs[0] == outputs[1]
-    assert sorted(p.name for p in away.iterdir()) == [
-        "final.csv", "final.d.csv", "final.nnc"]
+    assert sorted(p.name for p in away.iterdir()) == ["final.csv", "final.nnc"]
 
 
 def test_eval_reads_a_policy_saved_the_way_the_benchmark_saves_it(tmp_path):
@@ -879,72 +880,63 @@ def test_unusable_paths_report_errors(small_run, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("trace_at", ["directory", "under_a_file"])
-def test_eval_failed_delay_trace_leaves_no_trajectory(small_run, tmp_path,
-                                                      capsys, trace_at):
+def test_eval_failed_write_leaves_no_trajectory(small_run, tmp_path, capsys,
+                                               monkeypatch):
+    def write_then_fail(fh, samples):
+        fh.write("k,t\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_trajectory", write_then_fail)
     out_csv = tmp_path / "traj.csv"
-    trace = {"directory": tmp_path,
-             "under_a_file": small_run / "config.txt" / "delays.csv"}[trace_at]
     code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
-                 "--init", "0.5,-0.2,0.1", "--out", str(out_csv),
-                 "--delay-trace", str(trace)])
+                 "--init", "0.5,-0.2,0.1", "--out", str(out_csv)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("case", ["trace_is_out",
-                                  "trace_is_out_by_another_name",
-                                  "out_is_checkpoint", "trace_is_checkpoint",
-                                  "default_out_is_trace"])
+@pytest.mark.parametrize("case", ["out_is_checkpoint",
+                                  "out_is_checkpoint_by_another_name"])
 def test_eval_rejects_outputs_that_name_one_file(small_run, tmp_path, capsys,
                                                  case):
     ckpt = small_run / "final.nnc"
     before = ckpt.read_bytes()
-    out_csv = tmp_path / "t.csv"
-    (tmp_path / "sub").mkdir()
-    paths = {
-        "trace_is_out": (out_csv, out_csv),
-        "trace_is_out_by_another_name": (out_csv,
-                                         tmp_path / "sub" / ".." / "t.csv"),
-        "out_is_checkpoint": (ckpt, None),
-        "trace_is_checkpoint": (out_csv, ckpt),
-        "default_out_is_trace": (None, small_run / "eval-seed0.csv"),
-    }[case]
-    argv = ["eval", "--checkpoint", str(ckpt), "--init", "0.5,-0.2,0.1"]
-    for flag, path in zip(("--out", "--delay-trace"), paths):
-        if path is not None:
-            argv += [flag, str(path)]
-    code = main(argv)
+    (small_run / "sub").mkdir()
+    out = {"out_is_checkpoint": ckpt,
+           "out_is_checkpoint_by_another_name":
+               small_run / "sub" / ".." / "final.nnc"}[case]
+    listing = sorted(small_run.iterdir())
+    code = main(["eval", "--checkpoint", str(ckpt), "--init", "0.5,-0.2,0.1",
+                 "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
     assert ckpt.read_bytes() == before
-    assert not out_csv.exists()
-    assert not (small_run / "eval-seed0.csv").exists()
+    assert sorted(small_run.iterdir()) == listing  # no output was opened
 
 
 @pytest.mark.parametrize("case", ["out_is_explicit_config",
-                                  "trace_is_explicit_config"])
+                                  "out_is_explicit_config_by_another_name"])
 def test_eval_rejects_outputs_that_name_its_config(small_run, tmp_path, capsys,
                                                    case):
     config = tmp_path / "cfg.txt"
     config.write_bytes((small_run / "config.txt").read_bytes())
     before = config.read_bytes()
-    out_csv = tmp_path / "t.csv"
-    argv = ["eval", "--checkpoint", str(small_run / "final.nnc"),
-            "--init", "0.5,-0.2,0.1", "--config", str(config)]
-    if case.startswith("out"):
-        argv += ["--out", str(config)]
-    else:
-        argv += ["--out", str(out_csv), "--delay-trace", str(config)]
-    code = main(argv)
+    (tmp_path / "sub").mkdir()
+    out = {"out_is_explicit_config": config,
+           "out_is_explicit_config_by_another_name":
+               tmp_path / "sub" / ".." / "cfg.txt"}[case]
+    listing = sorted(tmp_path.iterdir())
+    code = main(["eval", "--checkpoint", str(small_run / "final.nnc"),
+                 "--init", "0.5,-0.2,0.1", "--config", str(config),
+                 "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "--config" in captured.err
     assert captured.out == ""
     assert config.read_bytes() == before
-    assert not out_csv.exists()
+    assert sorted(tmp_path.iterdir()) == listing  # no output was opened
     assert not (small_run / "eval-seed0.csv").exists()
 
 
